@@ -1,9 +1,11 @@
-"""Traced in-process pass: times each warnlab module's public functions.
+"""In-process pass over every layer: times each warnlab module's public functions.
 
 The spans are recorded here, around the calls into each layer, so the
 program itself carries no instrumentation. One pass repeats in-process the
 work of the CLI sequence that ``run.py`` times from outside; ``run.py``
-turns the span durations into the per-layer metrics.
+turns the span durations into the per-layer metrics. The same pass run
+with ``no_span`` gives the untraced time that the tracing overhead is
+measured against.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import time
 import tracemalloc
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from warnlab import dataset as ds
@@ -49,13 +51,13 @@ class Tracer:
             self._stack.pop()
             self.spans[span_id].update(start=start, end=end, cpu_s=cpu)
 
-    def pass_totals(self, pass_id: int) -> tuple[float, dict[str, float]]:
-        """CPU time of one pass and the summed CPU time of each child span name."""
+    def pass_totals(self, pass_id: int) -> dict[str, float]:
+        """The summed CPU time of each span name directly inside one pass."""
         totals: dict[str, float] = defaultdict(float)
         for span in self.spans:
             if span["parent"] == pass_id:
                 totals[span["name"]] += span["cpu_s"]
-        return self.spans[pass_id]["cpu_s"], dict(totals)
+        return dict(totals)
 
     def write(self, path: Path) -> None:
         with open(path, "w", encoding="utf-8") as fp:
@@ -63,15 +65,21 @@ class Tracer:
                 fp.write(json.dumps(span, sort_keys=True) + "\n")
 
 
-def traced_pass(tracer: Tracer, out_dir: Path, config: dict, *, knn_k: int,
-                window_days: float, intervals_days: tuple[float, ...]) -> tuple[int, dict]:
-    """Run every layer once under ``tracer``; return the pass span id and counts.
+def no_span(name: str):
+    """The span function of an untraced pass: records nothing."""
+    return nullcontext()
 
-    Datasets and models are saved under ``out_dir`` with the same layout as
-    the CLI run, so the caller can compare the two byte for byte.
+
+def layer_pass(span, out_dir: Path, config: dict, *, knn_k: int, window_days: float,
+               intervals_days: tuple[float, ...]) -> tuple[int | None, dict]:
+    """Run every layer once, each call inside ``span(name)``.
+
+    ``span`` is ``Tracer.span`` or ``no_span``. Returns the pass span id
+    (None when untraced) and the pass's counts. The ledger, datasets and
+    models are saved under ``out_dir`` with the same layout as the CLI run,
+    so the caller can check them against the CLI run's fingerprints.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
-    span = tracer.span
     counts: dict = {}
     with span(PASS_SPAN) as pass_id:
         with span("synth.generate"):
@@ -151,6 +159,7 @@ def traced_pass(tracer: Tracer, out_dir: Path, config: dict, *, knn_k: int,
     counts["models.knn_distance_evals"] = sum(
         len(dataset.test) * len(dataset.train) for dataset in loaded.values())
     counts["audit_ok"] = all(audit.ok for audit in audits)
+    counts["anchors"] = {"train": train, "test": test, "reference": ref}
     return pass_id, counts
 
 

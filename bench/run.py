@@ -3,7 +3,7 @@
 
 Run it from the repository root:
 
-    python3 bench/run.py --workload paper-audit --seed 1 --seconds 25 --trace 0
+    python3 bench/run.py --workload paper-audit --seed 1 --seconds 36 --trace 0
 
 Each run writes the workload's synthetic ledger with ``warnlab synth`` and
 then runs the user's command sequence (ingest, label, sweep, two builds,
@@ -13,7 +13,7 @@ standard output is the result JSON; the line before it carries input sizes,
 the paper's results, artifact hashes and any problems found.
 
 ``--trace 0`` reports end-to-end metrics: set-up time (median of several
-synth runs), the median over at least three repetitions of the sequence of
+synth runs), the median over at least two repetitions of the sequence of
 each command's time, and the peak RSS of any command.
 
 Times are the CPU seconds (user + system) of each command's process, read
@@ -22,9 +22,11 @@ idle machine this equals their wall time; on a shared machine it leaves out
 the time the process waited for a core, which would otherwise dominate the
 run-to-run spread. Wall times are reported in the information line.
 
-``--trace 1`` runs the sequence once untraced, for correctness and as the
-baseline of the tracing overhead, and then repeats the same work in-process
-with a span around each public layer function (see ``layers.py``).
+``--trace 1`` repeats the sequence's work in-process, alternating a pass
+with a span around each public layer function (see ``layers.py``) and an
+untraced pass; the median difference of the two is the tracing overhead.
+Both passes must write the same datasets and models (at seed 1, the
+fingerprinted ones); each pass counts as one attempted operation.
 
 Every command counts as one attempted operation. It fails when it exits
 nonzero, writes a traceback, leaves an artifact missing, produces an
@@ -57,7 +59,7 @@ FINGERPRINTS = BENCH_DIR / "fingerprints.json"
 
 DEFAULT_SEED = 1  # the seed whose artifacts are fingerprinted
 SETUP_REPEATS = 5
-MIN_REPS = 3
+MIN_REPS = 2
 IMPORT_REPEATS = 3
 KNN_K = 5
 WINDOW_DAYS = 365
@@ -65,6 +67,10 @@ INTERVAL_DAYS = (365, 730, 1095, 1460)
 DATASET_FILES = ("train.csv", "test.csv", "meta.json")
 MODES = ("leakfree", "leaky")
 MODEL_KINDS = ("knn", "linear")
+# The deterministic outputs of an in-process pass, named as in the CLI run.
+PASS_ARTIFACTS = ("ledger.jsonl",
+                  *(f"{mode}/{name}" for mode in MODES for name in DATASET_FILES),
+                  *(f"{mode}-{kind}/model.json" for mode in MODES for kind in MODEL_KINDS))
 TRACEBACK = "Traceback (most recent call last)"
 INGEST_SUMMARY = re.compile(
     r"ok: (\d+) revision\(s\), (\d+) observation\(s\), (\d+) change\(s\)")
@@ -88,20 +94,28 @@ class Workload:
         }
 
 
-# Each shape stresses different layers; every layer runs in all three. The
-# sizes are scaled down so that three repetitions of the 14-command
-# sequence fit one run.
+# Each shape stresses different layers; every layer runs in all three. Every
+# command pays about 0.35 s of interpreter start-up, and each one that reads
+# the ledger also pays its ingest; the shares below are of a command's CPU
+# time, measured over ten seeds (bench/README.md has the full table). One
+# repetition of the sequence takes 9-14 CPU seconds, so that at least two
+# fit one run.
 WORKLOADS = {
-    # The setting a user reproduces; every layer does a share of the work.
-    "paper-audit": Workload(40, 40, 10),
-    # Long timelines with small populations and splits: ingest, truncation,
-    # labeling and the sweep do most of the work.
-    "deep-history": Workload(20, 96, 3),
-    # Many warnings alive at once in a short history: population features,
-    # the time-travel audit and kNN scoring grow fastest. 18 revisions keep
-    # one sweep interval inside the history.
-    "wide-snapshot": Workload(120, 18, 40),
+    # Between ROADMAP's S and M scales: layer work is about 40% of the builds
+    # and the audit, 10-20% of label and sweep.
+    "paper-audit": Workload(48, 48, 12),
+    # Long timelines with few warnings alive: start-up and ledger ingest are
+    # most of every command that reads the ledger. Many files with two
+    # warnings each keep the input size steady across seeds.
+    "deep-history": Workload(40, 108, 2),
+    # Many warnings alive at once in a short history: population features and
+    # the time-travel audit are most of the builds and the audit, and the
+    # splits are the largest for kNN. 18 revisions keep one sweep interval
+    # inside the history.
+    "wide-snapshot": Workload(120, 18, 52),
 }
+# Large enough that every command and layer runs; used untimed.
+WARM_UP = Workload(10, 20, 5)
 
 
 @dataclass(frozen=True)
@@ -247,23 +261,28 @@ class Checker:
             problems.append(f"exit code {outcome.code}")
         if TRACEBACK in outcome.stderr:
             problems.append("traceback on stderr")
-        missing = [rel for rel in step.artifacts if not (run_dir / rel).is_file()]
-        problems.extend(f"missing artifact {rel}" for rel in missing)
-        for rel in step.artifacts:
+        problems.extend(self.artifact_problems(step.artifacts, run_dir))
+        if outcome.code == 0 and all((run_dir / rel).is_file() for rel in step.artifacts):
+            try:
+                problems.extend(invariants())
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                problems.append(f"unreadable output: {exc!r}")
+        self.record(step.name, problems)
+
+    def artifact_problems(self, rels, run_dir: Path) -> list[str]:
+        """Missing artifacts, and hashes that differ from an earlier run or the fingerprint."""
+        problems = []
+        for rel in rels:
             path = run_dir / rel
-            if rel in missing:
+            if not path.is_file():
+                problems.append(f"missing artifact {rel}")
                 continue
             digest = sha256(path)
             if self.hashes.setdefault(rel, digest) != digest:
                 problems.append(f"{rel} differs between repetitions")
             if self.expected is not None and self.expected.get(rel) != digest:
                 problems.append(f"fingerprint mismatch: {rel}")
-        if outcome.code == 0 and not missing:
-            try:
-                problems.extend(invariants())
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                problems.append(f"unreadable output: {exc!r}")
-        self.record(step.name, problems)
+        return problems
 
 
 def invariant_problems(step: Step, outcome: Outcome, run_dir: Path, ctx: dict) -> list[str]:
@@ -364,8 +383,7 @@ def warm_up(run_dir: Path) -> None:
     """Untimed: compiles the package's bytecode and pages in the interpreter."""
     warm = run_dir / "warmup"
     warm.mkdir()
-    config = {"seed": 0, "n_files": 4, "n_revisions": 12, "warnings_per_revision": 2}
-    (warm / "synth.json").write_text(json.dumps(config) + "\n")
+    (warm / "synth.json").write_text(json.dumps(WARM_UP.synth_config(0)) + "\n")
     outcome = run_cli(SYNTH.args, warm, run_dir / "logs" / "warmup")
     if outcome.code != 0:
         raise SystemExit(f"warm-up failed:\n{outcome.stderr}")
@@ -383,10 +401,10 @@ def set_up(run_dir: Path, checker: Checker, ctx: dict,
 
 
 def measure_pipeline(steps: list[Step], run_dir: Path, checker: Checker, ctx: dict,
-                     seconds: float, min_reps: int) -> list[dict]:
-    """Repeat the sequence at least ``min_reps`` times, then while it fits ``seconds``."""
+                     start: float, seconds: float) -> list[dict]:
+    """Repeat the sequence ``MIN_REPS`` times, then while the run fits ``seconds`` from ``start``."""
     reps: list[dict] = []
-    start = time.perf_counter()
+    first = time.perf_counter()
     while True:
         cpu: dict[str, float] = defaultdict(float)
         wall = peak_rss = 0.0
@@ -397,8 +415,8 @@ def measure_pipeline(steps: list[Step], run_dir: Path, checker: Checker, ctx: di
             peak_rss = max(peak_rss, outcome.rss_mb)
         reps.append(dict(cpu, pipeline_s=sum(cpu.values()), pipeline_wall_s=wall,
                          peak_rss_mb=peak_rss))
-        elapsed = time.perf_counter() - start
-        if len(reps) >= min_reps and elapsed * (len(reps) + 1) / len(reps) > seconds:
+        now = time.perf_counter()
+        if len(reps) >= MIN_REPS and now + (now - first) / len(reps) - start > seconds:
             return reps
 
 
@@ -406,7 +424,7 @@ def median_of(reps: list[dict], name: str) -> float:
     return statistics.median(rep[name] for rep in reps)
 
 
-def sizes_and_results(run_dir: Path) -> tuple[dict, dict]:
+def sizes_and_results(run_dir: Path) -> dict:
     """Informational: input sizes and the paper's F1/AUC gap, never gated."""
     sizes: dict = {}
     results: dict = {}
@@ -431,41 +449,38 @@ def sizes_and_results(run_dir: Path) -> tuple[dict, dict]:
                     key: report[key] for key in ("f1", "auc", "baseline_f1")}
     except (OSError, ValueError, KeyError, TypeError) as exc:
         sizes["unavailable"] = repr(exc)
-    return sizes, results
+    return {"sizes": sizes, "results": results}
 
 
 def end_to_end(name: str, workload: Workload, seed: int, seconds: float,
-               checker: Checker) -> tuple[dict, Path, dict]:
+               checker: Checker) -> tuple[dict, dict]:
+    start = time.perf_counter()
     run_dir = prepare(name, workload, seed)
     warm_up(run_dir)
     ctx = {"workload": workload}
     setup, ctx["anchors"] = set_up(run_dir, checker, ctx, SETUP_REPEATS)
     reps = measure_pipeline(command_sequence(ctx["anchors"]), run_dir, checker, ctx,
-                            seconds, MIN_REPS)
+                            start, seconds)
     metrics = {"setup_s": (statistics.median(o.cpu_s for o in setup), "s")}
     for metric in ("pipeline_s", "ingest_s", "label_s", "sweep_s", "build_leakfree_dedup_s",
                    "build_leaky_s", "fit_eval_s", "audit_s"):
         metrics[metric] = (median_of(reps, metric), "s")
     metrics["peak_rss_mb"] = (median_of(reps, "peak_rss_mb"), "MB")
-    return metrics, run_dir, {
+    return metrics, {
         "anchors": ctx["anchors"],
         "repetitions": len(reps),
         "pipeline_s_by_repetition": [rep["pipeline_s"] for rep in reps],
         "setup_wall_s": statistics.median(o.wall_s for o in setup),
         "pipeline_wall_s": median_of(reps, "pipeline_wall_s"),
+        **sizes_and_results(run_dir),
     }
 
 
 def per_layer(name: str, workload: Workload, seed: int, seconds: float,
-              checker: Checker) -> tuple[dict, Path, dict]:
+              checker: Checker) -> tuple[dict, dict]:
     start = time.perf_counter()
     run_dir = prepare(name, workload, seed)
     warm_up(run_dir)
-    ctx = {"workload": workload}
-    setup, ctx["anchors"] = set_up(run_dir, checker, ctx, 1)
-    untraced = measure_pipeline(command_sequence(ctx["anchors"]), run_dir, checker, ctx,
-                                0.0, 1)[0]["pipeline_s"] + setup[0].cpu_s
-
     import_times = [
         run_process([sys.executable, "-c", "import warnlab.cli"], run_dir,
                     run_dir / "logs" / "import").cpu_s
@@ -475,26 +490,48 @@ def per_layer(name: str, workload: Workload, seed: int, seconds: float,
     sys.path.insert(0, str(SRC))
     import layers
 
+    options = dict(knn_k=KNN_K, window_days=float(WINDOW_DAYS),
+                   intervals_days=tuple(map(float, INTERVAL_DAYS)))
+    # Untimed: a tiny pass runs every code path once, so that lazy imports
+    # and first-call costs land in neither side of the overhead.
+    layers.layer_pass(layers.no_span, run_dir / "warmup-pass",
+                      WARM_UP.synth_config(seed), **options)
+
     tracer = layers.Tracer()
-    traced_dir = run_dir / "traced"
-    passes: list[tuple[float, dict]] = []
+    pass_dir = run_dir / "pass"
+
+    def one_pass(span) -> tuple[float, int | None, dict]:
+        cpu = time.process_time()
+        pass_id, counts = layers.layer_pass(span, pass_dir, workload.synth_config(seed),
+                                            **options)
+        cpu = time.process_time() - cpu
+        problems = [] if counts["audit_ok"] else ["time-travel audit failed in-process"]
+        problems += checker.artifact_problems(PASS_ARTIFACTS, pass_dir)
+        checker.record("traced-pass" if pass_id is not None else "untraced-pass", problems)
+        return cpu, pass_id, counts
+
+    # Passes run in pairs, one traced and one untraced, in alternating order,
+    # so that drift of the machine's speed and any cost of coming second fall
+    # on both sides of the overhead.
+    untraced: list[float] = []
+    traced: list[tuple[float, dict]] = []
     while True:
-        pass_id, counts = layers.traced_pass(
-            tracer, traced_dir, workload.synth_config(seed), knn_k=KNN_K,
-            window_days=float(WINDOW_DAYS), intervals_days=tuple(map(float, INTERVAL_DAYS)))
-        passes.append(tracer.pass_totals(pass_id))
-        checker.record(f"traced-pass-{len(passes)}",
-                       traced_problems(traced_dir, run_dir, counts))
-        elapsed = time.perf_counter() - start
-        if elapsed + passes[-1][0] > seconds:
+        if len(traced) % 2:
+            cpu, pass_id, counts = one_pass(tracer.span)
+            untraced.append(one_pass(layers.no_span)[0])
+        else:
+            untraced.append(one_pass(layers.no_span)[0])
+            cpu, pass_id, counts = one_pass(tracer.span)
+        traced.append((cpu, tracer.pass_totals(pass_id)))
+        if time.perf_counter() - start + untraced[-1] + cpu > seconds:
             break
-    peak_mb = layers.ingest_peak_mb(traced_dir / "ledger.jsonl")
+    peak_mb = layers.ingest_peak_mb(pass_dir / "ledger.jsonl")
     tracer.write(run_dir / "spans.jsonl")
 
     metrics = {"cli.import_s": (statistics.median(import_times), "s")}
-    for span_name in sorted(passes[0][1]):
+    for span_name in sorted(traced[0][1]):
         metrics[f"{span_name}_s"] = (
-            statistics.median(totals.get(span_name, 0.0) for _, totals in passes), "s")
+            statistics.median(totals.get(span_name, 0.0) for _, totals in traced), "s")
     metrics["history.ingest_peak_mb"] = (peak_mb, "MB")
     units = {"history.lines": "count", "history.observations": "count",
              "oracle.unknown_ratio": "ratio", "oracle.sweep_rows": "count",
@@ -502,24 +539,14 @@ def per_layer(name: str, workload: Workload, seed: int, seconds: float,
              "dataset.dedup_keep_ratio": "ratio", "models.knn_distance_evals": "count"}
     for counter, unit in units.items():
         metrics[counter] = (counts[counter], unit)
-    traced_total = statistics.median(total for total, _ in passes)
-    covered = statistics.median(sum(totals.values()) / total for total, totals in passes)
-    metrics["trace.total_s"] = (traced_total, "s")
-    metrics["trace.untraced_s"] = (untraced, "s")
-    metrics["trace.overhead_s"] = (traced_total - untraced, "s")
-    metrics["trace.span_coverage"] = (covered, "ratio")
-    return metrics, run_dir, {"anchors": ctx["anchors"], "traced_passes": len(passes)}
-
-
-def traced_problems(traced_dir: Path, run_dir: Path, counts: dict) -> list[str]:
-    """The in-process pass must reproduce the CLI's datasets and models."""
-    problems = [] if counts["audit_ok"] else ["time-travel audit failed in-process"]
-    rels = [f"{mode}/{name}" for mode in MODES for name in DATASET_FILES]
-    rels += [f"{mode}-{kind}/model.json" for mode in MODES for kind in MODEL_KINDS]
-    for rel in rels:
-        if not (run_dir / rel).is_file() or sha256(traced_dir / rel) != sha256(run_dir / rel):
-            problems.append(f"in-process {rel} differs from the CLI's")
-    return problems
+    metrics["trace.total_s"] = (statistics.median(cpu for cpu, _ in traced), "s")
+    metrics["trace.untraced_s"] = (statistics.median(untraced), "s")
+    # Each traced pass is compared with the untraced pass of its pair.
+    metrics["trace.overhead_s"] = (statistics.median(
+        cpu - plain for (cpu, _), plain in zip(traced, untraced)), "s")
+    metrics["trace.span_coverage"] = (
+        statistics.median(sum(totals.values()) / cpu for cpu, totals in traced), "ratio")
+    return metrics, {"anchors": counts["anchors"], "passes": len(traced)}
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +558,7 @@ def main(argv: list[str] | None = None, workloads: dict[str, Workload] = WORKLOA
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads))
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -547,9 +574,8 @@ def main(argv: list[str] | None = None, workloads: dict[str, Workload] = WORKLOA
 
     checker = Checker(expected)
     measure = per_layer if args.trace else end_to_end
-    metrics, run_dir, info = measure(args.workload, workloads[args.workload], args.seed,
+    metrics, info = measure(args.workload, workloads[args.workload], args.seed,
                                      args.seconds, checker)
-    sizes, results = sizes_and_results(run_dir)
     for problem in checker.problems:
         print(f"problem: {problem}", file=sys.stderr)
     print(json.dumps({
@@ -557,8 +583,6 @@ def main(argv: list[str] | None = None, workloads: dict[str, Workload] = WORKLOA
         "seed": args.seed,
         **info,
         "fingerprints": "checked" if expected is not None else "held-out seed: invariants only",
-        "sizes": sizes,
-        "results": results,
         "artifacts": dict(sorted(checker.hashes.items())),
         "problems": list(dict.fromkeys(checker.problems)),
     }, sort_keys=True))

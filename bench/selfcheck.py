@@ -6,9 +6,10 @@ Run it from the repository root:
     python3 bench/selfcheck.py
 
 It checks that one run prints every metric BENCHMARK.json declares, with
-its unit, for ``--trace 1`` and ``--trace 0``; that expected hashes are
-compared; and that one wrong expected hash is reported as a failed
-operation naming the artifact, while everything else passes.
+its unit, for ``--trace 0`` and ``--trace 1``; that expected hashes are
+compared; that one wrong expected hash is reported as a failed operation
+naming the artifact, while everything else passes; and that the traced
+in-process passes reproduce the artifacts of the CLI run.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def main() -> int:
     problems: list[str] = []
 
     # No expected hashes: every artifact must be reported as a mismatch.
-    info, result = run_tiny(1, {})
-    problems += metric_problems(result, spec["per_layer"])
+    info, result = run_tiny(0, {})
+    problems += metric_problems(result, spec["end_to_end"])
     hashes = info["artifacts"]
     unflagged = [rel for rel in hashes
                  if not any(p.endswith(f"fingerprint mismatch: {rel}") for p in info["problems"])]
@@ -67,11 +68,16 @@ def main() -> int:
 
     # Right hashes but one: exactly that artifact fails, once per repetition.
     info, result = run_tiny(0, dict(hashes, **{TAMPERED: "0" * 64}))
-    problems += metric_problems(result, spec["end_to_end"])
     if info["problems"] != [f"audit: fingerprint mismatch: {TAMPERED}"]:
         problems.append(f"tampered hash reported as {info['problems']}")
     if result["correct"] or result["failed"] != info["repetitions"]:
         problems.append(f"tampered hash counted as {result['failed']} failed operation(s)")
+
+    # Right hashes: the in-process passes reproduce the CLI's artifacts.
+    info, result = run_tiny(1, hashes)
+    problems += metric_problems(result, spec["per_layer"])
+    if not result["correct"]:
+        problems.append(f"traced run failed: {info['problems']}")
 
     for problem in problems:
         print(f"FAIL: {problem}")
