@@ -88,25 +88,15 @@ class WarningPopulation:
     def closed_count(self) -> int:
         return sum(1 for _, closed in self.members if closed)
 
-    @property
-    def open_count(self) -> int:
-        return len(self.members) - self.closed_count
-
 
 def warning_context(population: WarningPopulation) -> float:
     """(closed - open) / total over the population; 0 when it is empty."""
-    total = len(population)
-    if total == 0:
-        return 0.0
-    return (population.closed_count - population.open_count) / total
+    return _context_of(population.closed_count, len(population))
 
 
 def defect_likelihood(population: WarningPopulation) -> float:
     """Share of the population that closed; 0 when it is empty."""
-    total = len(population)
-    if total == 0:
-        return 0.0
-    return population.closed_count / total
+    return _likelihood_of(population.closed_count, len(population))
 
 
 def discretized_defect_likelihood(
@@ -118,16 +108,33 @@ def discretized_defect_likelihood(
     the denominator; categories with fewer than two populated patterns
     yield 0 (callers flag that case).
     """
-    populated = {p: pop for p, pop in pattern_populations.items() if len(pop) > 0}
+    return _discretization_of(
+        {p: (pop.closed_count, len(pop)) for p, pop in pattern_populations.items()}
+    )
+
+
+# The formulas work on (closed, total) counts, which is all extraction keeps
+# of a population.
+
+def _context_of(closed: int, total: int) -> float:
+    return (closed - (total - closed)) / total if total else 0.0
+
+
+def _likelihood_of(closed: int, total: int) -> float:
+    return closed / total if total else 0.0
+
+
+def _discretization_of(counts: Mapping[str, Sequence[int]]) -> float:
+    populated = {p: c for p, c in counts.items() if c[1] > 0}
     n_patterns = len(populated)
     if n_patterns <= 1:
         return 0.0
-    total_members = sum(len(pop) for pop in populated.values())
-    total_closed = sum(pop.closed_count for pop in populated.values())
+    total_members = sum(total for _, total in populated.values())
+    total_closed = sum(closed for closed, _ in populated.values())
     pooled = total_closed / total_members
     acc = 0.0
     for pattern in sorted(populated):
-        acc += (defect_likelihood(populated[pattern]) - pooled) ** 2
+        acc += (_likelihood_of(*populated[pattern]) - pooled) ** 2
     return acc / (n_patterns - 1)
 
 
@@ -289,7 +296,7 @@ def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningKey, Canoni
         out[canon] = CanonicalWarning(
             member_key=canon,
             pattern=canon.bug_pattern,
-            category=_category_of(base, canon.bug_pattern),
+            category=base.pattern_categories[canon.bug_pattern],
             package=canon.package,
             class_name=canon.class_name,
             method=canon.method,
@@ -302,19 +309,6 @@ def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningKey, Canoni
             closed_idx=closed_idx,
         )
     return out
-
-
-def _category_map(history: ProjectHistory) -> dict[str, str]:
-    return {obs.bug_pattern: obs.bug_category for obs in history.observations}
-
-
-def _category_of(history: ProjectHistory, pattern: str) -> str:
-    # Patterns map to exactly one category per history (validated at ingest).
-    cache = getattr(history, "_pattern_categories", None)
-    if cache is None:
-        cache = _category_map(history)
-        history.__dict__["_pattern_categories"] = cache
-    return cache[pattern]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +341,7 @@ def lifetime_stats(
     canon = _canonical_for(base, universe, key, at_idx)
     if canon is None:
         raise ValidationError(f"warning key not observed at or before {at_rev!r}: {key}")
-    return _lifetime_from_universe(base, universe, canon, at_idx, lifetime_unit)
+    return _lifetime_of(canon, at_idx, _type_lifetimes(base, universe, at_idx, lifetime_unit))
 
 
 def _canonical_for(
@@ -363,31 +357,37 @@ def _canonical_for(
     return universe.get(key.with_path(path))
 
 
-def _lifetime_from_universe(
+def _type_lifetimes(
     base: ProjectHistory,
     universe: dict[WarningKey, CanonicalWarning],
-    canon: CanonicalWarning,
     at_idx: int,
     lifetime_unit: str,
-) -> LifetimeStats:
+) -> dict[str, float]:
+    """Category -> mean lifetime of its warnings closed at or before ``at_idx``.
+
+    Durations are summed in universe order, so the means do not depend on
+    how many targets share a category.
+    """
     if lifetime_unit not in ("days", "revisions"):
         raise ValidationError(f"lifetime_unit must be 'days' or 'revisions', got {lifetime_unit!r}")
-    lifetime = sum(1 for idx in canon.presence if idx <= at_idx)
-    durations: list[float] = []
+    durations: dict[str, list[float]] = defaultdict(list)
     for other in universe.values():
-        if other.category != canon.category or other.closed_idx is None:
-            continue
-        if other.closed_idx > at_idx:
+        if other.closed_idx is None or other.closed_idx > at_idx:
             continue
         if lifetime_unit == "days":
             start = base.rev_at(other.first_seen_idx).timestamp
             end = base.rev_at(other.closed_idx).timestamp
-            durations.append((end - start) / SECONDS_PER_DAY)
+            durations[other.category].append((end - start) / SECONDS_PER_DAY)
         else:
-            durations.append(float(other.closed_idx - other.first_seen_idx))
-    if durations:
-        return LifetimeStats(lifetime, sum(durations) / len(durations), False)
-    return LifetimeStats(lifetime, 0.0, True)
+            durations[other.category].append(float(other.closed_idx - other.first_seen_idx))
+    return {category: sum(ds) / len(ds) for category, ds in durations.items()}
+
+
+def _lifetime_of(canon: CanonicalWarning, at_idx: int,
+                 type_lifetimes: Mapping[str, float]) -> LifetimeStats:
+    lifetime = sum(1 for idx in canon.presence if idx <= at_idx)
+    average = type_lifetimes.get(canon.category)
+    return LifetimeStats(lifetime, 0.0 if average is None else average, average is None)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,6 @@ def extract_golden(
     ref_rev: str | None = None,
     *,
     lifetime_unit: str = "days",
-    _bypass_time_travel_guard: bool = False,
 ) -> dict[WarningKey, FeatureVector]:
     """Compute all 23 features for every warning observed at ``at_rev``.
 
@@ -411,8 +410,12 @@ def extract_golden(
     ``at_rev``. Missing static attributes abort extraction with a
     per-warning error. Output is sorted by warning key.
 
-    ``_bypass_time_travel_guard`` exists only so audits can demonstrate
-    detection of a guard breach; it must never be used for real extraction.
+    Cost: one pass each over the population members, the warning universe
+    and the change records computes everything that depends only on the
+    extraction revision and mode (closed/total counts per method, file,
+    category and pattern; discretization and mean closed lifetime per
+    category; recent LOC per package). Each target then costs lookups plus
+    its own ``resolve_path`` and ``file_chain`` walk.
     """
     at_idx = history.rev_index(at_rev)
     ref_idx: int | None = None
@@ -422,13 +425,10 @@ def extract_golden(
         ref_idx = history.rev_index(ref_rev)
         if ref_idx <= at_idx:
             raise ValidationError("reference revision must come after the extraction revision")
+        base = history
     else:
         if ref_rev is not None:
             raise ValidationError("leak-free extraction forbids a reference revision")
-
-    if mode.is_leaky or _bypass_time_travel_guard:
-        base = history
-    else:
         base = truncate_history(history, at_rev)
     universe = build_universe(base, at_idx)
 
@@ -448,24 +448,25 @@ def extract_golden(
             if canon.first_seen_time >= window_start:
                 members.append((canon, not canon.present_at_target))
 
-    file_pops: dict[str, list[tuple[WarningKey, bool]]] = defaultdict(list)
-    method_pops: dict[tuple[str, str], list[tuple[WarningKey, bool]]] = defaultdict(list)
-    type_pops: dict[str, list[tuple[WarningKey, bool]]] = defaultdict(list)
-    pattern_pops: dict[str, list[tuple[WarningKey, bool]]] = defaultdict(list)
+    # [closed, total] per population, keyed by (scope, path[, method]) or
+    # (scope, category | pattern).
+    counts: dict[tuple[str, ...], list[int]] = defaultdict(lambda: [0, 0])
     patterns_by_category: dict[str, set[str]] = defaultdict(set)
     for canon, closed in members:
-        entry = (canon.member_key, closed)
-        file_pops[canon.path].append(entry)
+        scopes = [(SCOPE_FILE, canon.path), (SCOPE_WARNING_TYPE, canon.category),
+                  (SCOPE_PATTERN, canon.pattern)]
         if canon.method is not None:
-            method_pops[(canon.path, canon.method)].append(entry)
-        type_pops[canon.category].append(entry)
-        pattern_pops[canon.pattern].append(entry)
+            scopes.append((SCOPE_METHOD, canon.path, canon.method))
+        for scope in scopes:
+            tally = counts[scope]
+            tally[0] += closed
+            tally[1] += 1
         patterns_by_category[canon.category].add(canon.pattern)
-
-    def _pop(scope: str, raw: list[tuple[WarningKey, bool]] | None) -> WarningPopulation:
-        if not raw:
-            return WarningPopulation(scope, ())
-        return WarningPopulation(scope, tuple(sorted(raw, key=lambda m: m[0].sort_key())))
+    empty = (0, 0)
+    discretization = {
+        category: _discretization_of({p: counts[(SCOPE_PATTERN, p)] for p in patterns})
+        for category, patterns in patterns_by_category.items()
+    }
 
     targets = base.keys_at(at_rev)
     missing: dict[WarningKey, str] = {}
@@ -478,6 +479,9 @@ def extract_golden(
             f"{len(missing)} warning(s) lack data at {at_rev}: {listing}",
             failures={str(k): why for k, why in missing.items()},
         )
+    type_lifetimes = _type_lifetimes(base, universe, at_idx, lifetime_unit)
+    loc_by_package = _loc_by_package(base, at_idx, days=90.0)
+    at_time = base.rev_at(at_idx).timestamp
 
     obs_by_key = {}
     for obs in base.observations_at.get(at_rev, ()):
@@ -490,60 +494,46 @@ def extract_golden(
         canon = _canonical_for(base, universe, key, at_idx)
         flags: set[str] = set()
 
-        file_pop = _pop(SCOPE_FILE, file_pops.get(canon.path))
-        if len(file_pop) == 0:
+        file_count = counts.get((SCOPE_FILE, canon.path), empty)
+        if file_count[1] == 0:
             flags.add(FLAG_EMPTY_FILE_POPULATION)
         if canon.method is None:
-            wc_method = warning_context(file_pop)
+            method_count = file_count
             flags.add(FLAG_METHOD_FILE_FALLBACK)
-            if len(file_pop) == 0:
-                flags.add(FLAG_EMPTY_METHOD_POPULATION)
         else:
-            method_pop = _pop(SCOPE_METHOD, method_pops.get((canon.path, canon.method)))
-            if len(method_pop) == 0:
-                flags.add(FLAG_EMPTY_METHOD_POPULATION)
-            wc_method = warning_context(method_pop)
-
-        type_pop = _pop(SCOPE_WARNING_TYPE, type_pops.get(canon.category))
-        if len(type_pop) == 0:
+            method_count = counts.get((SCOPE_METHOD, canon.path, canon.method), empty)
+        if method_count[1] == 0:
+            flags.add(FLAG_EMPTY_METHOD_POPULATION)
+        type_count = counts.get((SCOPE_WARNING_TYPE, canon.category), empty)
+        if type_count[1] == 0:
             flags.add(FLAG_EMPTY_TYPE_POPULATION)
-        pattern_pop = _pop(SCOPE_PATTERN, pattern_pops.get(canon.pattern))
-        if len(pattern_pop) == 0:
+        pattern_count = counts.get((SCOPE_PATTERN, canon.pattern), empty)
+        if pattern_count[1] == 0:
             flags.add(FLAG_EMPTY_PATTERN_POPULATION)
 
-        category_patterns = patterns_by_category.get(canon.category, set())
-        per_pattern = {
-            p: _pop(SCOPE_PATTERN, pattern_pops.get(p)) for p in category_patterns
-        }
-        if not per_pattern:
+        n_patterns = len(patterns_by_category.get(canon.category, ()))
+        if n_patterns == 0:
             flags.add(FLAG_EMPTY_CATEGORY)
-            disc = 0.0
-        elif len(per_pattern) == 1:
+        elif n_patterns == 1:
             flags.add(FLAG_SINGLE_PATTERN_CATEGORY)
-            disc = 0.0
-        else:
-            disc = discretized_defect_likelihood(per_pattern)
 
-        stats = _lifetime_from_universe(base, universe, canon, at_idx, lifetime_unit)
+        stats = _lifetime_of(canon, at_idx, type_lifetimes)
         if stats.no_closures_for_type:
             flags.add(FLAG_NO_CLOSED_LIFETIME)
 
         chain = base.file_chain(canon.path, at_idx)
-        at_time = base.rev_at(at_idx).timestamp
         if chain.birth_idx is not None:
             birth_time = base.rev_at(chain.birth_idx).timestamp
         else:
             birth_time = _earliest_mention(base, canon, chain)
             flags.add(FLAG_FILE_CREATION_INFERRED)
-        loc_file = _loc_last_n_revisions(chain, at_idx, n=25)
-        loc_pkg = _loc_package_window(base, canon.package, at_idx, days=90.0)
 
         out[key] = FeatureVector(
-            warning_context_in_method=wc_method,
-            warning_context_in_file=warning_context(file_pop),
-            warning_context_for_warning_type=warning_context(type_pop),
-            defect_likelihood_for_warning_pattern=defect_likelihood(pattern_pop),
-            discretization_of_defect_likelihood=disc,
+            warning_context_in_method=_context_of(*method_count),
+            warning_context_in_file=_context_of(*file_count),
+            warning_context_for_warning_type=_context_of(*type_count),
+            defect_likelihood_for_warning_pattern=_likelihood_of(*pattern_count),
+            discretization_of_defect_likelihood=discretization.get(canon.category, 0.0),
             average_lifetime_for_warning_type=stats.average_lifetime_for_type,
             comment_code_ratio=attrs.comment_code_ratio,
             method_depth=attrs.method_depth,
@@ -559,8 +549,8 @@ def extract_golden(
             developers=len(chain.authors()),
             parameter_signature=attrs.parameter_signature,
             method_visibility=attrs.method_visibility,
-            loc_added_in_file_last_25_revisions=loc_file,
-            loc_added_in_package_past_3_months=loc_pkg,
+            loc_added_in_file_last_25_revisions=_loc_last_n_revisions(chain, at_idx, n=25),
+            loc_added_in_package_past_3_months=loc_by_package.get(canon.package, 0),
             warning_lifetime_revisions=stats.lifetime_revisions,
             flags=frozenset(flags),
         )
@@ -585,30 +575,18 @@ def _loc_last_n_revisions(chain, at_idx: int, n: int) -> int:
     return sum(per_rev[idx] for idx in recent)
 
 
-def _loc_package_window(base: ProjectHistory, package: str, at_idx: int, days: float) -> int:
-    paths = _package_paths(base).get(package, frozenset())
-    at_time = base.rev_at(at_idx).timestamp
-    floor = at_time - days * SECONDS_PER_DAY
-    total = 0
+def _loc_by_package(base: ProjectHistory, at_idx: int, days: float) -> dict[str, int]:
+    """Package -> lines added to its files in the ``days`` up to ``at_idx``."""
+    floor = base.rev_at(at_idx).timestamp - days * SECONDS_PER_DAY
+    by_path: dict[str, int] = defaultdict(int)
     for rec in base.changes:
-        if rec.file_path not in paths:
-            continue
         idx = base.rev_index(rec.revision)
         if idx <= at_idx and base.rev_at(idx).timestamp > floor:
-            total += rec.lines_added
-    return total
-
-
-def _package_paths(history: ProjectHistory) -> dict[str, frozenset[str]]:
-    """Package -> file paths, attributed through warning observations."""
-    cache = getattr(history, "_package_paths_cache", None)
-    if cache is None:
-        acc: dict[str, set[str]] = defaultdict(set)
-        for obs in history.observations:
-            acc[obs.entity.package].add(obs.file_path)
-        cache = {pkg: frozenset(paths) for pkg, paths in acc.items()}
-        history.__dict__["_package_paths_cache"] = cache
-    return cache
+            by_path[rec.file_path] += rec.lines_added
+    return {
+        package: sum(by_path.get(path, 0) for path in paths)
+        for package, paths in base.package_paths.items()
+    }
 
 
 def _check_finite(vec: FeatureVector) -> None:

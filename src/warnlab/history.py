@@ -203,6 +203,19 @@ class ProjectHistory:
         """Distinct warning keys observed at a revision, in sort order."""
         return tuple(sorted(self.present_keys[self.rev_index(rev_id)], key=WarningKey.sort_key))
 
+    @cached_property
+    def pattern_categories(self) -> dict[str, str]:
+        """Bug pattern -> its category (one per pattern, validated at ingest)."""
+        return {obs.bug_pattern: obs.bug_category for obs in self.observations}
+
+    @cached_property
+    def package_paths(self) -> dict[str, frozenset[str]]:
+        """Package -> file paths, attributed through warning observations."""
+        acc: dict[str, set[str]] = defaultdict(set)
+        for obs in self.observations:
+            acc[obs.entity.package].add(obs.file_path)
+        return {pkg: frozenset(paths) for pkg, paths in acc.items()}
+
     # -- file chain (rename/delete) indexes --------------------------------
 
     @cached_property
@@ -607,10 +620,13 @@ def truncate_history(history: ProjectHistory, rev_id: str) -> ProjectHistory:
     """Drop every record after ``rev_id`` and pin the horizon there.
 
     This is the time-travel guard handed to leak-free feature extraction:
-    nothing chronologically after the cut survives. Applying the same cut
-    twice is idempotent.
+    nothing chronologically after the cut survives. A cut at the last
+    revision of a history already pinned there returns ``history`` itself,
+    so applying the same cut twice shares the first cut's cached indexes.
     """
     cut = history.rev_index(rev_id)
+    if cut == len(history.revisions) - 1 and history.horizon == rev_id:
+        return history
     keep = {rev.id for rev in history.revisions[: cut + 1]}
     return ProjectHistory(
         revisions=history.revisions[: cut + 1],

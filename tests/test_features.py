@@ -14,6 +14,7 @@ from warnlab.features import (
     FLAG_EMPTY_FILE_POPULATION,
     FLAG_METHOD_FILE_FALLBACK,
     FLAG_NO_CLOSED_LIFETIME,
+    FLAG_SINGLE_PATTERN_CATEGORY,
     LeakMode,
     MatrixRow,
     WarningPopulation,
@@ -31,6 +32,7 @@ from warnlab.oracle import Label, heuristic_label
 from warnlab.synth import SynthConfig, generate
 
 from conftest import attrs_line, change_line, make_history, rev_line, warn_line
+from golden_reference import reference_golden
 
 
 def _k(i: int, pattern: str = "P") -> WarningKey:
@@ -228,8 +230,8 @@ class TestExtractGolden:
         assert clean.ok
 
         def breached(history, at_rev, mode):
-            return extract_golden(history, at_rev, mode,
-                                  _bypass_time_travel_guard=True)
+            # Reads closure flags at the horizon, far past ``at_rev``.
+            return extract_golden(history, at_rev, LeakMode.leaky(), history.horizon)
 
         audit = audit_time_travel(h, a.train, LeakMode.leakfree(), extractor=breached)
         assert not audit.ok
@@ -352,6 +354,71 @@ class TestHistoryDerivedFeatures:
         assert vec.file_age_days == pytest.approx(90.0)  # back through the rename
         assert vec.developers == 2
         assert vec.warning_lifetime_revisions == 4  # bridged presence
+
+
+def _mixed_ledger_history():
+    """Rename, method-less target, single-pattern and closure-free categories."""
+    lines = [rev_line(f"r{i}", day=30 * i) for i in range(6)]  # days 0..150
+    lines += [
+        change_line("r0", "src/a/Old.java", "Add", lines_added=120, author="ann"),
+        change_line("r0", "src/a/Foo.java", "Add", lines_added=50, author="bob"),
+        change_line("r0", "src/b/Bar.java", "Add", lines_added=70, author="cat"),
+        change_line("r2", "src/a/New.java", "Rename", lines_added=5, author="bob",
+                    old_path="src/a/Old.java"),
+        change_line("r3", "src/a/Foo.java", "Modify", lines_added=11, author="ann"),
+        change_line("r3", "src/b/Bar.java", "Modify", lines_added=13, author="bob"),
+        change_line("r5", "src/a/Foo.java", "Modify", lines_added=17, author="cat"),
+    ]
+    spans = [  # (path by revision, pattern, category, package, class, method, revisions)
+        ("src/a/Old.java", "NP_A", "CORRECTNESS", "com.a", "Old", "m()", range(0, 2)),
+        ("src/a/New.java", "NP_A", "CORRECTNESS", "com.a", "Old", "m()", range(2, 5)),
+        ("src/a/Foo.java", "NP_B", "CORRECTNESS", "com.a", "Foo", None, range(1, 5)),
+        ("src/a/Foo.java", "NP_A", "CORRECTNESS", "com.a", "Foo", "x()", range(0, 3)),
+        ("src/b/Bar.java", "NP_B", "CORRECTNESS", "com.b", "Bar", "y()", range(1, 2)),
+        ("src/b/Bar.java", "SE_ONLY", "STYLE", "com.b", "Bar", "z()", range(0, 5)),
+        ("src/a/Foo.java", "SE_ONLY", "STYLE", "com.a", "Foo", "x()", range(3, 6)),
+        ("src/b/Bar.java", "DM_SLOW", "PERF", "com.b", "Bar", "w()", range(2, 6)),
+        ("src/a/New.java", "DM_BOX", "PERF", "com.a", "Old", "n()", range(3, 5)),
+    ]
+    for path, pattern, category, package, cls, method, revs in spans:
+        for i in revs:
+            common = dict(path=path, pattern=pattern, package=package, cls=cls, method=method)
+            lines.append(warn_line(f"r{i}", category=category, **common))
+            if i == 4:
+                lines.append(attrs_line("r4", **common))
+    return make_history(lines)
+
+
+class TestDifferentialAgainstReference:
+    """Shared per-revision counts agree bit for bit with per-target rebuilding."""
+
+    def _assert_matches_reference(self, h, at_rev, ref_rev):
+        modes = [(LeakMode.leaky(), ref_rev), (LeakMode.leakfree(), None),
+                 (LeakMode.leakfree(45.0), None)]
+        for mode, ref in modes:
+            for unit in ("days", "revisions"):
+                vectors = extract_golden(h, at_rev, mode, ref, lifetime_unit=unit)
+                assert vectors
+                assert reference_golden(h, at_rev, mode, ref, unit, vectors) == vectors
+
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_synth(self, seed):
+        result = generate(SynthConfig(seed=seed, n_files=10, n_revisions=24,
+                                      warnings_per_revision=6, incidental_close_rate=0.2,
+                                      file_delete_rate=0.1, fix_delay_days=(30.0, 400.0)))
+        h, a = result.history, result.anchors
+        for at_rev in (a.train, a.test):
+            self._assert_matches_reference(h, at_rev, a.reference)
+
+    def test_hand_built_ledger(self):
+        h = _mixed_ledger_history()
+        self._assert_matches_reference(h, "r4", "r5")
+        vectors = extract_golden(h, "r4", LeakMode.leakfree())
+        flags = set().union(*(vec.flags for vec in vectors.values()))
+        assert {FLAG_METHOD_FILE_FALLBACK, FLAG_SINGLE_PATTERN_CATEGORY,
+                FLAG_NO_CLOSED_LIFETIME} <= flags
+        renamed = next(k for k in vectors if k.file_path == "src/a/New.java" and k.method == "m()")
+        assert vectors[renamed].warning_lifetime_revisions == 5  # bridged across the rename
 
 
 class TestMatrixRoundTrip:

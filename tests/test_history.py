@@ -155,8 +155,9 @@ class TestTruncate:
             horizon="r05",
         )
         assert t == expected
-        # Idempotent, bit-equal.
+        # Idempotent: the second cut is the first one itself.
         assert truncate_history(t, "r05") == t
+        assert truncate_history(t, "r05") is t
 
     def test_truncate_unknown_revision(self):
         with pytest.raises(IntegrityError):
