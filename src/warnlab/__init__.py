@@ -10,91 +10,4 @@ models (:mod:`warnlab.models`), evaluation statistics
 (:mod:`warnlab.synth`).
 """
 
-from .dataset import (
-    Dataset,
-    DatasetMeta,
-    DuplicationReport,
-    LabeledInstance,
-    actionability_ratio,
-    audit_duplication,
-    build_dataset,
-    load_dataset,
-    save_dataset,
-)
-from .errors import (
-    ExtractionError,
-    IntegrityError,
-    LedgerParseError,
-    ModelError,
-    OrderingError,
-    ValidationError,
-    WarnlabError,
-)
-from .evaluation import (
-    ConfusionCounts,
-    EvalReport,
-    auc,
-    confusion,
-    evaluate_model,
-    evaluate_predictions,
-    prf1,
-    strawman_f1,
-    wilcoxon_exact,
-)
-from .features import (
-    FeatureVector,
-    LeakMode,
-    WarningPopulation,
-    audit_time_travel,
-    defect_likelihood,
-    discretized_defect_likelihood,
-    extract_golden,
-    lifetime_stats,
-    warning_context,
-)
-from .history import (
-    Entity,
-    FileChangeRecord,
-    ProjectHistory,
-    RevisionMeta,
-    StaticAttributes,
-    WarningKey,
-    WarningObservation,
-    WarningTimeline,
-    emit_ledger,
-    ingest_ledger,
-    truncate_history,
-    warning_key,
-    warning_timeline,
-)
-from .models import (
-    EncodedMatrix,
-    Model,
-    encode,
-    encode_with,
-    fit,
-    fit_manifest,
-    load_model,
-    predict,
-    save_model,
-    score,
-)
-from .oracle import (
-    AnnotationSet,
-    FilterRule,
-    Label,
-    LabeledWarning,
-    Reason,
-    SweepTable,
-    apply_annotations,
-    cohen_kappa,
-    confirm_false_alarms,
-    filter_match,
-    heuristic_label,
-    parse_filter_file,
-    read_annotations,
-    sweep_reference,
-)
-from .synth import SynthConfig, SynthResult, generate
-
 __version__ = "0.1.0"

@@ -16,10 +16,10 @@ import os
 import sys
 from pathlib import Path
 
+# models and evaluation import numpy: only cmd_fit, cmd_eval and cmd_report
+# import them, so the ledger commands start without it.
 from . import dataset as ds
-from . import evaluation as ev
 from . import features as ft
-from . import models as md
 from . import oracle as oc
 from . import synth as sy
 from .errors import ValidationError, WarnlabError
@@ -43,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     except WarnlabError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
 
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="train a model on a built dataset")
     p.add_argument("--dataset", required=True, help="directory produced by build")
-    p.add_argument("--model-kind", choices=md.MODEL_KINDS, required=True)
+    p.add_argument("--model-kind", choices=ds.MODEL_KINDS, required=True)
     p.add_argument("--k", type=int, default=1, help="neighbors for knn")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -316,6 +316,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import models as md
+
     built = ds.load_dataset(args.dataset)
     if not built.train:
         raise ValidationError("dataset has an empty training split")
@@ -332,6 +334,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation as ev
+    from . import models as md
+
     built = ds.load_dataset(args.dataset)
     model = md.load_model(args.model)
     report = ev.evaluate_model(model, built, project=args.project)
@@ -409,6 +414,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import evaluation as ev
+
     reports = []
     sweeps = []
     for path in args.merge:

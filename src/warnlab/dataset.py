@@ -28,6 +28,10 @@ from .features import (
 from .history import ProjectHistory, WarningKey, truncate_history
 from .oracle import Label, heuristic_label
 
+# The model kinds a dataset can train. They live here, not in models, so the
+# CLI parser can offer them without importing numpy.
+MODEL_KINDS = ("constant", "repeat", "knn", "linear")
+
 
 @dataclass(frozen=True)
 class LabeledInstance:

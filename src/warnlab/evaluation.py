@@ -9,7 +9,6 @@ approximation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -311,10 +310,6 @@ def render_report_table(reports: Sequence[EvalReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_json(reports: Sequence[EvalReport]) -> str:
-    return json.dumps([rep.to_json() for rep in reports], indent=2, sort_keys=True) + "\n"
-
-
 def strawman_f1(ratio: float) -> float:
     """F1 of always predicting actionable at a given actionable share."""
     if ratio < 0 or ratio > 1:
@@ -334,7 +329,6 @@ __all__ = [
     "evaluate_predictions",
     "prf1",
     "render_report_table",
-    "report_to_json",
     "strawman_f1",
     "wilcoxon_exact",
     "actionability_ratio",

@@ -176,12 +176,6 @@ class FeatureVector:
     warning_lifetime_revisions: int
     flags: frozenset[str] = field(default_factory=frozenset)
 
-    def numeric_items(self) -> list[tuple[str, float]]:
-        return [(name, float(getattr(self, name))) for name in NUMERIC_FIELDS]
-
-    def categorical_items(self) -> list[tuple[str, str]]:
-        return [(name, getattr(self, name)) for name in CATEGORICAL_FIELDS]
-
 
 NUMERIC_FIELDS = (
     "warning_context_in_method",
@@ -590,7 +584,8 @@ def _loc_by_package(base: ProjectHistory, at_idx: int, days: float) -> dict[str,
 
 
 def _check_finite(vec: FeatureVector) -> None:
-    for name, value in vec.numeric_items():
+    for name in NUMERIC_FIELDS:
+        value = float(getattr(vec, name))
         if not math.isfinite(value):
             raise ExtractionError(f"non-finite value for feature {name!r}: {value!r}")
 

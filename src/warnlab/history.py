@@ -10,7 +10,8 @@ and the timeline operations bridge warnings across that chain. A Delete
 record ends a path's live range; a later Add of the same path starts a new,
 unrelated file.
 
-The full record schema is documented in docs/ledger_schema.md.
+The record schema is defined by the ``_parse_*`` functions that read each
+kind and by :func:`emit_ledger`, which writes it back.
 """
 
 from __future__ import annotations
@@ -61,6 +62,17 @@ class WarningObservation:
     priority: int
     entity: Entity
     line: int
+
+    @cached_property
+    def key(self) -> WarningKey:
+        """Line-insensitive identity, built once and shared by every index."""
+        return WarningKey(
+            bug_pattern=self.bug_pattern,
+            file_path=self.file_path,
+            package=self.entity.package,
+            class_name=self.entity.class_name,
+            method=self.entity.method,
+        )
 
 
 @dataclass(frozen=True)
@@ -117,13 +129,7 @@ class WarningKey:
 
 def warning_key(obs: WarningObservation) -> WarningKey:
     """Line-insensitive identity of an observation."""
-    return WarningKey(
-        bug_pattern=obs.bug_pattern,
-        file_path=obs.file_path,
-        package=obs.entity.package,
-        class_name=obs.entity.class_name,
-        method=obs.entity.method,
-    )
+    return obs.key
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ class ProjectHistory:
         """Per revision index, the set of warning keys observed there."""
         per_rev: list[set[WarningKey]] = [set() for _ in self.revisions]
         for obs in self.observations:
-            per_rev[self.rev_index(obs.revision)].add(warning_key(obs))
+            per_rev[self.rev_index(obs.revision)].add(obs.key)
         return tuple(frozenset(s) for s in per_rev)
 
     @cached_property
@@ -186,7 +192,7 @@ class ProjectHistory:
         """Key -> sorted revision indexes where the exact key is observed."""
         acc: dict[WarningKey, set[int]] = defaultdict(set)
         for obs in self.observations:
-            acc[warning_key(obs)].add(self.rev_index(obs.revision))
+            acc[obs.key].add(self.rev_index(obs.revision))
         return {k: tuple(sorted(v)) for k, v in acc.items()}
 
     @cached_property
@@ -195,7 +201,7 @@ class ProjectHistory:
         for obs in self.observations:
             acc[obs.revision].append(obs)
         return {
-            rev: tuple(sorted(v, key=lambda o: (warning_key(o).sort_key(), o.line)))
+            rev: tuple(sorted(v, key=lambda o: (o.key.sort_key(), o.line)))
             for rev, v in acc.items()
         }
 
@@ -506,7 +512,7 @@ def _parse_warning(rec: dict) -> WarningObservation:
 
 def _parse_change(rec: dict) -> FileChangeRecord:
     # The record tag already uses "kind", so the change kind rides in
-    # "change_kind" on the wire (see docs/ledger_schema.md).
+    # "change_kind" on the wire (emit_ledger writes it back the same way).
     change_kind = str(_require(rec, "change_kind"))
     if change_kind not in CHANGE_KINDS:
         raise ValueError(f"change_kind must be one of {CHANGE_KINDS}, got {change_kind!r}")
@@ -569,7 +575,7 @@ def emit_ledger(history: ProjectHistory) -> Iterator[str]:
         )
     obs_sorted = sorted(
         history.observations,
-        key=lambda o: (history.rev_index(o.revision), warning_key(o).sort_key(), o.line),
+        key=lambda o: (history.rev_index(o.revision), o.key.sort_key(), o.line),
     )
     for obs in obs_sorted:
         yield json.dumps(

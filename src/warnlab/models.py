@@ -20,14 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import LabeledInstance
+from .dataset import MODEL_KINDS, LabeledInstance
 from .errors import ModelError
 from .features import CATEGORICAL_FIELDS, NUMERIC_FIELDS, vector_as_mapping
 from .history import WarningKey
 from .oracle import Label
 
 MODEL_FORMAT = "warnlab.model/1"
-MODEL_KINDS = ("constant", "repeat", "knn", "linear")
 
 DEFAULT_REGULARIZATION = 1e-3
 DEFAULT_EPOCHS = 50

@@ -369,18 +369,3 @@ def cohen_kappa(a: AnnotationSet, b: AnnotationSet) -> float:
     if expected == 1.0:
         return 1.0
     return (observed - expected) / (1.0 - expected)
-
-
-def flicker_count(history: ProjectHistory, at_rev: str) -> int:
-    """Warnings at ``at_rev`` that closed and later reappeared by the horizon.
-
-    The heuristic inspects only its two endpoint revisions, so flicker is
-    invisible to it; audits surface the count instead.
-    """
-    from .history import warning_timeline
-
-    total = 0
-    history.rev_index(at_rev)
-    for key in history.keys_at(at_rev):
-        total += warning_timeline(history, key).reopen_count
-    return total

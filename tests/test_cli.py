@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import warnlab
 from warnlab.cli import main, parse_duration_days
 
 
@@ -158,6 +162,57 @@ class TestContracts:
     def test_missing_file_categorized(self, tmp_path, capsys):
         assert run("ingest", "--ledger", str(tmp_path / "nope.jsonl")) == 1
         assert "error[io]" in capsys.readouterr().err
+
+    def test_directory_as_ledger_categorized(self, tmp_path, capsys):
+        assert run("ingest", "--ledger", str(tmp_path)) == 1
+        assert "error[io]" in capsys.readouterr().err
+
+    def test_unknown_model_kind_rejected_by_parser(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--dataset", str(tmp_path), "--model-kind", "bogus")
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter: the test process has imported numpy already.
+_NO_NUMPY_SCRIPT = """
+import json, sys
+from warnlab.cli import main
+assert "numpy" not in sys.modules, "import warnlab.cli"
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv[0]
+"""
+
+
+class TestImports:
+    def test_ledger_commands_never_import_numpy(self, synth_dir, tmp_path):
+        ledger = str(synth_dir / "ledger.jsonl")
+        anchors = _anchors(synth_dir)
+        at, ref = anchors["test"], anchors["reference"]
+        dsdir = str(tmp_path / "ds")
+        commands = [
+            ["ingest", "--ledger", ledger],
+            ["label", "--ledger", ledger, "--at", at, "--ref", ref,
+             "--out", str(tmp_path / "label")],
+            ["sweep", "--ledger", ledger, "--at", anchors["train"], "--intervals", "90d",
+             "--out", str(tmp_path / "sweep")],
+            ["features", "--ledger", ledger, "--at", at, "--mode", "leakfree",
+             "--out", str(tmp_path / "features")],
+            ["build", "--ledger", ledger, "--train", anchors["train"], "--test", at,
+             "--ref", ref, "--mode", "leakfree", "--dedup", "--out", dsdir],
+            ["audit", "--dataset", dsdir, "--ledger", ledger,
+             "--out", str(tmp_path / "audit")],
+            ["synth", "--seed", "3", "--out", str(tmp_path / "synth")],
+        ]
+        src = str(Path(warnlab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(commands)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestIdempotency:

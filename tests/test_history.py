@@ -178,6 +178,13 @@ class TestWarningKey:
         ])
         assert len({warning_key(o) for o in h.observations}) == 2
 
+    def test_key_built_once_and_shared_by_truncated_copies(self):
+        h = make_history([rev_line("r1", 0), rev_line("r2", 10), warn_line("r1"), warn_line("r2")])
+        obs = next(o for o in h.observations if o.revision == "r1")
+        assert warning_key(obs) is obs.key
+        (key,) = truncate_history(h, "r1").present_keys[0]
+        assert key is obs.key
+
     def test_rename_changes_key_but_timeline_bridges(self):
         lines = [
             rev_line("r1", 0), rev_line("r2", 30, parent="r1"),
