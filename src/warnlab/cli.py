@@ -5,6 +5,12 @@ Every subcommand reads its inputs, writes deterministic artifacts into the
 output directory (``--out``, or the WARNLAB_OUT environment variable), and
 never mutates input files. Success exits 0; contract violations exit
 nonzero after printing ``error[<category>]: <message>``.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller
+has set it. numpy's OpenBLAS starts a pool of threads when it loads, and
+that start-up costs more CPU time than the pool can save on warnlab's
+matrices (a few hundred rows by about 70 columns). A value already in the
+environment wins, so a caller can still ask for more threads.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ from .errors import ValidationError, WarnlabError
 from .history import emit_ledger, ingest_ledger
 
 ENV_OUT = "WARNLAB_OUT"
+
+# Set at import, before any handler imports numpy (see the module docstring).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 class UsageError(WarnlabError):

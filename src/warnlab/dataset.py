@@ -32,6 +32,10 @@ from .oracle import Label, heuristic_label
 # CLI parser can offer them without importing numpy.
 MODEL_KINDS = ("constant", "repeat", "knn", "linear")
 
+# The label values a dataset holds, and so a model learns: Unknown-labeled
+# warnings are dropped when a dataset is built.
+DATASET_LABELS = frozenset((Label.ACTIONABLE.value, Label.FALSE_ALARM.value))
+
 
 @dataclass(frozen=True)
 class LabeledInstance:
@@ -69,16 +73,30 @@ class DatasetMeta:
 
     @classmethod
     def from_json(cls, data: dict) -> "DatasetMeta":
+        """Decode ``to_json`` output; a missing or mistyped field raises ``ValidationError``."""
+        if not isinstance(data, dict):
+            raise ValidationError("dataset metadata must be a JSON object")
+
+        def typed(name, kind, default=None):
+            value = data.get(name, default)
+            # bool is an int subclass: a count must not be true or false.
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                raise ValidationError(f"dataset metadata field {name!r} is {value!r}")
+            return value
+
+        notices = typed("notices", list, [])
+        if not all(isinstance(n, str) for n in notices):
+            raise ValidationError("dataset metadata notices must be strings")
         return cls(
-            train_rev=data["train_rev"],
-            test_rev=data["test_rev"],
-            ref_rev=data["ref_rev"],
-            mode=LeakMode(data["mode"], data.get("window_days", 365.0)),
-            dedup=bool(data["dedup"]),
-            dropped_unknown_train=int(data.get("dropped_unknown_train", 0)),
-            dropped_unknown_test=int(data.get("dropped_unknown_test", 0)),
-            dedup_removed=int(data.get("dedup_removed", 0)),
-            notices=tuple(data.get("notices", ())),
+            train_rev=typed("train_rev", str),
+            test_rev=typed("test_rev", str),
+            ref_rev=typed("ref_rev", str),
+            mode=LeakMode(typed("mode", str), typed("window_days", (int, float), 365.0)),
+            dedup=typed("dedup", bool),
+            dropped_unknown_train=typed("dropped_unknown_train", int, 0),
+            dropped_unknown_test=typed("dropped_unknown_test", int, 0),
+            dedup_removed=typed("dedup_removed", int, 0),
+            notices=tuple(notices),
         )
 
 
@@ -282,20 +300,30 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:
+    """Read a ``save_dataset`` directory; malformed content raises ``ValidationError``."""
     src = Path(in_dir)
     with open(src / "meta.json", encoding="utf-8") as fp:
-        meta = DatasetMeta.from_json(json.load(fp))
+        try:
+            data = json.load(fp)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValidationError(f"{src / 'meta.json'}: not JSON ({exc})") from None
+    meta = DatasetMeta.from_json(data)
     splits: dict[str, tuple[LabeledInstance, ...]] = {}
     for split_name in ("train", "test"):
         with open(src / f"{split_name}.csv", encoding="utf-8", newline="") as fp:
             rows = read_feature_matrix(fp)
-        splits[split_name] = tuple(
-            LabeledInstance(
+        instances = []
+        for row in rows:
+            if row.label not in DATASET_LABELS:
+                raise ValidationError(
+                    f"{split_name}.csv: label {row.label!r} is not "
+                    f"{' or '.join(sorted(DATASET_LABELS))}"
+                )
+            instances.append(LabeledInstance(
                 key=row.key,
                 features=row.vector,
                 label=Label(row.label),
                 origin_rev=row.origin_rev,
-            )
-            for row in rows
-        )
+            ))
+        splits[split_name] = tuple(instances)
     return Dataset(train=splits["train"], test=splits["test"], meta=meta)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .dataset import Dataset, actionability_ratio
+from .dataset import Dataset
 from .errors import ValidationError
-from .models import Model, encode_with, labels_of, predict, score
+from .models import Model, encode_with, labels_of, predict_from_scores, score
 from .oracle import Label
 
 FLAG_NO_PREDICTED_POSITIVES = "precision_undefined"
@@ -192,22 +192,6 @@ def wilcoxon_exact(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StatTestBlock:
-    method: str
-    statistic: float
-    p_value: float
-    notes: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "notes": self.notes,
-        }
-
-
-@dataclass(frozen=True)
 class EvalReport:
     project: str
     counts: ConfusionCounts
@@ -218,10 +202,9 @@ class EvalReport:
     actionability: float
     baseline_f1: float  # all-actionable strawman on the same test split
     flags: frozenset[str] = field(default_factory=frozenset)
-    stat_test: StatTestBlock | None = None
 
     def to_json(self) -> dict:
-        payload = {
+        return {
             "project": self.project,
             "counts": {
                 "tp": self.counts.tp,
@@ -237,17 +220,12 @@ class EvalReport:
             "baseline_f1": self.baseline_f1,
             "flags": sorted(self.flags),
         }
-        if self.stat_test is not None:
-            payload["stat_test"] = self.stat_test.to_json()
-        return payload
 
     @classmethod
     def from_json(cls, data: dict) -> "EvalReport":
-        counts = ConfusionCounts(**data["counts"])
-        stat = data.get("stat_test")
         return cls(
             project=data["project"],
-            counts=counts,
+            counts=ConfusionCounts(**data["counts"]),
             precision=data["precision"],
             recall=data["recall"],
             f1=data["f1"],
@@ -255,7 +233,6 @@ class EvalReport:
             actionability=data["actionability"],
             baseline_f1=data["baseline_f1"],
             flags=frozenset(data.get("flags", ())),
-            stat_test=None if stat is None else StatTestBlock(**stat),
         )
 
 
@@ -283,19 +260,24 @@ def evaluate_predictions(
         f1=quality.f1,
         auc=auc(scored),
         actionability=ratio,
-        baseline_f1=2.0 * ratio / (1.0 + ratio) if ratio else 0.0,
+        baseline_f1=strawman_f1(ratio),
         flags=frozenset(flags),
     )
 
 
 def evaluate_model(model: Model, dataset: Dataset, project: str = "project") -> EvalReport:
-    """Score a fitted model on a dataset's test split."""
+    """Score a fitted model on a dataset's test split.
+
+    The model scores the split once; the predicted labels are those scores
+    thresholded as ``predict`` does.
+    """
     if not dataset.test:
         raise ValidationError("dataset has an empty test split")
     encoded = encode_with(model.manifest, dataset.test)
-    y_true = labels_of(dataset.test)
-    y_pred = predict(model, encoded)
-    return evaluate_predictions(y_true, y_pred, list(score(model, encoded)), project)
+    scores = score(model, encoded)
+    return evaluate_predictions(
+        labels_of(dataset.test), predict_from_scores(model, scores), list(scores), project
+    )
 
 
 def render_report_table(reports: Sequence[EvalReport]) -> str:
@@ -321,7 +303,6 @@ __all__ = [
     "ConfusionCounts",
     "EvalReport",
     "PRF1",
-    "StatTestBlock",
     "WilcoxonResult",
     "auc",
     "confusion",
@@ -331,5 +312,4 @@ __all__ = [
     "render_report_table",
     "strawman_f1",
     "wilcoxon_exact",
-    "actionability_ratio",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ExtractionError, ValidationError
@@ -666,42 +666,55 @@ def write_feature_matrix(fp: IO[str], rows: Iterable[MatrixRow]) -> None:
 
 
 def read_feature_matrix(fp: IO[str]) -> list[MatrixRow]:
+    """Read rows written by ``write_feature_matrix``.
+
+    Any undecodable, short, long or non-numeric record, and any non-finite
+    numeric feature, raises ``ValidationError`` naming its line.
+    """
     reader = csv.reader(fp)
-    header = next(reader, None)
-    if header is None or tuple(header) != MATRIX_HEADER:
-        raise ValidationError("unrecognized feature-matrix header")
-    rows: list[MatrixRow] = []
-    for record in reader:
-        values = dict(zip(MATRIX_HEADER, record))
-        key = WarningKey(
-            bug_pattern=values["bug_pattern"],
-            file_path=values["file_path"],
-            package=values["entity_package"],
-            class_name=values["entity_class"],
-            method=values["entity_method"] or None,
-        )
-        kwargs = {}
-        for name in FEATURE_FIELDS:
-            raw = values[CANONICAL_NAMES[name]]
-            target = FeatureVector.__dataclass_fields__[name].type
-            if name in CATEGORICAL_FIELDS:
-                kwargs[name] = raw
-            elif target == "int":
-                kwargs[name] = int(raw)
-            else:
-                kwargs[name] = float(raw)
-        flags = frozenset(f for f in values["flags"].split(";") if f)
-        rows.append(
-            MatrixRow(
-                key=key,
-                origin_rev=values["origin_rev"],
-                label=values["label"],
-                mode=values["mode"],
-                vector=FeatureVector(flags=flags, **kwargs),
-            )
-        )
-    return rows
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != MATRIX_HEADER:
+            raise ValidationError("unrecognized feature-matrix header")
+        return [_matrix_row(record, reader.line_num) for record in reader]
+    except (csv.Error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ValidationError(f"feature matrix line {reader.line_num}: {exc}") from None
 
 
-def vector_as_mapping(vec: FeatureVector) -> dict[str, float | str]:
-    return {f.name: getattr(vec, f.name) for f in fields(vec) if f.name != "flags"}
+def _matrix_row(record: list[str], line_no: int) -> MatrixRow:
+    if len(record) != len(MATRIX_HEADER):
+        raise ValidationError(
+            f"feature matrix line {line_no}: {len(record)} field(s), "
+            f"expected {len(MATRIX_HEADER)}"
+        )
+    values = dict(zip(MATRIX_HEADER, record))
+    key = WarningKey(
+        bug_pattern=values["bug_pattern"],
+        file_path=values["file_path"],
+        package=values["entity_package"],
+        class_name=values["entity_class"],
+        method=values["entity_method"] or None,
+    )
+    kwargs = {}
+    for name in FEATURE_FIELDS:
+        raw = values[CANONICAL_NAMES[name]]
+        target = FeatureVector.__dataclass_fields__[name].type
+        if name in CATEGORICAL_FIELDS:
+            kwargs[name] = raw
+        elif target == "int":
+            kwargs[name] = int(raw)
+        else:
+            kwargs[name] = float(raw)
+            if not math.isfinite(kwargs[name]):
+                raise ValidationError(
+                    f"feature matrix line {line_no}: {CANONICAL_NAMES[name]!r} is {raw!r}"
+                )
+    flags = frozenset(f for f in values["flags"].split(";") if f)
+    return MatrixRow(
+        key=key,
+        origin_rev=values["origin_rev"],
+        label=values["label"],
+        mode=values["mode"],
+        vector=FeatureVector(flags=flags, **kwargs),
+    )
+

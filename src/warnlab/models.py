@@ -7,12 +7,21 @@ max-margin classifier trained with deterministic seeded stochastic
 subgradient descent on the hinge loss. Encoding z-scores numeric columns
 and one-hot encodes categoricals using statistics and vocabularies fitted
 on the training split only.
+
+Every kind predicts by thresholding its score, so one scoring pass yields
+both the scores and the labels. kNN scores test rows in blocks whose
+temporaries hold at most ``KNN_BLOCK_ELEMENTS`` float64 values each, so
+memory stays bounded whatever the split sizes. Distances are the exact
+squared differences summed per row (not the Gram-matrix expansion, whose
+rounding would move ties), and a stable sort keeps training-key order
+among exact distance ties.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MODEL_KINDS, LabeledInstance
+from .dataset import DATASET_LABELS, MODEL_KINDS, LabeledInstance
 from .errors import ModelError
-from .features import CATEGORICAL_FIELDS, NUMERIC_FIELDS, vector_as_mapping
+from .features import CATEGORICAL_FIELDS, NUMERIC_FIELDS
 from .history import WarningKey
 from .oracle import Label
 
@@ -30,6 +39,10 @@ MODEL_FORMAT = "warnlab.model/1"
 
 DEFAULT_REGULARIZATION = 1e-3
 DEFAULT_EPOCHS = 50
+
+# Upper bound on the float64 values in each temporary of a kNN scoring block
+# (512 KiB), whatever the split sizes.
+KNN_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,10 +64,17 @@ class ColumnManifest:
 
     @classmethod
     def from_json(cls, data: dict) -> "ColumnManifest":
-        return cls(
-            numeric=tuple((n, float(m), float(s)) for n, m, s in data["numeric"]),
-            categorical=tuple((n, tuple(v)) for n, v in data["categorical"]),
-        )
+        numeric = tuple((n, float(m), float(s)) for n, m, s in data["numeric"])
+        categorical = tuple((n, tuple(v)) for n, v in data["categorical"])
+        names = tuple(n for n, *_ in numeric + categorical)
+        if names != NUMERIC_FIELDS + CATEGORICAL_FIELDS:
+            raise ModelError("manifest columns are not the golden features in order")
+        if not all(math.isfinite(m) and math.isfinite(s) and s != 0.0 for _, m, s in numeric):
+            raise ModelError("manifest statistics must be finite with nonzero scales")
+        for name, vocab in categorical:
+            if not all(isinstance(v, str) for v in vocab) or len(set(vocab)) != len(vocab):
+                raise ModelError(f"vocabulary of {name!r} must hold distinct strings")
+        return cls(numeric=numeric, categorical=categorical)
 
 
 @dataclass(frozen=True)
@@ -91,24 +111,22 @@ def fit_manifest(train: Sequence[LabeledInstance]) -> ColumnManifest:
 
 def encode_with(manifest: ColumnManifest, instances: Sequence[LabeledInstance]) -> EncodedMatrix:
     """Encode instances under a fitted manifest; unseen categories map to zeros."""
-    n = len(instances)
-    X = np.zeros((n, manifest.dim), dtype=np.float64)
+    X = np.zeros((len(instances), manifest.dim), dtype=np.float64)
+    n_numeric = len(manifest.numeric)
+    one_hot: list[tuple[str, dict[str, int]]] = []  # (field, {value: column})
+    col = n_numeric
+    for name, vocab in manifest.categorical:
+        one_hot.append((name, {value: col + j for j, value in enumerate(vocab)}))
+        col += len(vocab)
     for i, inst in enumerate(instances):
-        values = vector_as_mapping(inst.features)
-        col = 0
-        for name, mean, scale in manifest.numeric:
-            if name not in values:
-                raise ModelError(f"feature {name!r} missing from instance at encode time")
-            X[i, col] = (float(values[name]) - mean) / scale
-            col += 1
-        for name, vocab in manifest.categorical:
-            if name not in values:
-                raise ModelError(f"feature {name!r} missing from instance at encode time")
-            try:
-                X[i, col + vocab.index(values[name])] = 1.0
-            except ValueError:
-                pass  # unseen category: all-zero block
-            col += len(vocab)
+        vec = inst.features
+        X[i, :n_numeric] = [
+            (float(getattr(vec, name)) - mean) / scale for name, mean, scale in manifest.numeric
+        ]
+        for name, columns in one_hot:
+            hot = columns.get(getattr(vec, name))
+            if hot is not None:  # unseen category: all-zero block
+                X[i, hot] = 1.0
     return EncodedMatrix(
         X=X,
         manifest=manifest,
@@ -225,45 +243,35 @@ def _check_manifest(model: Model, encoded: EncodedMatrix) -> None:
         raise ModelError("encoded matrix was built under a different manifest")
 
 
+# Score at or above which each kind predicts actionable. Constant and repeat
+# score 1.0 or 0.0; kNN's majority vote lets the actionable class win exact
+# ties; the linear margin is signed.
+_ACTIONABLE_AT = {"constant": 0.5, "repeat": 0.5, "knn": 0.5, "linear": 0.0}
+
+
 def score(model: Model, encoded: EncodedMatrix) -> np.ndarray:
     """Per-instance real-valued score; higher means more actionable."""
     _check_manifest(model, encoded)
-    n = len(encoded)
     if model.kind == "constant":
-        return np.ones(n)
+        return np.ones(len(encoded))
     if model.kind == "linear":
         w = np.asarray(model.params["weights"])
         return encoded.X @ w + model.params["bias"]
     if model.kind == "knn":
         return _knn_scores(model, encoded)
     if model.kind == "repeat":
-        return np.array(
-            [
-                1.0 if lab is Label.ACTIONABLE else 0.0
-                for lab in _repeat_predictions(model, encoded)
-            ]
-        )
+        return _repeat_scores(model, encoded)
     raise ModelError(f"unknown model kind {model.kind!r}")
+
+
+def predict_from_scores(model: Model, scores: Sequence[float]) -> list[Label]:
+    """The labels ``predict`` gives for scores ``score`` returned for ``model``."""
+    threshold = _ACTIONABLE_AT[model.kind]
+    return [Label.ACTIONABLE if s >= threshold else Label.FALSE_ALARM for s in scores]
 
 
 def predict(model: Model, encoded: EncodedMatrix) -> list[Label]:
-    _check_manifest(model, encoded)
-    if model.kind == "constant":
-        return [Label.ACTIONABLE] * len(encoded)
-    if model.kind == "repeat":
-        return _repeat_predictions(model, encoded)
-    if model.kind == "knn":
-        # Majority vote with the actionable class winning exact ties.
-        return [
-            Label.ACTIONABLE if s >= 0.5 else Label.FALSE_ALARM
-            for s in _knn_scores(model, encoded)
-        ]
-    if model.kind == "linear":
-        return [
-            Label.ACTIONABLE if s >= 0.0 else Label.FALSE_ALARM
-            for s in score(model, encoded)
-        ]
-    raise ModelError(f"unknown model kind {model.kind!r}")
+    return predict_from_scores(model, score(model, encoded))
 
 
 def _knn_scores(model: Model, encoded: EncodedMatrix) -> np.ndarray:
@@ -271,30 +279,33 @@ def _knn_scores(model: Model, encoded: EncodedMatrix) -> np.ndarray:
     labels = model.params["labels"]
     k = model.params["k"]
     actionable = np.array([1.0 if lab == Label.ACTIONABLE.value else 0.0 for lab in labels])
+    rows = max(1, KNN_BLOCK_ELEMENTS // Xtr.size)
     out = np.empty(len(encoded))
-    for i, x in enumerate(encoded.X):
-        d2 = ((Xtr - x) ** 2).sum(axis=1)
+    for start in range(0, len(encoded), rows):
+        block = encoded.X[start:start + rows]
+        d2 = ((Xtr[None] - block[:, None]) ** 2).sum(axis=2)
         # Stable sort keeps training-key order among exact distance ties
         # (rows were stored sorted by key at fit time).
-        nearest = np.argsort(d2, kind="stable")[:k]
-        out[i] = actionable[nearest].mean()
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[start:start + rows] = actionable[nearest].mean(axis=1)
     return out
 
 
-def _repeat_predictions(model: Model, encoded: EncodedMatrix) -> list[Label]:
+def _repeat_scores(model: Model, encoded: EncodedMatrix) -> np.ndarray:
     buckets = {
         (cls, pat): vals for cls, pat, vals in model.params["buckets"]
     }
-    out: list[Label] = []
+    out = np.zeros(len(encoded))  # no identity match: majority class
     for i in range(len(encoded)):
         candidates = buckets.get((encoded.class_names[i], encoded.bug_patterns[i]))
         if not candidates:
-            out.append(Label.FALSE_ALARM)  # no identity match: majority class
-        elif len(candidates) == 1:
-            out.append(Label(candidates[0]))
+            continue
+        if len(candidates) == 1:
+            picked = candidates[0]
         else:
             rng = random.Random(_stable_seed(model.seed, encoded.keys[i]))
-            out.append(Label(rng.choice(candidates)))
+            picked = rng.choice(candidates)
+        out[i] = 1.0 if picked == Label.ACTIONABLE.value else 0.0
     return out
 
 
@@ -321,13 +332,55 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
+    """Read a model file; any malformed content raises ``ModelError``."""
     with open(path, encoding="utf-8") as fp:
-        payload = json.load(fp)
+        try:
+            payload = json.load(fp)
+        except ValueError as exc:
+            raise ModelError(f"{path}: not a JSON model file ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ModelError(f"{path}: a model file holds one JSON object")
     if payload.get("format") != MODEL_FORMAT:
         raise ModelError(f"unsupported model file format: {payload.get('format')!r}")
-    return Model(
-        kind=payload["kind"],
-        seed=int(payload["seed"]),
-        manifest=ColumnManifest.from_json(payload["manifest"]),
-        params=payload["params"],
-    )
+    try:
+        if type(payload["seed"]) is not int:
+            raise ModelError(f"model seed must be an integer, got {payload['seed']!r}")
+        model = Model(
+            kind=payload["kind"],
+            seed=payload["seed"],
+            manifest=ColumnManifest.from_json(payload["manifest"]),
+            params=payload["params"],
+        )
+        _check_params(model)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: malformed model file ({exc!r})") from None
+    return model
+
+
+def _check_params(model: Model) -> None:
+    """Reject parameters the model's scorer cannot use with its manifest."""
+    params, dim = model.params, model.manifest.dim
+    if model.kind == "knn":
+        X = np.asarray(params["X"], dtype=np.float64)
+        k = params["k"]
+        ok = (
+            X.ndim == 2 and X.shape[1] == dim and np.isfinite(X).all()
+            and len(params["labels"]) == len(X) and set(params["labels"]) <= DATASET_LABELS
+            and type(k) is int and 1 <= k <= len(X)
+        )
+    elif model.kind == "linear":
+        w = np.asarray(params["weights"], dtype=np.float64)
+        bias = params["bias"]
+        ok = (
+            w.shape == (dim,) and np.isfinite(w).all()
+            and type(bias) in (int, float) and math.isfinite(bias)
+        )
+    elif model.kind == "repeat":
+        ok = all(
+            isinstance(cls, str) and isinstance(pat, str) and set(vals) <= DATASET_LABELS
+            for cls, pat, vals in params["buckets"]
+        )
+    else:
+        ok = isinstance(params, dict)
+    if not ok:
+        raise ModelError(f"{model.kind} model parameters do not match its manifest")

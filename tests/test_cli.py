@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,21 @@ def synth_dir(tmp_path) -> Path:
 def _anchors(synth_dir: Path) -> dict:
     truth = json.loads((synth_dir / "truth.json").read_text(encoding="utf-8"))
     return truth["anchors"]
+
+
+@pytest.fixture(scope="module")
+def fitted_dir(tmp_path_factory) -> Path:
+    """A built leak-free dataset (``ds``) and a kNN model fitted on it (``model``)."""
+    root = tmp_path_factory.mktemp("fitted")
+    out = root / "synth"
+    assert run("synth", "--seed", "19", "--out", str(out)) == 0
+    anchors = _anchors(out)
+    assert run("build", "--ledger", str(out / "ledger.jsonl"), "--train", anchors["train"],
+               "--test", anchors["test"], "--ref", anchors["reference"],
+               "--mode", "leakfree", "--dedup", "--out", str(root / "ds")) == 0
+    assert run("fit", "--dataset", str(root / "ds"), "--model-kind", "knn",
+               "--k", "3", "--out", str(root / "model")) == 0
+    return root
 
 
 class TestDurations:
@@ -167,6 +184,57 @@ class TestContracts:
         assert run("ingest", "--ledger", str(tmp_path)) == 1
         assert "error[io]" in capsys.readouterr().err
 
+    def _corrupt_copy(self, fitted_dir, tmp_path) -> tuple[Path, Path]:
+        shutil.copytree(fitted_dir / "ds", tmp_path / "ds")
+        shutil.copytree(fitted_dir / "model", tmp_path / "model")
+        return tmp_path / "ds", tmp_path / "model" / "model.json"
+
+    def _assert_eval_and_audit_fail(self, dsdir, model, category, capsys):
+        for argv in (["eval", "--dataset", str(dsdir), "--model", str(model)],
+                     ["audit", "--dataset", str(dsdir)]):
+            code = run(*argv, "--out", str(dsdir.parent / "out"))
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err.startswith(f"error[{category}]"), (argv, err)
+
+    @pytest.mark.parametrize("text", [
+        "{bad", "[]", '{"train_rev": "r1"}',
+        '{"train_rev": "r1", "test_rev": "r2", "ref_rev": "r3", "mode": "leakfree", '
+        '"dedup": "yes"}',
+    ])
+    def test_corrupt_meta_json_categorized(self, fitted_dir, tmp_path, capsys, text):
+        dsdir, model = self._corrupt_copy(fitted_dir, tmp_path)
+        (dsdir / "meta.json").write_text(text, encoding="utf-8")
+        self._assert_eval_and_audit_fail(dsdir, model, "validation", capsys)
+
+    @pytest.mark.parametrize("column,value", [
+        ("file age", "abc"), ("developers", "2.5"), ("file age", "nan"),
+        ("label", "Unknown"), ("flags", None),  # None: drop the cell, a short row
+    ])
+    def test_corrupt_test_csv_categorized(self, fitted_dir, tmp_path, capsys, column, value):
+        dsdir, model = self._corrupt_copy(fitted_dir, tmp_path)
+        path = dsdir / "test.csv"
+        with open(path, encoding="utf-8", newline="") as fp:
+            rows = list(csv.reader(fp))
+        col = rows[0].index(column)
+        if value is None:
+            del rows[1][col]  # a short row
+        else:
+            rows[1][col] = value
+        with open(path, "w", encoding="utf-8", newline="") as fp:
+            csv.writer(fp, lineterminator="\n").writerows(rows)
+        self._assert_eval_and_audit_fail(dsdir, model, "validation", capsys)
+
+    @pytest.mark.parametrize("text", ["{bad", '{"format": "warnlab.model/1"}', "[1]"])
+    def test_corrupt_model_json_categorized(self, fitted_dir, tmp_path, capsys, text):
+        dsdir, model = self._corrupt_copy(fitted_dir, tmp_path)
+        model.write_text(text, encoding="utf-8")
+        code = run("eval", "--dataset", str(dsdir), "--model", str(model),
+                   "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[model]"), err
+
     def test_unknown_model_kind_rejected_by_parser(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--dataset", str(tmp_path), "--model-kind", "bogus")
@@ -205,14 +273,29 @@ class TestImports:
              "--out", str(tmp_path / "audit")],
             ["synth", "--seed", "3", "--out", str(tmp_path / "synth")],
         ]
-        src = str(Path(warnlab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(commands)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_env_with_src(os.environ), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
+    def test_cli_defaults_to_one_blas_thread(self, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import os, warnlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=_env_with_src(env), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+
+def _env_with_src(env) -> dict:
+    src = str(Path(warnlab.__file__).parents[1])
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
 
 
 class TestIdempotency:

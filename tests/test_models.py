@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from warnlab.dataset import LabeledInstance
+from warnlab import models
+from warnlab.dataset import MODEL_KINDS, Dataset, DatasetMeta, LabeledInstance
 from warnlab.errors import ModelError
-from warnlab.features import FeatureVector
+from warnlab.evaluation import confusion, evaluate_model
+from warnlab.features import FeatureVector, LeakMode
 from warnlab.history import WarningKey
 from warnlab.models import (
+    KNN_BLOCK_ELEMENTS,
+    EncodedMatrix,
+    Model,
     encode,
     encode_with,
     fit,
@@ -323,9 +329,140 @@ class TestPersistence:
         assert predict(loaded, encoded) == predict(model, encoded)
         assert np.allclose(score(loaded, encoded), score(model, encoded))
 
+    @pytest.mark.parametrize("kind,corrupt", [
+        ("knn", lambda p: p.pop("kind")),
+        ("knn", lambda p: p.update(seed="11")),
+        ("knn", lambda p: p["params"]["X"][0].pop()),
+        ("knn", lambda p: p["params"]["labels"].__setitem__(0, "Unknown")),
+        ("knn", lambda p: p["params"].update(k=0)),
+        ("knn", lambda p: p["manifest"]["categorical"][0].__setitem__(1, "P1")),
+        ("knn", lambda p: p["manifest"]["numeric"].reverse()),
+        ("linear", lambda p: p["params"]["weights"].append(0.0)),
+        ("linear", lambda p: p["params"].update(bias=None)),
+        ("repeat", lambda p: p["params"]["buckets"][0].__setitem__(2, "Actionable")),
+    ])
+    def test_malformed_model_file_rejected(self, tmp_path, kind, corrupt):
+        train = two_cluster_split(n_per_class=6)
+        model = fit(kind, encode_with(fit_manifest(train), train), labels_of(train),
+                    seed=11, k=3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelError):
+            load_model(path)
+
     def test_scores_are_finite(self):
         train = two_cluster_split(n_per_class=6)
         encoded = encode_with(fit_manifest(train), train)
         for kind in ("constant", "repeat", "knn", "linear"):
             model = fit(kind, encoded, labels_of(train), seed=1)
             assert all(math.isfinite(s) for s in score(model, encoded))
+
+
+def knn_scores_per_row(model: Model, encoded: EncodedMatrix) -> np.ndarray:
+    """Reference kNN scorer: one distance computation and stable sort per test row."""
+    Xtr = np.asarray(model.params["X"])
+    k = model.params["k"]
+    actionable = np.array(
+        [1.0 if lab == Label.ACTIONABLE.value else 0.0 for lab in model.params["labels"]]
+    )
+    out = np.empty(len(encoded))
+    for i, x in enumerate(encoded.X):
+        d2 = ((Xtr - x) ** 2).sum(axis=1)
+        nearest = np.argsort(d2, kind="stable")[:k]
+        out[i] = actionable[nearest].mean()
+    return out
+
+
+class TestBlockedKnnScorer:
+    @pytest.mark.parametrize("k", [1, 4, 5])
+    def test_matches_per_row_reference(self, k):
+        rng = np.random.default_rng(100 + k)
+        manifest = fit_manifest(two_cluster_split(n_per_class=3))
+        dim, n_numeric = manifest.dim, len(manifest.numeric)
+        pool = rng.normal(scale=3.0, size=(4, n_numeric))
+
+        def encoded_like(n):
+            # Shared z-scored parts plus random one-hot bits, as encoding
+            # makes them: such rows tie exactly at many distances.
+            one_hot = rng.integers(0, 2, size=(n, dim - n_numeric))
+            return np.hstack([pool[rng.integers(0, len(pool), size=n)], one_hot])
+
+        # Mirror pairs c + d and c - d lie at exactly equal distances from c
+        # (every value stays in [4, 8), so the sums and differences are
+        # exact). Only exact differences keep such ties in training-key
+        # order; the Gram expansion rounds the two distances differently.
+        centers = 5.0 + rng.random(size=(20, dim))
+        offsets = rng.integers(-2, 3, size=(20, dim)) * 0.25
+        distinct = np.vstack([
+            centers + offsets, centers - offsets,
+            encoded_like(30), rng.normal(size=(10, dim)),
+        ])
+        Xtr = np.vstack([distinct, distinct[rng.integers(0, len(distinct), size=20)]])
+        labels = [
+            Label.ACTIONABLE.value if bit else Label.FALSE_ALARM.value
+            for bit in rng.integers(0, 2, size=len(Xtr))
+        ]
+        model = Model("knn", 0, manifest, {"k": k, "X": Xtr.tolist(), "labels": labels})
+        rows = KNN_BLOCK_ELEMENTS // Xtr.size
+        assert rows > 1
+        n_test = 3 * rows + rows // 2 + 1  # several full blocks plus a remainder
+        copies = Xtr[rng.integers(0, len(Xtr), size=25)]
+        Xte = np.vstack([
+            centers, copies, encoded_like(25),
+            rng.normal(size=(n_test - len(centers) - len(copies) - 25, dim)),
+        ])
+        keys = tuple(WarningKey("P1", f"src/T{i}.java", "com.a", f"T{i}", None)
+                     for i in range(n_test))
+        encoded = EncodedMatrix(
+            X=Xte, manifest=manifest, keys=keys,
+            class_names=tuple(key.class_name for key in keys),
+            bug_patterns=tuple(key.bug_pattern for key in keys),
+        )
+        expected = knn_scores_per_row(model, encoded)
+        assert np.array_equal(score(model, encoded), expected)
+        assert predict(model, encoded) == [
+            Label.ACTIONABLE if s >= 0.5 else Label.FALSE_ALARM for s in expected
+        ]
+
+
+def _dataset(train, test) -> Dataset:
+    meta = DatasetMeta("r1", "r2", "r3", LeakMode.leakfree(), dedup=False)
+    return Dataset(train=tuple(train), test=tuple(test), meta=meta)
+
+
+class TestSingleScoringPass:
+    def test_knn_eval_scores_once(self, monkeypatch):
+        train = two_cluster_split(n_per_class=6)
+        test = two_cluster_split(n_per_class=4, seed=8)
+        model = fit("knn", encode_with(fit_manifest(train), train), labels_of(train), k=3)
+        calls = []
+        real = models._knn_scores
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(models, "_knn_scores", counting)
+        evaluate_model(model, _dataset(train, test))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_eval_counts_match_predict(self, kind):
+        train = two_cluster_split(n_per_class=6)
+        # Overlapping clusters, so every kind makes some mistakes.
+        rng = random.Random(4)
+        test = [
+            make_instance(i, Label.ACTIONABLE if i % 2 else Label.FALSE_ALARM,
+                          pattern="P1" if i % 3 else "P2",
+                          comment_code_ratio=rng.random(),
+                          file_age_days=rng.uniform(50, 60))
+            for i in range(24)
+        ]
+        model = fit(kind, encode_with(fit_manifest(train), train), labels_of(train),
+                    seed=5, k=3)
+        report = evaluate_model(model, _dataset(train, test))
+        predicted = predict(model, encode_with(model.manifest, test))
+        assert report.counts == confusion(labels_of(test), predicted)
