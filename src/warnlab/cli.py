@@ -397,9 +397,8 @@ def cmd_audit(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.config:
-        with open(args.config, encoding="utf-8") as fp:
-            settings = json.load(fp)
-        if args.seed is not None:
+        settings = ds.read_json(args.config)
+        if args.seed is not None and isinstance(settings, dict):
             settings["seed"] = args.seed
         config = sy.SynthConfig.from_json(settings)
     elif args.seed is not None:
@@ -428,14 +427,16 @@ def cmd_report(args) -> int:
     reports = []
     sweeps = []
     for path in args.merge:
-        with open(path, encoding="utf-8") as fp:
-            payload = json.load(fp)
-        if isinstance(payload, dict) and "rows" in payload:
-            sweeps.append(payload)
-        elif isinstance(payload, dict):
-            reports.append(ev.EvalReport.from_json(payload))
-        else:
-            reports.extend(ev.EvalReport.from_json(item) for item in payload)
+        payload = ds.read_json(path)
+        try:
+            if isinstance(payload, dict) and "rows" in payload:
+                sweeps.append(payload)
+            elif isinstance(payload, list):
+                reports.extend(ev.EvalReport.from_json(item) for item in payload)
+            else:
+                reports.append(ev.EvalReport.from_json(payload))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     out = _out_dir(args)
     merged: dict = {}
     text_parts: list[str] = []

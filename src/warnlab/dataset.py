@@ -45,6 +45,30 @@ class LabeledInstance:
     origin_rev: str
 
 
+def read_json(path: str | Path):
+    """A JSON file's value; content that is not JSON raises ``ValidationError``."""
+    with open(path, encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
+            raise ValidationError(f"{path}: not JSON ({exc})") from None
+
+
+def typed_reader(data: dict, what: str):
+    """``typed(name, kind, default=None)``: ``data[name]`` (or ``default``)
+    checked against ``kind``; a mistyped or missing field raises
+    ``ValidationError`` naming ``what``."""
+
+    def typed(name, kind, default=None):
+        value = data.get(name, default)
+        # bool is an int subclass: a count must not be true or false.
+        if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+            raise ValidationError(f"{what} field {name!r} is {value!r}")
+        return value
+
+    return typed
+
+
 @dataclass(frozen=True)
 class DatasetMeta:
     train_rev: str
@@ -76,14 +100,7 @@ class DatasetMeta:
         """Decode ``to_json`` output; a missing or mistyped field raises ``ValidationError``."""
         if not isinstance(data, dict):
             raise ValidationError("dataset metadata must be a JSON object")
-
-        def typed(name, kind, default=None):
-            value = data.get(name, default)
-            # bool is an int subclass: a count must not be true or false.
-            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-                raise ValidationError(f"dataset metadata field {name!r} is {value!r}")
-            return value
-
+        typed = typed_reader(data, "dataset metadata")
         notices = typed("notices", list, [])
         if not all(isinstance(n, str) for n in notices):
             raise ValidationError("dataset metadata notices must be strings")
@@ -302,12 +319,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 def load_dataset(in_dir: str | Path) -> Dataset:
     """Read a ``save_dataset`` directory; malformed content raises ``ValidationError``."""
     src = Path(in_dir)
-    with open(src / "meta.json", encoding="utf-8") as fp:
-        try:
-            data = json.load(fp)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise ValidationError(f"{src / 'meta.json'}: not JSON ({exc})") from None
-    meta = DatasetMeta.from_json(data)
+    meta = DatasetMeta.from_json(read_json(src / "meta.json"))
     splits: dict[str, tuple[LabeledInstance, ...]] = {}
     for split_name in ("train", "test"):
         with open(src / f"{split_name}.csv", encoding="utf-8", newline="") as fp:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .dataset import Dataset
+from .dataset import Dataset, typed_reader
 from .errors import ValidationError
 from .models import Model, encode_with, labels_of, predict_from_scores, score
 from .oracle import Label
@@ -222,17 +222,26 @@ class EvalReport:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "EvalReport":
+    def from_json(cls, data) -> "EvalReport":
+        """Decode ``to_json`` output; a missing or mistyped field raises ``ValidationError``."""
+        if not isinstance(data, dict):
+            raise ValidationError("report must be a JSON object")
+        typed = typed_reader(data, "report")
+        count = typed_reader(typed("counts", dict), "report counts")
+        flags = typed("flags", list, [])
+        if not all(isinstance(flag, str) for flag in flags):
+            raise ValidationError("report flags must be strings")
+        number = (int, float)
         return cls(
-            project=data["project"],
-            counts=ConfusionCounts(**data["counts"]),
-            precision=data["precision"],
-            recall=data["recall"],
-            f1=data["f1"],
-            auc=data["auc"],
-            actionability=data["actionability"],
-            baseline_f1=data["baseline_f1"],
-            flags=frozenset(data.get("flags", ())),
+            project=typed("project", str),
+            counts=ConfusionCounts(*(count(name, int) for name in ("tp", "fp", "fn", "tn"))),
+            precision=typed("precision", number),
+            recall=typed("recall", number),
+            f1=typed("f1", number),
+            auc=typed("auc", number),
+            actionability=typed("actionability", number),
+            baseline_f1=typed("baseline_f1", number),
+            flags=frozenset(flags),
         )
 
 

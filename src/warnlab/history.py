@@ -10,8 +10,72 @@ and the timeline operations bridge warnings across that chain. A Delete
 record ends a path's live range; a later Add of the same path starts a new,
 unrelated file.
 
-The record schema is defined by the ``_parse_*`` functions that read each
-kind and by :func:`emit_ledger`, which writes it back.
+Record schema, as :func:`ingest_ledger` checks it and :func:`emit_ledger`
+writes it. "string" is a JSON string; "integer" is a JSON integer, never
+``true``/``false`` or a number written with a fraction or exponent
+(``2.0``, ``1e3``); "number" is any finite JSON number. An optional field
+may be absent or ``null`` where its type allows null; other fields are
+ignored.
+
+``revision``
+
+    ===================  ==============  ===========  ================================
+    field                type            required     constraint
+    ===================  ==============  ===========  ================================
+    id                   string          yes          unique among revisions
+    timestamp            integer         yes          not earlier than the parent's
+    parent               string or null  no (null)    id of another revision
+    branch               string          no ("main")
+    ===================  ==============  ===========  ================================
+
+``warning`` (one observation; identical lines collapse into one)
+
+    ===================  ==============  ===========  ================================
+    revision             string          yes          id of a ledger revision
+    file_path            string          yes          non-empty
+    bug_pattern          string          yes          one bug_category per pattern
+    bug_category         string          yes
+    priority             integer         yes          1, 2 or 3
+    entity               object          yes          see ``entity``
+    line                 integer         yes          >= 1
+    ===================  ==============  ===========  ================================
+
+``change`` (the change kind rides in ``change_kind``)
+
+    ===================  ==============  ===========  ================================
+    revision             string          yes          id of a ledger revision
+    file_path            string          yes
+    change_kind          string          yes          Add, Modify, Delete or Rename
+    old_path             string or null  for Rename   non-empty, not equal to file_path
+    lines_added          integer         no (0)       >= 0
+    lines_deleted        integer         no (0)       >= 0
+    author               string          no ("")
+    ===================  ==============  ===========  ================================
+
+``attrs`` (static metrics of one warning key at one revision; the last
+line for a (revision, key) pair wins)
+
+    ===================  ==============  ===========  ================================
+    revision             string          yes          id of a ledger revision
+    bug_pattern          string          yes
+    file_path            string          yes
+    entity               object          yes          see ``entity``
+    comment_code_ratio   number          yes          finite, >= 0
+    method_depth         integer         yes          >= 0
+    file_depth           integer         yes          >= 0
+    methods_in_file      integer         yes          >= 0
+    classes_in_package   integer         yes          >= 0
+    parameter_signature  string          yes
+    method_visibility    string          yes          public, protected, package, private
+    ===================  ==============  ===========  ================================
+
+``entity`` (inside warning and attrs records)
+
+    ===================  ==============  ===========  ================================
+    package              string          yes
+    class                string          yes
+    method               string or null  no (null)    null: a class-level warning
+    ===================  ==============  ===========  ================================
 """
 
 from __future__ import annotations
@@ -19,9 +83,11 @@ from __future__ import annotations
 import bisect
 import json
 import logging
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.scanner import make_scanner
 from typing import IO, Iterable, Iterator
 
 from .errors import IntegrityError, LedgerParseError, ValidationError
@@ -364,54 +430,77 @@ def _last_rename_at_most(renames: Iterable[tuple[int, str]], hi: int) -> tuple[i
 # Ledger ingestion
 # ---------------------------------------------------------------------------
 
+# The scanner behind json.loads, called directly: one decode per line without
+# loads' wrappers. Like json's own default decoder it keeps no state between
+# calls.
+_scan_json = make_scanner(json.JSONDecoder())
+
+
 def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     """Parse and validate a ledger into a ProjectHistory.
 
     Raises LedgerParseError (with the 1-based line number) for malformed
-    lines or unknown record kinds, and IntegrityError when records reference
-    unknown revisions or contradict each other. Duplicate identical warning
-    lines are collapsed with a logged warning.
+    lines, unknown record kinds and fields outside the schema in the module
+    docstring, and IntegrityError when records reference unknown revisions
+    or contradict each other. Duplicate identical warning lines are
+    collapsed with a logged warning.
+
+    Cost contract: one JSON decode per line; one object per distinct
+    entity (an ``Entity`` shared by warning and attrs records), per distinct
+    attrs key (a ``WarningKey``) and per distinct attrs payload (a
+    ``StaticAttributes``), each validated once, on first sight; and one hash
+    per observation, taken when it is collected and reused by the frozen
+    set. An observation's own ``key`` is built on first use, as before.
     """
     revisions: list[RevisionMeta] = []
-    observations: list[WarningObservation] = []
+    observations: dict[WarningObservation, None] = {}  # a set in line order
     changes: list[FileChangeRecord] = []
     attributes: dict[tuple[str, WarningKey], StaticAttributes] = {}
-    seen_obs: set[WarningObservation] = set()
-    duplicate_obs = 0
+    entities: dict[tuple, Entity] = {}
+    keys: dict[tuple, WarningKey] = {}
+    payloads: dict[tuple, StaticAttributes] = {}
+    warning_lines = 0
 
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            rec, end = _scan_json(line, 0)
+        except StopIteration:  # no JSON value starts the line; json.loads names a BOM
+            msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff"
+                   else "Expecting value")
+            raise LedgerParseError(f"invalid JSON ({msg})", line_no) from None
         except json.JSONDecodeError as exc:
             raise LedgerParseError(f"invalid JSON ({exc.msg})", line_no) from None
-        if not isinstance(rec, dict):
+        except (ValueError, RecursionError) as exc:  # integer past the digit limit; deep nesting
+            raise LedgerParseError(f"invalid JSON ({exc})", line_no) from None
+        if end != len(line):
+            raise LedgerParseError("invalid JSON (Extra data)", line_no)
+        if type(rec) is not dict:
             raise LedgerParseError("record must be a JSON object", line_no)
         kind = rec.get("kind")
         try:
-            if kind == "revision":
-                revisions.append(_parse_revision(rec))
-            elif kind == "warning":
-                obs = _parse_warning(rec)
-                if obs in seen_obs:
-                    duplicate_obs += 1
-                else:
-                    seen_obs.add(obs)
-                    observations.append(obs)
-            elif kind == "change":
-                changes.append(_parse_change(rec))
+            if kind == "warning":
+                observations[_decode_warning(rec, entities)] = None
+                warning_lines += 1
             elif kind == "attrs":
-                rev, key, attrs = _parse_attrs(rec)
+                rev, key, attrs = _decode_attrs(rec, entities, keys, payloads)
                 attributes[(rev, key)] = attrs
+            elif kind == "revision":
+                revisions.append(_decode_revision(rec))
+            elif kind == "change":
+                changes.append(_decode_change(rec))
             else:
                 raise LedgerParseError(f"unknown record kind {kind!r}", line_no)
-        except LedgerParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise LedgerParseError(
+                f"bad {kind} record: \"missing field {exc.args[0]!r}\"", line_no
+            ) from None
+        except (TypeError, ValueError) as exc:
             raise LedgerParseError(f"bad {kind} record: {exc}", line_no) from None
 
+    duplicate_obs = warning_lines - len(observations)
     if duplicate_obs:
         log.warning("collapsed %d duplicate warning line(s) during ingestion", duplicate_obs)
 
@@ -423,6 +512,8 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     for rev in revisions:
         if rev.parent is None:
             continue
+        if rev.parent == rev.id:
+            raise IntegrityError(f"revision {rev.id!r} is its own parent")
         parent = by_id.get(rev.parent)
         if parent is None:
             raise IntegrityError(f"revision {rev.id!r} references unknown parent {rev.parent!r}")
@@ -464,101 +555,175 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     )
 
 
-def _require(rec: dict, name: str):
-    if name not in rec:
-        raise KeyError(f"missing field {name!r}")
-    return rec[name]
+# The decoders below read each field by indexing; a missing one raises
+# KeyError(field name), which ingest_ledger reports as a missing field. Types
+# are checked exactly: a JSON string, a JSON integer (never true, false or a
+# number written with a fraction or exponent), or a JSON number.
+
+def _wrong_type(name: str, value, expected: str) -> ValueError:
+    return ValueError(f"{name} must be {expected}, got {value!r}")
 
 
-def _parse_revision(rec: dict) -> RevisionMeta:
+def _string(value, name: str) -> str:
+    if type(value) is not str:
+        raise _wrong_type(name, value, "a string")
+    return value
+
+
+def _optional_string(value, name: str) -> str | None:
+    if value is not None and type(value) is not str:
+        raise _wrong_type(name, value, "a string or null")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    if type(value) is not int:
+        raise _wrong_type(name, value, "an integer")
+    return value
+
+
+def _count(value, name: str) -> int:
+    if type(value) is not int:
+        raise _wrong_type(name, value, "an integer")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _float(value, name: str) -> float:
+    """A JSON number as a float; an integer too large for one is infinite."""
+    if type(value) is float:
+        return value
+    if type(value) is not int:
+        raise _wrong_type(name, value, "a number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _decode_revision(rec: dict) -> RevisionMeta:
     return RevisionMeta(
-        id=str(_require(rec, "id")),
-        timestamp=int(_require(rec, "timestamp")),
-        parent=None if rec.get("parent") is None else str(rec["parent"]),
-        branch=str(rec.get("branch", "main")),
+        id=_string(rec["id"], "id"),
+        timestamp=_integer(rec["timestamp"], "timestamp"),
+        parent=_optional_string(rec.get("parent"), "parent"),
+        branch=_string(rec.get("branch", "main"), "branch"),
     )
 
 
-def _parse_entity(value) -> Entity:
-    if not isinstance(value, dict):
+def _decode_entity(value, entities: dict[tuple, Entity]) -> Entity:
+    """The interned Entity of an entity object, validated on first sight."""
+    if type(value) is not dict:
         raise ValueError("entity must be an object")
-    return Entity(
-        package=str(_require(value, "package")),
-        class_name=str(_require(value, "class")),
-        method=None if value.get("method") is None else str(value["method"]),
-    )
+    ident = (value["package"], value["class"], value.get("method"))
+    try:
+        entity = entities.get(ident)
+    except TypeError:  # an array or object where a string belongs
+        entity = None
+    if entity is None:
+        # Only JSON strings (and null for the method) equal a stored
+        # identity, so a hit above needs no type check.
+        entity = entities[ident] = Entity(
+            package=_string(ident[0], "package"),
+            class_name=_string(ident[1], "class"),
+            method=_optional_string(ident[2], "method"),
+        )
+    return entity
 
 
-def _parse_warning(rec: dict) -> WarningObservation:
-    priority = int(_require(rec, "priority"))
+def _decode_warning(rec: dict, entities: dict[tuple, Entity]) -> WarningObservation:
+    priority = _integer(rec["priority"], "priority")
     if not 1 <= priority <= 3:
         raise ValueError(f"priority must be in 1..3, got {priority}")
-    line = int(_require(rec, "line"))
+    line = _integer(rec["line"], "line")
     if line < 1:
         raise ValueError(f"line must be positive, got {line}")
-    file_path = str(_require(rec, "file_path"))
+    file_path = _string(rec["file_path"], "file_path")
     if not file_path:
         raise ValueError("file_path must be non-empty")
     return WarningObservation(
-        revision=str(_require(rec, "revision")),
+        revision=_string(rec["revision"], "revision"),
         file_path=file_path,
-        bug_pattern=str(_require(rec, "bug_pattern")),
-        bug_category=str(_require(rec, "bug_category")),
+        bug_pattern=_string(rec["bug_pattern"], "bug_pattern"),
+        bug_category=_string(rec["bug_category"], "bug_category"),
         priority=priority,
-        entity=_parse_entity(_require(rec, "entity")),
+        entity=_decode_entity(rec["entity"], entities),
         line=line,
     )
 
 
-def _parse_change(rec: dict) -> FileChangeRecord:
+def _decode_change(rec: dict) -> FileChangeRecord:
     # The record tag already uses "kind", so the change kind rides in
     # "change_kind" on the wire (emit_ledger writes it back the same way).
-    change_kind = str(_require(rec, "change_kind"))
+    change_kind = rec["change_kind"]
     if change_kind not in CHANGE_KINDS:
         raise ValueError(f"change_kind must be one of {CHANGE_KINDS}, got {change_kind!r}")
-    old_path = rec.get("old_path")
+    old_path = _optional_string(rec.get("old_path"), "old_path")
     if change_kind == "Rename" and not old_path:
         raise ValueError("Rename record requires old_path")
-    lines_added = int(rec.get("lines_added", 0))
-    lines_deleted = int(rec.get("lines_deleted", 0))
+    lines_added = _integer(rec.get("lines_added", 0), "lines_added")
+    lines_deleted = _integer(rec.get("lines_deleted", 0), "lines_deleted")
     if lines_added < 0 or lines_deleted < 0:
         raise ValueError("line counts must be non-negative")
+    revision = _string(rec["revision"], "revision")
+    file_path = _string(rec["file_path"], "file_path")
+    if change_kind == "Rename" and old_path == file_path:
+        raise ValueError(f"Rename old_path equals file_path {file_path!r}")
     return FileChangeRecord(
-        revision=str(_require(rec, "revision")),
-        file_path=str(_require(rec, "file_path")),
+        revision=revision,
+        file_path=file_path,
         kind=change_kind,
         lines_added=lines_added,
         lines_deleted=lines_deleted,
-        author=str(rec.get("author", "")),
-        old_path=None if old_path is None else str(old_path),
+        author=_string(rec.get("author", ""), "author"),
+        old_path=old_path,
     )
 
 
-def _parse_attrs(rec: dict) -> tuple[str, WarningKey, StaticAttributes]:
-    entity = _parse_entity(_require(rec, "entity"))
-    key = WarningKey(
-        bug_pattern=str(_require(rec, "bug_pattern")),
-        file_path=str(_require(rec, "file_path")),
-        package=entity.package,
-        class_name=entity.class_name,
-        method=entity.method,
-    )
-    visibility = str(_require(rec, "method_visibility"))
+def _decode_attrs(
+    rec: dict,
+    entities: dict[tuple, Entity],
+    keys: dict[tuple, WarningKey],
+    payloads: dict[tuple, StaticAttributes],
+) -> tuple[str, WarningKey, StaticAttributes]:
+    entity = rec["entity"]
+    if type(entity) is not dict:
+        raise ValueError("entity must be an object")
+    package, class_name, method = entity["package"], entity["class"], entity.get("method")
+    ident = (rec["bug_pattern"], rec["file_path"], package, class_name, method)
+    try:
+        key = keys.get(ident)
+    except TypeError:  # an array or object where a string belongs
+        key = None
+    if key is None:
+        _decode_entity(entity, entities)  # validates the entity's fields
+        key = keys[ident] = WarningKey(
+            _string(ident[0], "bug_pattern"), _string(ident[1], "file_path"),
+            package, class_name, method,
+        )
+    visibility = rec["method_visibility"]
     if visibility not in VISIBILITIES:
         raise ValueError(f"method_visibility must be one of {VISIBILITIES}, got {visibility!r}")
-    ratio = float(_require(rec, "comment_code_ratio"))
+    ratio = _float(rec["comment_code_ratio"], "comment_code_ratio")
     if ratio < 0:
         raise ValueError("comment_code_ratio must be >= 0")
-    attrs = StaticAttributes(
-        comment_code_ratio=ratio,
-        method_depth=int(_require(rec, "method_depth")),
-        file_depth=int(_require(rec, "file_depth")),
-        methods_in_file=int(_require(rec, "methods_in_file")),
-        classes_in_package=int(_require(rec, "classes_in_package")),
-        parameter_signature=str(_require(rec, "parameter_signature")),
-        method_visibility=visibility,
+    if not math.isfinite(ratio):
+        raise ValueError(f"comment_code_ratio must be finite, got {ratio}")
+    payload = (
+        ratio,
+        _count(rec["method_depth"], "method_depth"),
+        _count(rec["file_depth"], "file_depth"),
+        _count(rec["methods_in_file"], "methods_in_file"),
+        _count(rec["classes_in_package"], "classes_in_package"),
+        _string(rec["parameter_signature"], "parameter_signature"),
+        visibility,
     )
-    return str(_require(rec, "revision")), key, attrs
+    # 0.0 and -0.0 are equal keys but emit differently: key a zero by its text.
+    ident = payload if ratio else (repr(ratio), *payload[1:])
+    attrs = payloads.get(ident)
+    if attrs is None:
+        attrs = payloads[ident] = StaticAttributes(*payload)
+    return _string(rec["revision"], "revision"), key, attrs
 
 
 # ---------------------------------------------------------------------------

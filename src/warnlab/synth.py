@@ -90,11 +90,18 @@ class SynthConfig:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SynthConfig":
+    def from_json(cls, data) -> "SynthConfig":
+        """Decode ``to_json`` output; a setting that is unknown, missing or
+        refused by ``__post_init__`` raises ``ValidationError``."""
+        if not isinstance(data, dict):
+            raise ValidationError("synth config must be a JSON object")
         data = dict(data)
-        if "fix_delay_days" in data:
-            data["fix_delay_days"] = tuple(data["fix_delay_days"])
-        return cls(**data)
+        try:
+            if "fix_delay_days" in data:
+                data["fix_delay_days"] = tuple(data["fix_delay_days"])
+            return cls(**data)
+        except (TypeError, ValueError) as exc:  # a bad keyword, or a comparison in __post_init__
+            raise ValidationError(f"bad synth config: {exc}") from None
 
 
 @dataclass(frozen=True)

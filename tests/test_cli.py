@@ -235,6 +235,22 @@ class TestContracts:
         assert code == 1
         assert err.startswith("error[model]"), err
 
+    @pytest.mark.parametrize("text", ["{bad", '{"project": "x"}', "5",
+                                      '[{"project": "x", "counts": {"tp": true}}]'])
+    def test_corrupt_report_merge_input_categorized(self, tmp_path, capsys, text):
+        bad = tmp_path / "report.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run("report", "--merge", str(bad), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith(f"error[validation]: {bad}: ")
+
+    @pytest.mark.parametrize("text", ["{bad", "[1]", '{"seed": 1, "n_filez": 3}',
+                                      '{"n_files": 3}', '{"seed": 1, "n_files": "3"}'])
+    def test_corrupt_synth_config_categorized(self, tmp_path, capsys, text):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run("synth", "--config", str(bad), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith("error[validation]: ")
+
     def test_unknown_model_kind_rejected_by_parser(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--dataset", str(tmp_path), "--model-kind", "bogus")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from warnlab.errors import ValidationError
 from warnlab.evaluation import (
     ConfusionCounts,
+    EvalReport,
     auc,
     confusion,
     evaluate_predictions,
@@ -216,3 +217,21 @@ class TestStrawmanIdentity:
             assert report.precision == ratio
             assert report.f1 == pytest.approx(strawman_f1(ratio), abs=1e-15)
             assert report.auc == 0.5
+
+
+class TestReportJson:
+    def test_round_trip(self):
+        y_true = [Label.ACTIONABLE, Label.FALSE_ALARM, Label.ACTIONABLE, Label.FALSE_ALARM]
+        y_pred = [Label.ACTIONABLE, Label.ACTIONABLE, Label.FALSE_ALARM, Label.FALSE_ALARM]
+        report = evaluate_predictions(y_true, y_pred, [0.9, 0.6, 0.4, 0.1], project="p")
+        assert EvalReport.from_json(report.to_json()) == report
+
+    @pytest.mark.parametrize("field,value", [
+        ("f1", "0.5"), ("auc", True), ("project", None), ("flags", [1]),
+        ("counts", {"tp": 1, "fp": 0, "fn": 0}), ("counts", {"tp": 1.5, "fp": 0, "fn": 0, "tn": 0}),
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        data = evaluate_predictions([Label.ACTIONABLE], [Label.ACTIONABLE], [1.0]).to_json()
+        data[field] = value
+        with pytest.raises(ValidationError):
+            EvalReport.from_json(data)

@@ -1,0 +1,268 @@
+"""Ledger ingest: strict fields, exact error messages, and agreement with the
+straightforward per-record parse in ``ledger_reference``."""
+
+from __future__ import annotations
+
+import json
+import math
+from collections import defaultdict
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from warnlab.cli import main
+from warnlab.errors import IntegrityError, LedgerParseError
+from warnlab.history import emit_ledger, ingest_ledger
+from warnlab.synth import SynthConfig, generate
+
+from conftest import attrs_line, change_line, rev_line, warn_line
+from ledger_reference import reference_ingest
+
+
+def _edit(record: str, /, **fields) -> str:
+    """``record`` with fields replaced; a value of ``...`` deletes the field."""
+    rec = json.loads(record)
+    for name, value in fields.items():
+        if value is ...:
+            del rec[name]
+        else:
+            rec[name] = value
+    return json.dumps(rec)
+
+
+def _hand_ledger() -> list[str]:
+    """Renames, a delete and re-add, duplicate and method-less warning lines."""
+    foo, foo2, bar = "src/a/Foo.java", "src/a/Foo2.java", "src/b/Bar.java"
+    lines = [rev_line("r1", 0)]
+    lines += [rev_line(f"r{i}", 30 * i, parent=f"r{i - 1}") for i in range(2, 7)]
+    lines += [
+        change_line("r1", foo, "Add", lines_added=120),
+        change_line("r1", bar, "Add", lines_added=40, author="bob"),
+        change_line("r2", foo, "Modify", lines_added=3, lines_deleted=1),
+        change_line("r3", foo2, "Rename", old_path=foo),
+        change_line("r4", bar, "Delete", lines_deleted=40),
+        change_line("r5", bar, "Add", lines_added=10, author="carol"),
+        change_line("r6", foo2, "Rename", old_path=foo, author="dave"),
+    ]
+    for rid in ("r1", "r2"):
+        lines.append(warn_line(rid, path=foo))  # method-less entity
+        lines.append(warn_line(rid, path=foo, method="run", line=20))
+        lines.append(attrs_line(rid, path=foo, comment_code_ratio=0.0))
+        lines.append(attrs_line(rid, path=foo, method="run", method_depth=0))
+    lines.append(warn_line("r1", path=foo))  # an exact duplicate line
+    lines.append(warn_line("r1", path=bar, pattern="EQ_X", category="STYLE",
+                           package="com.b", cls="Bar", priority=3))
+    lines.append(attrs_line("r1", path=bar, pattern="EQ_X", package="com.b", cls="Bar",
+                            comment_code_ratio=-0.0, method_visibility="private"))
+    lines += [warn_line(rid, path=foo2, line=12) for rid in ("r3", "r4", "r6")]
+    lines.append(warn_line("r5", path=bar, pattern="EQ_X", category="STYLE",
+                           package="com.b", cls="Bar", priority=1, line=7))
+    lines.append(attrs_line("r3", path=foo2, parameter_signature="(I)V",
+                            method_visibility="protected"))
+    return lines
+
+
+def _synth_lines(seed: int) -> list[str]:
+    result = generate(SynthConfig(seed=seed, n_files=16, n_revisions=20,
+                                  warnings_per_revision=6, incidental_close_rate=0.2,
+                                  file_delete_rate=0.1))
+    return list(emit_ledger(result.history))
+
+
+def _assert_same_history(lines) -> None:
+    got, want = ingest_ledger(lines), reference_ingest(lines)
+    assert got == want
+    assert got.attributes == want.attributes
+    assert list(emit_ledger(got)) == list(emit_ledger(want))
+
+
+class TestStrictFields:
+    """Each record below breaks the schema: ingest names its line, and the
+    CLI exits 1 with ``error[parse]`` instead of a traceback."""
+
+    @pytest.mark.parametrize("bad", [
+        rev_line("r2", 30).replace('"timestamp": 1402592000', '"timestamp": 1e400'),
+        _edit(rev_line("r2", 30), timestamp=1_400_000_000.0),
+        _edit(rev_line("r2", 30), timestamp="1400000000"),
+        _edit(warn_line("r1"), priority=2.9),
+        _edit(warn_line("r1"), priority=True),
+        _edit(warn_line("r1"), line=3.0),
+        _edit(change_line("r1", "src/a/Foo.java", "Modify"), lines_added=True),
+        _edit(attrs_line("r1"), comment_code_ratio=math.nan),
+        _edit(attrs_line("r1"), comment_code_ratio=math.inf),
+        _edit(attrs_line("r1"), comment_code_ratio="0.5"),
+        _edit(attrs_line("r1"), method_depth=-3),
+        _edit(attrs_line("r1"), file_depth=-3),
+        _edit(attrs_line("r1"), methods_in_file=-3),
+        _edit(attrs_line("r1"), classes_in_package=-3),
+        _edit(attrs_line("r1"), method_depth=1.5),
+        _edit(warn_line("r1"), entity={"package": 5, "class": "Foo", "method": None}),
+        _edit(rev_line("r2", 30), parent=["r1"]),
+        '{"kind": "revision", "id": "r2", "timestamp": ' + "9" * 5000 + "}",
+        "[" * 100_000,
+    ], ids=[
+        "timestamp-1e400", "timestamp-float", "timestamp-string", "priority-2.9",
+        "priority-true", "line-float", "lines_added-true", "ratio-nan", "ratio-inf",
+        "ratio-string", "method_depth-negative", "file_depth-negative",
+        "methods_in_file-negative", "classes_in_package-negative", "method_depth-float",
+        "package-number", "parent-array", "integer-past-digit-limit", "deep-nesting",
+    ])
+    def test_rejected_with_line_number(self, bad, tmp_path, capsys):
+        lines = [rev_line("r1", 0), bad]
+        with pytest.raises(LedgerParseError) as exc:
+            ingest_ledger(lines)
+        assert exc.value.line_no == 2
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["ingest", "--ledger", str(ledger)]) == 1
+        assert capsys.readouterr().err.startswith("error[parse]: line 2: ")
+
+    def test_integral_json_numbers_stay_accepted(self):
+        h = ingest_ledger([rev_line("r1", 0), warn_line("r1", priority=3),
+                           _edit(attrs_line("r1"), comment_code_ratio=2, method_depth=0)])
+        (attrs,) = h.attributes.values()
+        assert attrs.comment_code_ratio == 2.0 and type(attrs.comment_code_ratio) is float
+        assert attrs.method_depth == 0
+
+
+class TestStructuralChecks:
+    def test_revision_that_is_its_own_parent(self):
+        with pytest.raises(IntegrityError, match="its own parent"):
+            ingest_ledger([rev_line("r1", 0), rev_line("r2", 30, parent="r2")])
+
+    def test_rename_onto_its_own_path(self):
+        lines = [rev_line("r1", 0),
+                 change_line("r1", "src/a/Foo.java", "Rename", old_path="src/a/Foo.java")]
+        with pytest.raises(LedgerParseError, match="line 2: .*old_path equals file_path"):
+            ingest_ledger(lines)
+
+
+class TestMessages:
+    """Error messages are part of the CLI's output: they stay word for word."""
+
+    @pytest.mark.parametrize("line,message", [
+        ("{broken", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ('{"kind": "revision"} x', "invalid JSON (Extra data)"),
+        ("\ufeff" + rev_line("r2", 0), "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+        (",", "invalid JSON (Expecting value)"),
+        ("[1, 2]", "record must be a JSON object"),
+        ('{"kind": "banana"}', "unknown record kind 'banana'"),
+        ('{"id": "r1"}', "unknown record kind None"),
+        (_edit(warn_line("r1"), priority=...), "bad warning record: \"missing field 'priority'\""),
+        (_edit(warn_line("r1"), entity=[1]), "bad warning record: entity must be an object"),
+        (_edit(warn_line("r1"), entity={"package": "p"}),
+         "bad warning record: \"missing field 'class'\""),
+        (_edit(warn_line("r1"), priority=7), "bad warning record: priority must be in 1..3, got 7"),
+        (_edit(warn_line("r1"), line=0), "bad warning record: line must be positive, got 0"),
+        (_edit(warn_line("r1"), file_path=""), "bad warning record: file_path must be non-empty"),
+        (_edit(rev_line("r2", 0), id=...), "bad revision record: \"missing field 'id'\""),
+        (change_line("r1", "a", "Copy"), "bad change record: change_kind must be one of "
+                                         "('Add', 'Modify', 'Delete', 'Rename'), got 'Copy'"),
+        (change_line("r1", "a", "Rename"), "bad change record: Rename record requires old_path"),
+        (change_line("r1", "a", "Modify", lines_added=-1),
+         "bad change record: line counts must be non-negative"),
+        (_edit(attrs_line("r1"), method_visibility="secret"),
+         "bad attrs record: method_visibility must be one of "
+         "('public', 'protected', 'package', 'private'), got 'secret'"),
+        (_edit(attrs_line("r1"), comment_code_ratio=-0.5),
+         "bad attrs record: comment_code_ratio must be >= 0"),
+        (_edit(attrs_line("r1"), comment_code_ratio=-math.inf),
+         "bad attrs record: comment_code_ratio must be >= 0"),
+        (_edit(attrs_line("r1"), parameter_signature=...),
+         "bad attrs record: \"missing field 'parameter_signature'\""),
+        (_edit(attrs_line("r1"), revision=...), "bad attrs record: \"missing field 'revision'\""),
+    ])
+    def test_message(self, line, message):
+        with pytest.raises(LedgerParseError) as exc:
+            ingest_ledger([rev_line("r1", 0), line])
+        assert str(exc.value) == f"line 2: {message}"
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_synth_ledgers(self, seed):
+        _assert_same_history(_synth_lines(seed))
+
+    def test_hand_ledger(self):
+        lines = _hand_ledger()
+        _assert_same_history(lines)
+        history = ingest_ledger(lines)
+        assert len(history.observations) == len([ln for ln in lines if '"warning"' in ln]) - 1
+        assert {c.kind for c in history.changes} == {"Add", "Modify", "Rename", "Delete"}
+        assert any(o.entity.method is None for o in history.observations)
+
+    def test_one_object_per_identity(self):
+        history = ingest_ledger(_hand_ledger() + _synth_lines(5))
+        by_value = defaultdict(set)
+        for obs in history.observations:
+            by_value[obs.entity].add(id(obs.entity))
+        for (_rev, key), attrs in history.attributes.items():
+            by_value[key].add(id(key))
+            by_value[attrs].add(id(attrs))
+        assert len(by_value) > 10
+        assert all(len(ids) == 1 for ids in by_value.values())
+
+    def test_zero_and_negative_zero_ratios_stay_apart(self):
+        lines = [rev_line("r1", 0), rev_line("r2", 30),
+                 attrs_line("r1", comment_code_ratio=0.0),
+                 attrs_line("r2", comment_code_ratio=-0.0)]
+        _assert_same_history(lines)
+        emitted = "\n".join(emit_ledger(ingest_ledger(lines)))
+        assert '"comment_code_ratio": -0.0' in emitted
+        assert '"comment_code_ratio": 0.0' in emitted
+
+
+# Replacement values for one field: each JSON type, the edges of each
+# constraint, and values that look right but have the wrong type.
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-5, max_value=5), st.integers(),
+    st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 63]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e308]),
+    st.text(max_size=6),
+    st.sampled_from(["", "r1", "r2", "r3", "Rename", "Delete", "public", "src/a/Foo.java",
+                     "src/a/Foo2.java", "com.a", "Foo", "STYLE"]),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=2),
+    st.dictionaries(st.sampled_from(["package", "class", "method"]), _JSON_SCALARS, max_size=3),
+)
+_DELETE = object()
+
+
+def _outcome(parse, lines):
+    try:
+        history = parse(lines)
+    except (LedgerParseError, IntegrityError) as exc:
+        return type(exc), getattr(exc, "line_no", None)
+    return history, tuple(emit_ledger(history))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_one_corrupt_field_matches_reference(data):
+    """A valid ledger with one field of one line replaced or removed (the
+    entity's fields included) parses to the reference's history, or fails
+    with the reference's error class and line number, and nothing else."""
+    lines = _hand_ledger()
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    rec = json.loads(lines[index])
+    target = rec
+    names = sorted(rec)
+    if "entity" in rec and data.draw(st.booleans(), label="inside entity"):
+        target = rec["entity"]
+        names = ["package", "class", "method"]
+    name = data.draw(st.sampled_from(names), label="field")
+    value = data.draw(st.one_of(st.just(_DELETE), _JSON_VALUES), label="value")
+    if value is _DELETE:
+        target.pop(name, None)
+    else:
+        target[name] = value
+    lines[index] = json.dumps(rec)
+
+    got = _outcome(ingest_ledger, lines)
+    want = _outcome(reference_ingest, lines)
+    assert got == want
