@@ -29,7 +29,7 @@ from . import features as ft
 from . import oracle as oc
 from . import synth as sy
 from .errors import ValidationError, WarnlabError
-from .history import emit_ledger, ingest_ledger
+from .history import KEY_COLUMNS, emit_ledger, ingest_ledger, key_row
 
 ENV_OUT = "WARNLAB_OUT"
 
@@ -216,15 +216,10 @@ def cmd_label(args) -> int:
     out = _out_dir(args)
     with open(out / "labels.csv", "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["bug_pattern", "file_path", "entity_package", "entity_class",
-                         "entity_method", "at_revision", "reference_revision",
-                         "label", "reason"])
+        writer.writerow([*KEY_COLUMNS, "at_revision", "reference_revision", "label", "reason"])
         for lw in sorted(labels, key=lambda w: w.key.sort_key()):
-            writer.writerow([
-                lw.key.bug_pattern, lw.key.file_path, lw.key.package,
-                lw.key.class_name, lw.key.method or "", lw.at_revision,
-                lw.reference_revision, lw.label.value, lw.reason.value,
-            ])
+            writer.writerow([*key_row(lw.key), lw.at_revision, lw.reference_revision,
+                             lw.label.value, lw.reason.value])
     summary = {
         "at": args.at,
         "ref": args.ref,
@@ -430,7 +425,7 @@ def cmd_report(args) -> int:
         payload = ds.read_json(path)
         try:
             if isinstance(payload, dict) and "rows" in payload:
-                sweeps.append(payload)
+                sweeps.append((path, payload))
             elif isinstance(payload, list):
                 reports.extend(ev.EvalReport.from_json(item) for item in payload)
             else:
@@ -444,21 +439,21 @@ def cmd_report(args) -> int:
         merged["reports"] = [rep.to_json() for rep in reports]
         text_parts.append(ev.render_report_table(reports))
     if sweeps:
-        merged["sweeps"] = sweeps
+        merged["sweeps"] = [payload for _, payload in sweeps]
     if args.wilcoxon:
         if not sweeps:
             raise UsageError("--wilcoxon needs sweep JSON inputs")
         col_a = parse_duration_days(args.wilcoxon[0])
         col_b = parse_duration_days(args.wilcoxon[1])
         pairs = []
-        for payload in sweeps:
-            by_interval = {row["interval_days"]: row for row in payload["rows"]}
+        for path, payload in sweeps:
+            by_interval = _sweep_ratios(path, payload["rows"])
             if col_a not in by_interval or col_b not in by_interval:
                 raise ValidationError(
                     f"sweep for {payload.get('project')} lacks interval "
                     f"{args.wilcoxon[0]} or {args.wilcoxon[1]}"
                 )
-            ra, rb = by_interval[col_a]["ratio"], by_interval[col_b]["ratio"]
+            ra, rb = by_interval[col_a], by_interval[col_b]
             if ra is None or rb is None:
                 raise ValidationError("sweep rows without ratios cannot be tested")
             pairs.append((ra, rb))
@@ -480,6 +475,21 @@ def cmd_report(args) -> int:
     (out / "merged.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
+
+
+def _sweep_ratios(path: str, rows) -> dict:
+    """interval_days -> ratio of a sweep file's rows; a row that is not an object
+    with a numeric ``interval_days`` and a numeric or null ``ratio`` raises
+    ``ValidationError`` naming ``path``."""
+    if not isinstance(rows, list):
+        raise ValidationError(f"{path}: sweep rows must be a list")
+    ratios = {}
+    for row in rows:
+        if not isinstance(row, dict) or "ratio" not in row:
+            raise ValidationError(f"{path}: sweep row {row!r} is not an object with a ratio")
+        typed = ds.typed_reader(row, f"{path}: sweep row")
+        ratios[typed("interval_days", (int, float))] = typed("ratio", (int, float, type(None)))
+    return ratios
 
 
 if __name__ == "__main__":

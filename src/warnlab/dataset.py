@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from .errors import OrderingError, ValidationError
 from .features import (
@@ -149,8 +148,6 @@ def build_dataset(
     ref_rev: str,
     mode: LeakMode,
     dedup: bool,
-    *,
-    lifetime_unit: str = "days",
 ) -> Dataset:
     """Assemble labeled train/test splits from one project history.
 
@@ -174,7 +171,7 @@ def build_dataset(
     ref_for_features = ref_rev if mode.is_leaky else None
 
     train_instances, dropped_train = _labeled_split(
-        history, train_rev, ref_rev, mode, ref_for_features, lifetime_unit
+        history, train_rev, ref_rev, mode, ref_for_features
     )
 
     keep_test: set[WarningKey] | None = None
@@ -187,12 +184,11 @@ def build_dataset(
         keep_test = {
             key
             for key in base.present_keys[test_idx]
-            if _bridged_first_seen(base, universe, key, test_idx) > train_idx
+            if universe[key].first_seen_idx > train_idx
         }
 
     test_instances, dropped_test = _labeled_split(
-        history, test_rev, ref_rev, mode, ref_for_features, lifetime_unit,
-        keep=keep_test,
+        history, test_rev, ref_rev, mode, ref_for_features, keep=keep_test,
     )
     if dedup:
         dedup_removed = len(history.keys_at(test_rev)) - len(keep_test or ())
@@ -220,28 +216,18 @@ def build_dataset(
     return ds
 
 
-def _bridged_first_seen(base, universe, key: WarningKey, at_idx: int) -> int:
-    presence = base.key_presence[key]
-    path, _ = base.resolve_path(key.file_path, presence[-1], at_idx)
-    canon = universe.get(key.with_path(path))
-    return canon.first_seen_idx if canon is not None else presence[0]
-
-
 def _labeled_split(
     history: ProjectHistory,
     at_rev: str,
     ref_rev: str,
     mode: LeakMode,
     ref_for_features: str | None,
-    lifetime_unit: str,
     keep: set[WarningKey] | None = None,
 ) -> tuple[list[LabeledInstance], int]:
     labels = {
         lw.key: lw.label for lw in heuristic_label(history, at_rev, ref_rev)
     }
-    vectors = extract_golden(
-        history, at_rev, mode, ref_for_features, lifetime_unit=lifetime_unit
-    )
+    vectors = extract_golden(history, at_rev, mode, ref_for_features)
     instances: list[LabeledInstance] = []
     dropped_unknown = 0
     for key in sorted(vectors, key=WarningKey.sort_key):
@@ -281,14 +267,6 @@ def _bridged_duplicates(dataset: Dataset, train_keys: set[WarningKey]) -> int:
 
     train_stripped = {strip(k) for k in train_keys}
     return sum(1 for inst in dataset.test if strip(inst.key) in train_stripped)
-
-
-def actionability_ratio(instances: Sequence[LabeledInstance]) -> float:
-    """Actionable share of a labeled split (Unknowns never enter datasets)."""
-    if not instances:
-        raise ValidationError("actionability ratio of an empty instance list")
-    actionable = sum(1 for inst in instances if inst.label is Label.ACTIONABLE)
-    return actionable / len(instances)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,14 @@ from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ExtractionError, ValidationError
 from .history import (
+    KEY_COLUMNS,
+    SECONDS_PER_DAY,
     ProjectHistory,
     WarningKey,
+    key_from_row,
+    key_row,
     truncate_history,
-    warning_key,
 )
-
-SECONDS_PER_DAY = 86400.0
 
 # Population scopes for the warning-combination features.
 SCOPE_METHOD = "method"
@@ -74,57 +75,27 @@ class LeakMode:
         return cls("leakfree", window_days)
 
 
-@dataclass(frozen=True)
-class WarningPopulation:
-    """Warnings relevant to one scope, each flagged closed or still open."""
+# The formulas take a population as its (closed, total) counts, which is all
+# extraction keeps of one.
 
-    scope: str
-    members: tuple[tuple[WarningKey, bool], ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def closed_count(self) -> int:
-        return sum(1 for _, closed in self.members if closed)
-
-
-def warning_context(population: WarningPopulation) -> float:
-    """(closed - open) / total over the population; 0 when it is empty."""
-    return _context_of(population.closed_count, len(population))
-
-
-def defect_likelihood(population: WarningPopulation) -> float:
-    """Share of the population that closed; 0 when it is empty."""
-    return _likelihood_of(population.closed_count, len(population))
-
-
-def discretized_defect_likelihood(
-    pattern_populations: Mapping[str, WarningPopulation],
-) -> float:
-    """Spread of per-pattern closure rates around the pooled category rate.
-
-    Averages (D(p) - D(T))^2 over the category's patterns with |T| - 1 in
-    the denominator; categories with fewer than two populated patterns
-    yield 0 (callers flag that case).
-    """
-    return _discretization_of(
-        {p: (pop.closed_count, len(pop)) for p, pop in pattern_populations.items()}
-    )
-
-
-# The formulas work on (closed, total) counts, which is all extraction keeps
-# of a population.
-
-def _context_of(closed: int, total: int) -> float:
+def warning_context(closed: int, total: int) -> float:
+    """(closed - open) / total over a population; 0 when it is empty."""
     return (closed - (total - closed)) / total if total else 0.0
 
 
-def _likelihood_of(closed: int, total: int) -> float:
+def defect_likelihood(closed: int, total: int) -> float:
+    """Share of a population that closed; 0 when it is empty."""
     return closed / total if total else 0.0
 
 
-def _discretization_of(counts: Mapping[str, Sequence[int]]) -> float:
+def discretized_defect_likelihood(counts: Mapping[str, Sequence[int]]) -> float:
+    """Spread of per-pattern closure rates around the pooled category rate.
+
+    ``counts`` maps each pattern of a category to its (closed, total).
+    Averages (D(p) - D(T))^2 over the category's populated patterns with
+    |T| - 1 in the denominator; categories with fewer than two populated
+    patterns yield 0 (callers flag that case).
+    """
     populated = {p: c for p, c in counts.items() if c[1] > 0}
     n_patterns = len(populated)
     if n_patterns <= 1:
@@ -134,7 +105,7 @@ def _discretization_of(counts: Mapping[str, Sequence[int]]) -> float:
     pooled = total_closed / total_members
     acc = 0.0
     for pattern in sorted(populated):
-        acc += (_likelihood_of(*populated[pattern]) - pooled) ** 2
+        acc += (defect_likelihood(*populated[pattern]) - pooled) ** 2
     return acc / (n_patterns - 1)
 
 
@@ -234,7 +205,6 @@ CANONICAL_NAMES: dict[str, str] = {
 }
 
 FEATURE_FIELDS = tuple(CANONICAL_NAMES)
-_FROM_CANONICAL = {v: k for k, v in CANONICAL_NAMES.items()}
 assert len(FEATURE_FIELDS) == 23
 
 
@@ -250,7 +220,6 @@ class CanonicalWarning:
     pattern: str
     category: str
     package: str
-    class_name: str
     method: str | None
     path: str  # path at the extraction revision (or at deletion)
     first_seen_idx: int
@@ -262,7 +231,11 @@ class CanonicalWarning:
 
 
 def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningKey, CanonicalWarning]:
-    """Merge every warning key of ``base`` across renames, as of ``at_idx``."""
+    """Merge every warning key of ``base`` across renames, as of ``at_idx``.
+
+    Each key is resolved from its last observation, so a key observed at
+    ``at_idx`` (or later) is itself the canonical key of its warning.
+    """
     merged: dict[WarningKey, dict] = {}
     for key, presence in base.key_presence.items():
         last_idx = presence[-1]
@@ -292,7 +265,6 @@ def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningKey, Canoni
             pattern=canon.bug_pattern,
             category=base.pattern_categories[canon.bug_pattern],
             package=canon.package,
-            class_name=canon.class_name,
             method=canon.method,
             path=canon.file_path,
             first_seen_idx=first_idx,
@@ -305,83 +277,24 @@ def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningKey, Canoni
     return out
 
 
-# ---------------------------------------------------------------------------
-# Lifetime statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LifetimeStats:
-    lifetime_revisions: int
-    average_lifetime_for_type: float
-    no_closures_for_type: bool
-
-
-def lifetime_stats(
-    history: ProjectHistory,
-    key: WarningKey,
-    at_rev: str,
-    lifetime_unit: str = "days",
-) -> LifetimeStats:
-    """Own lifetime in revisions plus the mean closed lifetime of its type.
-
-    Lifetime counts the revisions through ``at_rev`` in which the warning is
-    present. The type average covers warnings of the same category whose
-    first closure happened at or before ``at_rev``, measured in days by
-    default (``lifetime_unit="revisions"`` switches the unit).
-    """
-    at_idx = history.rev_index(at_rev)
-    base = truncate_history(history, at_rev)
-    universe = build_universe(base, at_idx)
-    canon = _canonical_for(base, universe, key, at_idx)
-    if canon is None:
-        raise ValidationError(f"warning key not observed at or before {at_rev!r}: {key}")
-    return _lifetime_of(canon, at_idx, _type_lifetimes(base, universe, at_idx, lifetime_unit))
-
-
-def _canonical_for(
-    base: ProjectHistory,
-    universe: dict[WarningKey, CanonicalWarning],
-    key: WarningKey,
-    at_idx: int,
-) -> CanonicalWarning | None:
-    presence = base.key_presence.get(key)
-    if not presence:
-        return None
-    path, _deleted = base.resolve_path(key.file_path, presence[-1], at_idx)
-    return universe.get(key.with_path(path))
-
-
 def _type_lifetimes(
     base: ProjectHistory,
     universe: dict[WarningKey, CanonicalWarning],
     at_idx: int,
-    lifetime_unit: str,
 ) -> dict[str, float]:
-    """Category -> mean lifetime of its warnings closed at or before ``at_idx``.
+    """Category -> mean lifetime in days of its warnings closed at or before ``at_idx``.
 
     Durations are summed in universe order, so the means do not depend on
     how many targets share a category.
     """
-    if lifetime_unit not in ("days", "revisions"):
-        raise ValidationError(f"lifetime_unit must be 'days' or 'revisions', got {lifetime_unit!r}")
     durations: dict[str, list[float]] = defaultdict(list)
     for other in universe.values():
         if other.closed_idx is None or other.closed_idx > at_idx:
             continue
-        if lifetime_unit == "days":
-            start = base.rev_at(other.first_seen_idx).timestamp
-            end = base.rev_at(other.closed_idx).timestamp
-            durations[other.category].append((end - start) / SECONDS_PER_DAY)
-        else:
-            durations[other.category].append(float(other.closed_idx - other.first_seen_idx))
+        start = base.rev_at(other.first_seen_idx).timestamp
+        end = base.rev_at(other.closed_idx).timestamp
+        durations[other.category].append((end - start) / SECONDS_PER_DAY)
     return {category: sum(ds) / len(ds) for category, ds in durations.items()}
-
-
-def _lifetime_of(canon: CanonicalWarning, at_idx: int,
-                 type_lifetimes: Mapping[str, float]) -> LifetimeStats:
-    lifetime = sum(1 for idx in canon.presence if idx <= at_idx)
-    average = type_lifetimes.get(canon.category)
-    return LifetimeStats(lifetime, 0.0 if average is None else average, average is None)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +306,6 @@ def extract_golden(
     at_rev: str,
     mode: LeakMode,
     ref_rev: str | None = None,
-    *,
-    lifetime_unit: str = "days",
 ) -> dict[WarningKey, FeatureVector]:
     """Compute all 23 features for every warning observed at ``at_rev``.
 
@@ -409,7 +320,7 @@ def extract_golden(
     extraction revision and mode (closed/total counts per method, file,
     category and pattern; discretization and mean closed lifetime per
     category; recent LOC per package). Each target then costs lookups plus
-    its own ``resolve_path`` and ``file_chain`` walk.
+    its own ``file_chain`` walk.
     """
     at_idx = history.rev_index(at_rev)
     ref_idx: int | None = None
@@ -458,7 +369,7 @@ def extract_golden(
         patterns_by_category[canon.category].add(canon.pattern)
     empty = (0, 0)
     discretization = {
-        category: _discretization_of({p: counts[(SCOPE_PATTERN, p)] for p in patterns})
+        category: discretized_defect_likelihood({p: counts[(SCOPE_PATTERN, p)] for p in patterns})
         for category, patterns in patterns_by_category.items()
     }
 
@@ -473,19 +384,19 @@ def extract_golden(
             f"{len(missing)} warning(s) lack data at {at_rev}: {listing}",
             failures={str(k): why for k, why in missing.items()},
         )
-    type_lifetimes = _type_lifetimes(base, universe, at_idx, lifetime_unit)
+    type_lifetimes = _type_lifetimes(base, universe, at_idx)
     loc_by_package = _loc_by_package(base, at_idx, days=90.0)
     at_time = base.rev_at(at_idx).timestamp
 
     obs_by_key = {}
     for obs in base.observations_at.get(at_rev, ()):
-        obs_by_key.setdefault(warning_key(obs), obs)
+        obs_by_key.setdefault(obs.key, obs)
 
     out: dict[WarningKey, FeatureVector] = {}
     for key in targets:
         obs = obs_by_key[key]
         attrs = base.attributes[(at_rev, key)]
-        canon = _canonical_for(base, universe, key, at_idx)
+        canon = universe[key]
         flags: set[str] = set()
 
         file_count = counts.get((SCOPE_FILE, canon.path), empty)
@@ -511,8 +422,8 @@ def extract_golden(
         elif n_patterns == 1:
             flags.add(FLAG_SINGLE_PATTERN_CATEGORY)
 
-        stats = _lifetime_of(canon, at_idx, type_lifetimes)
-        if stats.no_closures_for_type:
+        type_lifetime = type_lifetimes.get(canon.category)
+        if type_lifetime is None:
             flags.add(FLAG_NO_CLOSED_LIFETIME)
 
         chain = base.file_chain(canon.path, at_idx)
@@ -523,12 +434,12 @@ def extract_golden(
             flags.add(FLAG_FILE_CREATION_INFERRED)
 
         out[key] = FeatureVector(
-            warning_context_in_method=_context_of(*method_count),
-            warning_context_in_file=_context_of(*file_count),
-            warning_context_for_warning_type=_context_of(*type_count),
-            defect_likelihood_for_warning_pattern=_likelihood_of(*pattern_count),
+            warning_context_in_method=warning_context(*method_count),
+            warning_context_in_file=warning_context(*file_count),
+            warning_context_for_warning_type=warning_context(*type_count),
+            defect_likelihood_for_warning_pattern=defect_likelihood(*pattern_count),
             discretization_of_defect_likelihood=discretization.get(canon.category, 0.0),
-            average_lifetime_for_warning_type=stats.average_lifetime_for_type,
+            average_lifetime_for_warning_type=0.0 if type_lifetime is None else type_lifetime,
             comment_code_ratio=attrs.comment_code_ratio,
             method_depth=attrs.method_depth,
             file_depth=attrs.file_depth,
@@ -545,7 +456,7 @@ def extract_golden(
             method_visibility=attrs.method_visibility,
             loc_added_in_file_last_25_revisions=_loc_last_n_revisions(chain, at_idx, n=25),
             loc_added_in_package_past_3_months=loc_by_package.get(canon.package, 0),
-            warning_lifetime_revisions=stats.lifetime_revisions,
+            warning_lifetime_revisions=sum(1 for idx in canon.presence if idx <= at_idx),
             flags=frozenset(flags),
         )
     for vec in out.values():
@@ -629,7 +540,6 @@ def audit_time_travel(
 # Feature-matrix export / import
 # ---------------------------------------------------------------------------
 
-KEY_COLUMNS = ("bug_pattern", "file_path", "entity_package", "entity_class", "entity_method")
 META_COLUMNS = ("origin_rev", "label", "mode")
 MATRIX_HEADER = KEY_COLUMNS + META_COLUMNS + tuple(CANONICAL_NAMES[f] for f in FEATURE_FIELDS) + ("flags",)
 
@@ -648,16 +558,7 @@ def write_feature_matrix(fp: IO[str], rows: Iterable[MatrixRow]) -> None:
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(MATRIX_HEADER)
     for row in rows:
-        record = [
-            row.key.bug_pattern,
-            row.key.file_path,
-            row.key.package,
-            row.key.class_name,
-            row.key.method or "",
-            row.origin_rev,
-            row.label,
-            row.mode,
-        ]
+        record = [*key_row(row.key), row.origin_rev, row.label, row.mode]
         for name in FEATURE_FIELDS:
             value = getattr(row.vector, name)
             record.append(repr(value) if isinstance(value, float) else str(value))
@@ -688,13 +589,6 @@ def _matrix_row(record: list[str], line_no: int) -> MatrixRow:
             f"expected {len(MATRIX_HEADER)}"
         )
     values = dict(zip(MATRIX_HEADER, record))
-    key = WarningKey(
-        bug_pattern=values["bug_pattern"],
-        file_path=values["file_path"],
-        package=values["entity_package"],
-        class_name=values["entity_class"],
-        method=values["entity_method"] or None,
-    )
     kwargs = {}
     for name in FEATURE_FIELDS:
         raw = values[CANONICAL_NAMES[name]]
@@ -711,7 +605,7 @@ def _matrix_row(record: list[str], line_no: int) -> MatrixRow:
                 )
     flags = frozenset(f for f in values["flags"].split(";") if f)
     return MatrixRow(
-        key=key,
+        key=key_from_row(values),
         origin_rev=values["origin_rev"],
         label=values["label"],
         mode=values["mode"],

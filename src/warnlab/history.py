@@ -76,6 +76,14 @@ line for a (revision, key) pair wins)
     class                string          yes
     method               string or null  no (null)    null: a class-level warning
     ===================  ==============  ===========  ================================
+
+A ``WarningKey`` travels in two shapes, and this module holds the one codec
+for both. As a JSON object (ledger warning and attrs records, annotation
+files, ``truth.json``) it is ``bug_pattern``, ``file_path`` and an
+``entity`` object: :func:`key_json` writes it and :func:`decode_key` reads
+it with the checks above. As a CSV row (``labels.csv`` and the feature
+matrices) it is the five :data:`KEY_COLUMNS`: :func:`key_row` writes them
+and :func:`key_from_row` reads them.
 """
 
 from __future__ import annotations
@@ -88,14 +96,15 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.scanner import make_scanner
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Mapping
 
-from .errors import IntegrityError, LedgerParseError, ValidationError
+from .errors import IntegrityError, LedgerParseError
 
 log = logging.getLogger(__name__)
 
 CHANGE_KINDS = ("Add", "Modify", "Delete", "Rename")
 VISIBILITIES = ("public", "protected", "package", "private")
+SECONDS_PER_DAY = 86400
 
 
 @dataclass(frozen=True)
@@ -193,11 +202,6 @@ class WarningKey:
                           self.class_name, self.method)
 
 
-def warning_key(obs: WarningObservation) -> WarningKey:
-    """Line-insensitive identity of an observation."""
-    return obs.key
-
-
 @dataclass(frozen=True)
 class WarningTimeline:
     """Lifecycle of one warning key across the history, rename-bridged."""
@@ -239,9 +243,6 @@ class ProjectHistory:
 
     def rev_at(self, index: int) -> RevisionMeta:
         return self.revisions[index]
-
-    def rev_time(self, rev_id: str) -> int:
-        return self.revisions[self.rev_index(rev_id)].timestamp
 
     # -- presence indexes -------------------------------------------------
 
@@ -686,21 +687,7 @@ def _decode_attrs(
     keys: dict[tuple, WarningKey],
     payloads: dict[tuple, StaticAttributes],
 ) -> tuple[str, WarningKey, StaticAttributes]:
-    entity = rec["entity"]
-    if type(entity) is not dict:
-        raise ValueError("entity must be an object")
-    package, class_name, method = entity["package"], entity["class"], entity.get("method")
-    ident = (rec["bug_pattern"], rec["file_path"], package, class_name, method)
-    try:
-        key = keys.get(ident)
-    except TypeError:  # an array or object where a string belongs
-        key = None
-    if key is None:
-        _decode_entity(entity, entities)  # validates the entity's fields
-        key = keys[ident] = WarningKey(
-            _string(ident[0], "bug_pattern"), _string(ident[1], "file_path"),
-            package, class_name, method,
-        )
+    key = decode_key(rec, entities, keys)
     visibility = rec["method_visibility"]
     if visibility not in VISIBILITIES:
         raise ValueError(f"method_visibility must be one of {VISIBILITIES}, got {visibility!r}")
@@ -727,6 +714,57 @@ def _decode_attrs(
 
 
 # ---------------------------------------------------------------------------
+# Warning-key codec (the two shapes named in the module docstring)
+# ---------------------------------------------------------------------------
+
+KEY_COLUMNS = ("bug_pattern", "file_path", "entity_package", "entity_class", "entity_method")
+
+
+def key_json(key: WarningKey) -> dict:
+    """The JSON object of a key; ledger records add their own fields to it."""
+    return {"bug_pattern": key.bug_pattern, "file_path": key.file_path,
+            "entity": {"package": key.package, "class": key.class_name, "method": key.method}}
+
+
+def decode_key(value: dict, entities: dict[tuple, Entity],
+               keys: dict[tuple, WarningKey]) -> WarningKey:
+    """The WarningKey of a ``key_json`` object, interned in the caller's tables
+    and validated on first sight: a missing field raises KeyError(field name)
+    and a mistyped one ValueError. Fields outside the key are ignored."""
+    entity = value["entity"]
+    if type(entity) is not dict:
+        raise ValueError("entity must be an object")
+    package, class_name, method = entity["package"], entity["class"], entity.get("method")
+    ident = (value["bug_pattern"], value["file_path"], package, class_name, method)
+    try:
+        key = keys.get(ident)
+    except TypeError:  # an array or object where a string belongs
+        key = None
+    if key is None:
+        _decode_entity(entity, entities)  # validates the entity's fields
+        key = keys[ident] = WarningKey(
+            _string(ident[0], "bug_pattern"), _string(ident[1], "file_path"),
+            package, class_name, method,
+        )
+    return key
+
+
+# A CSV cell cannot hold null, so a class-level key's method is written as
+# "" and read back as None: a key whose method is the empty string is the one
+# key that does not survive the CSV round trip.
+
+def key_row(key: WarningKey) -> list[str]:
+    """The ``KEY_COLUMNS`` cells of a key."""
+    return [key.bug_pattern, key.file_path, key.package, key.class_name, key.method or ""]
+
+
+def key_from_row(row: Mapping[str, str]) -> WarningKey:
+    """The key held in a CSV row's ``KEY_COLUMNS`` cells."""
+    return WarningKey(row["bug_pattern"], row["file_path"], row["entity_package"],
+                      row["entity_class"], row["entity_method"] or None)
+
+
+# ---------------------------------------------------------------------------
 # Ledger emission (round-trips with ingest_ledger)
 # ---------------------------------------------------------------------------
 
@@ -744,12 +782,8 @@ def emit_ledger(history: ProjectHistory) -> Iterator[str]:
     )
     for obs in obs_sorted:
         yield json.dumps(
-            {"kind": "warning", "revision": obs.revision, "file_path": obs.file_path,
-             "bug_pattern": obs.bug_pattern, "bug_category": obs.bug_category,
-             "priority": obs.priority,
-             "entity": {"package": obs.entity.package, "class": obs.entity.class_name,
-                        "method": obs.entity.method},
-             "line": obs.line},
+            {"kind": "warning", "revision": obs.revision, **key_json(obs.key),
+             "bug_category": obs.bug_category, "priority": obs.priority, "line": obs.line},
             sort_keys=True,
         )
     chg_sorted = sorted(
@@ -769,10 +803,7 @@ def emit_ledger(history: ProjectHistory) -> Iterator[str]:
     )
     for (rev_id, key), attrs in attr_items:
         yield json.dumps(
-            {"kind": "attrs", "revision": rev_id, "bug_pattern": key.bug_pattern,
-             "file_path": key.file_path,
-             "entity": {"package": key.package, "class": key.class_name,
-                        "method": key.method},
+            {"kind": "attrs", "revision": rev_id, **key_json(key),
              "comment_code_ratio": attrs.comment_code_ratio,
              "method_depth": attrs.method_depth, "file_depth": attrs.file_depth,
              "methods_in_file": attrs.methods_in_file,
@@ -856,8 +887,3 @@ def warning_timeline(history: ProjectHistory, key: WarningKey) -> WarningTimelin
         file_deleted_at=deleted_at,
         reopen_count=reopen_count,
     )
-
-
-def require_nonempty(history: ProjectHistory) -> None:
-    if history.horizon is None:
-        raise ValidationError("history is empty: no revisions ingested")

@@ -18,14 +18,7 @@ from dataclasses import dataclass, replace
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import OrderingError, ValidationError
-from .history import (
-    ProjectHistory,
-    WarningKey,
-    WarningObservation,
-    truncate_history,
-)
-
-SECONDS_PER_DAY = 86400
+from .history import SECONDS_PER_DAY, ProjectHistory, WarningKey, decode_key
 
 
 class Label(str, enum.Enum):
@@ -71,9 +64,9 @@ def heuristic_label(
 ) -> list[LabeledWarning]:
     """Label every warning observed at ``at_rev`` against ``ref_rev``.
 
-    Pure function of the history truncated at the reference revision: no
-    record after ``ref_rev`` can influence the outcome. Each distinct
-    warning key at ``at_rev`` receives exactly one label.
+    Every read is bounded by the reference revision's index, so no record
+    after ``ref_rev`` can influence the outcome. Each distinct warning key
+    at ``at_rev`` receives exactly one label.
     """
     at_idx = history.rev_index(at_rev)
     ref_idx = history.rev_index(ref_rev)
@@ -81,11 +74,10 @@ def heuristic_label(
         raise OrderingError(
             f"reference revision {ref_rev!r} must come strictly after {at_rev!r}"
         )
-    window = truncate_history(history, ref_rev)
-    ref_keys = window.present_keys[ref_idx]
+    ref_keys = history.present_keys[ref_idx]
     out: list[LabeledWarning] = []
-    for key in window.keys_at(at_rev):
-        path, deleted_idx = window.resolve_path(key.file_path, at_idx, ref_idx)
+    for key in history.keys_at(at_rev):
+        path, deleted_idx = history.resolve_path(key.file_path, at_idx, ref_idx)
         if deleted_idx is not None:
             label, reason = Label.UNKNOWN, Reason.FILE_DELETED
         elif key.with_path(path) in ref_keys:
@@ -243,16 +235,8 @@ def _class_matches(rule: FilterRule, package: str, class_name: str) -> bool:
     return rule.class_matcher in (qualified, class_name)
 
 
-def filter_match(rules: Sequence[FilterRule], obs: WarningObservation) -> bool:
-    """True when some rule suppresses this observation's class and pattern."""
-    return any(
-        obs.bug_pattern in rule.patterns
-        and _class_matches(rule, obs.entity.package, obs.entity.class_name)
-        for rule in rules
-    )
-
-
-def _key_matches(rules: Sequence[FilterRule], key: WarningKey) -> bool:
+def filter_match(rules: Sequence[FilterRule], key: WarningKey) -> bool:
+    """True when some rule suppresses this warning's class and pattern."""
     return any(
         key.bug_pattern in rule.patterns
         and _class_matches(rule, key.package, key.class_name)
@@ -284,7 +268,7 @@ def confirm_false_alarms(
     for lw in labels:
         if lw.reason is Reason.STILL_OPEN:
             open_count += 1
-            if _key_matches(rules, lw.key):
+            if filter_match(rules, lw.key):
                 matched += 1
                 lw = replace(lw, reason=Reason.FILTER_MATCHED)
         out.append(lw)
@@ -302,24 +286,24 @@ class AnnotationSet:
 
 
 def read_annotations(stream: Iterable[str] | IO[str]) -> list[AnnotationSet]:
-    """Read line-delimited JSON annotations, grouped per annotator."""
+    """Read line-delimited JSON annotations, grouped per annotator: each line
+    is a warning key in the ledger's shape (``history.key_json``, checked as
+    the ledger checks it) plus a ``label`` and an ``annotator`` string."""
     per_annotator: dict[str, dict[WarningKey, Label]] = {}
+    entities: dict = {}
+    keys: dict = {}
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
             rec = json.loads(line)
-            key = WarningKey(
-                bug_pattern=rec["bug_pattern"],
-                file_path=rec["file_path"],
-                package=rec["entity"]["package"],
-                class_name=rec["entity"]["class"],
-                method=rec["entity"].get("method"),
-            )
+            key = decode_key(rec, entities, keys)
             label = Label(rec["label"])
-            annotator = str(rec["annotator"])
-        except (KeyError, TypeError, ValueError) as exc:
+            annotator = rec["annotator"]
+            if type(annotator) is not str:
+                raise ValueError(f"annotator must be a string, got {annotator!r}")
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValidationError(f"annotation line {line_no}: {exc}") from None
         per_annotator.setdefault(annotator, {})[key] = label
     return [

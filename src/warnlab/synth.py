@@ -16,10 +16,12 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from .dataset import typed_reader
 from .errors import ValidationError
 from .history import (
+    SECONDS_PER_DAY,
     Entity,
     FileChangeRecord,
     ProjectHistory,
@@ -27,11 +29,10 @@ from .history import (
     StaticAttributes,
     WarningKey,
     WarningObservation,
-    warning_key,
+    key_json,
 )
 
 REVISION_INTERVAL_DAYS = 30
-SECONDS_PER_DAY = 86400
 EPOCH_START = 1_400_000_000  # fixed origin so ledgers are reproducible
 
 CATEGORIES = ("STYLE", "CORRECTNESS", "PERFORMANCE", "BAD_PRACTICE")
@@ -72,8 +73,8 @@ class SynthConfig:
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
         lo, hi = self.fix_delay_days
-        if lo < 0 or hi < lo:
-            raise ValidationError("fix_delay_days must satisfy 0 <= min <= max")
+        if not 0 <= lo <= hi < math.inf:  # also refuses NaN
+            raise ValidationError("fix_delay_days must satisfy 0 <= min <= max < inf")
 
     def to_json(self) -> dict:
         return {
@@ -91,17 +92,27 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, data) -> "SynthConfig":
-        """Decode ``to_json`` output; a setting that is unknown, missing or
-        refused by ``__post_init__`` raises ``ValidationError``."""
+        """Decode ``to_json`` output; a setting that is unknown, missing,
+        mistyped or refused by ``__post_init__`` raises ``ValidationError``."""
         if not isinstance(data, dict):
             raise ValidationError("synth config must be a JSON object")
-        data = dict(data)
+        typed = typed_reader(data, "synth config")
+        settings = {f.name: typed(f.name, _SETTING_TYPES[f.type])
+                    for f in fields(cls) if f.name in data}
+        delay = settings.get("fix_delay_days")
+        if delay is not None:
+            if len(delay) != 2 or not all(type(d) in (int, float) for d in delay):
+                raise ValidationError(f"synth config field 'fix_delay_days' is {delay!r}")
+            settings["fix_delay_days"] = tuple(delay)
         try:
-            if "fix_delay_days" in data:
-                data["fix_delay_days"] = tuple(data["fix_delay_days"])
-            return cls(**data)
-        except (TypeError, ValueError) as exc:  # a bad keyword, or a comparison in __post_init__
+            return cls(**{**data, **settings})
+        except TypeError as exc:  # an unknown setting, or no seed
             raise ValidationError(f"bad synth config: {exc}") from None
+
+
+# The JSON type of each SynthConfig setting, by its annotation: counts and the
+# seed are integers, rates numbers, and the delay range a [min, max] array.
+_SETTING_TYPES = {"int": int, "float": (int, float), "bool": bool, "tuple[float, float]": list}
 
 
 @dataclass(frozen=True)
@@ -139,10 +150,7 @@ class SynthResult:
             },
             "warnings": [
                 {
-                    "bug_pattern": key.bug_pattern,
-                    "file_path": key.file_path,
-                    "entity": {"package": key.package, "class": key.class_name,
-                               "method": key.method},
+                    **key_json(key),
                     "nature": rec.nature,
                     "closure_kind": rec.closure_kind,
                     "closed_day": rec.closed_day,
@@ -307,7 +315,7 @@ def generate(config: SynthConfig) -> SynthResult:
             revision="", file_path=file.path, bug_pattern=pattern,
             bug_category=category, priority=priority, entity=entity, line=line,
         )
-        key = warning_key(proto)
+        key = proto.key
         for idx in range(born_idx, last_idx):
             rev_id = revisions[idx].id
             observations.append(

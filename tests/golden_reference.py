@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import replace
 
 from warnlab import features as ft
+from warnlab.history import SECONDS_PER_DAY as DAY
 from warnlab.history import truncate_history
 
-DAY = ft.SECONDS_PER_DAY
 
-
-def reference_golden(history, at_rev, mode, ref_rev, lifetime_unit, vectors):
+def reference_golden(history, at_rev, mode, ref_rev, vectors):
     """``vectors`` with every population-derived field and flag recomputed."""
     at_idx = history.rev_index(at_rev)
     base = history if mode.is_leaky else truncate_history(history, at_rev)
@@ -36,9 +35,9 @@ def reference_golden(history, at_rev, mode, ref_rev, lifetime_unit, vectors):
         path, _ = base.resolve_path(key.file_path, base.key_presence[key][-1], at_idx)
         canon = universe[key.with_path(path)]
 
-        def pop(match):
-            return ft.WarningPopulation(
-                "", tuple((c.member_key, closed) for c, closed in members if match(c)))
+        def pop(match):  # the population's (closed, total)
+            flags = [closed for c, closed in members if match(c)]
+            return sum(flags), len(flags)
 
         file_pop = pop(lambda c: c.path == canon.path)
         method_pop = file_pop if canon.method is None else pop(
@@ -50,33 +49,30 @@ def reference_golden(history, at_rev, mode, ref_rev, lifetime_unit, vectors):
         durations = []
         for o in universe.values():
             if o.category == canon.category and o.closed_idx is not None and o.closed_idx <= at_idx:
-                if lifetime_unit == "days":
-                    span = base.rev_at(o.closed_idx).timestamp - base.rev_at(o.first_seen_idx).timestamp
-                    durations.append(span / DAY)
-                else:
-                    durations.append(float(o.closed_idx - o.first_seen_idx))
+                span = base.rev_at(o.closed_idx).timestamp - base.rev_at(o.first_seen_idx).timestamp
+                durations.append(span / DAY)
         paths = {o.file_path for o in base.observations if o.entity.package == canon.package}
         loc_pkg = sum(rec.lines_added for rec in base.changes
                       if rec.file_path in paths and base.rev_index(rec.revision) <= at_idx
-                      and base.rev_time(rec.revision) > at_time - 90 * DAY)
+                      and base.rev_at(base.rev_index(rec.revision)).timestamp > at_time - 90 * DAY)
 
         raised = {
             ft.FLAG_FILE_CREATION_INFERRED: ft.FLAG_FILE_CREATION_INFERRED in vec.flags,
-            ft.FLAG_EMPTY_FILE_POPULATION: not file_pop.members,
+            ft.FLAG_EMPTY_FILE_POPULATION: not file_pop[1],
             ft.FLAG_METHOD_FILE_FALLBACK: canon.method is None,
-            ft.FLAG_EMPTY_METHOD_POPULATION: not method_pop.members,
-            ft.FLAG_EMPTY_TYPE_POPULATION: not type_pop.members,
-            ft.FLAG_EMPTY_PATTERN_POPULATION: not pattern_pop.members,
+            ft.FLAG_EMPTY_METHOD_POPULATION: not method_pop[1],
+            ft.FLAG_EMPTY_TYPE_POPULATION: not type_pop[1],
+            ft.FLAG_EMPTY_PATTERN_POPULATION: not pattern_pop[1],
             ft.FLAG_EMPTY_CATEGORY: not per_pattern,
             ft.FLAG_SINGLE_PATTERN_CATEGORY: len(per_pattern) == 1,
             ft.FLAG_NO_CLOSED_LIFETIME: not durations,
         }
         out[key] = replace(
             vec,
-            warning_context_in_method=ft.warning_context(method_pop),
-            warning_context_in_file=ft.warning_context(file_pop),
-            warning_context_for_warning_type=ft.warning_context(type_pop),
-            defect_likelihood_for_warning_pattern=ft.defect_likelihood(pattern_pop),
+            warning_context_in_method=ft.warning_context(*method_pop),
+            warning_context_in_file=ft.warning_context(*file_pop),
+            warning_context_for_warning_type=ft.warning_context(*type_pop),
+            defect_likelihood_for_warning_pattern=ft.defect_likelihood(*pattern_pop),
             discretization_of_defect_likelihood=ft.discretized_defect_likelihood(per_pattern),
             average_lifetime_for_warning_type=sum(durations) / len(durations) if durations else 0.0,
             warning_lifetime_revisions=sum(1 for idx in canon.presence if idx <= at_idx),

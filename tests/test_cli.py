@@ -52,6 +52,11 @@ def fitted_dir(tmp_path_factory) -> Path:
     return root
 
 
+# A well-formed annotation line, which the contract tests corrupt one field at a time.
+_NOTE = {"annotator": "rev1", "bug_pattern": "P", "file_path": "src/A.java",
+         "entity": {"package": "com.a", "class": "A", "method": None}, "label": "FalseAlarm"}
+
+
 class TestDurations:
     def test_units(self):
         assert parse_duration_days("730d") == 730.0
@@ -244,12 +249,61 @@ class TestContracts:
         assert capsys.readouterr().err.startswith(f"error[validation]: {bad}: ")
 
     @pytest.mark.parametrize("text", ["{bad", "[1]", '{"seed": 1, "n_filez": 3}',
-                                      '{"n_files": 3}', '{"seed": 1, "n_files": "3"}'])
+                                      '{"n_files": 3}', '{"seed": 1, "n_files": "3"}',
+                                      '{"seed": 1, "fix_delay_days": [NaN, 5.0]}',
+                                      '{"seed": 1, "fix_delay_days": [1.0, Infinity]}'])
     def test_corrupt_synth_config_categorized(self, tmp_path, capsys, text):
         bad = tmp_path / "cfg.json"
         bad.write_text(text, encoding="utf-8")
         assert run("synth", "--config", str(bad), "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err.startswith("error[validation]: ")
+
+    @pytest.mark.parametrize("text,field", [
+        ('{"seed": 1, "n_files": 2.5}', "n_files"),
+        ('{"seed": "1"}', "seed"),
+        ('{"seed": 1, "n_revisions": true}', "n_revisions"),
+        ('{"seed": 1, "file_delete_rate": "0.1"}', "file_delete_rate"),
+        ('{"seed": 1, "leak_signal": 1}', "leak_signal"),
+        ('{"seed": 1, "fix_delay_days": [1.0]}', "fix_delay_days"),
+        ('{"seed": 1, "fix_delay_days": [true, 2.0]}', "fix_delay_days"),
+    ])
+    def test_mistyped_synth_setting_named(self, tmp_path, capsys, text, field):
+        bad = tmp_path / "cfg.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run("synth", "--config", str(bad), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]: ") and repr(field) in err, err
+
+    @pytest.mark.parametrize("rows", [[{}], [5], [{"interval_days": 730.0}],
+                                      [{"ratio": 0.5}], [{"interval_days": [1], "ratio": 0.5}]])
+    def test_malformed_sweep_row_named(self, tmp_path, capsys, rows):
+        paths = []
+        for name in ("s1.json", "s2.json"):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps({"project": name, "rows": rows}), encoding="utf-8")
+        code = run("report", "--merge", *map(str, paths), "--wilcoxon", "2y", "4y",
+                   "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error[validation]: {paths[0]}: "), err
+
+    @pytest.mark.parametrize("line,named", [
+        (json.dumps({**_NOTE, "file_path": [1]}), "file_path"),
+        (json.dumps({**_NOTE, "bug_pattern": 5}), "bug_pattern"),
+        (json.dumps({**_NOTE, "annotator": 7}), "annotator"),
+        (json.dumps({**_NOTE, "entity": {"package": "com.a", "class": None}}), "class"),
+        ("[" * 100_000, "recursion"),  # nested too deep to decode
+    ])
+    def test_malformed_annotation_categorized(self, synth_dir, tmp_path, capsys, line, named):
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text(line + "\n", encoding="utf-8")
+        anchors = _anchors(synth_dir)
+        code = run("label", "--ledger", str(synth_dir / "ledger.jsonl"),
+                   "--at", anchors["test"], "--ref", anchors["reference"],
+                   "--annotations", str(notes), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[validation]: annotation line 1: ") and named in err, err
 
     def test_unknown_model_kind_rejected_by_parser(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,13 +3,12 @@ from __future__ import annotations
 import pytest
 
 from warnlab.dataset import (
-    actionability_ratio,
     audit_duplication,
     build_dataset,
     load_dataset,
     save_dataset,
 )
-from warnlab.errors import OrderingError, ValidationError
+from warnlab.errors import OrderingError
 from warnlab.features import LeakMode
 from warnlab.oracle import Label
 from warnlab.synth import SynthConfig, generate
@@ -137,23 +136,6 @@ class TestAuditDuplication:
         h = _no_closure_history()
         ds = build_dataset(h, "r1", "r2", "r3", LeakMode.leakfree(), dedup=True)
         assert audit_duplication(ds).rate == 0.0
-
-
-class TestActionability:
-    def test_five_percent(self):
-        ds = _synth_dataset(dedup=False)
-        # Synthetic check against a brute tally.
-        expected = sum(1 for i in ds.test if i.label is Label.ACTIONABLE) / len(ds.test)
-        assert actionability_ratio(ds.test) == expected
-
-    def test_all_actionable(self):
-        ds = _synth_dataset(dedup=False)
-        actionable = tuple(i for i in ds.train if i.label is Label.ACTIONABLE)
-        assert actionability_ratio(actionable) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            actionability_ratio([])
 
 
 class TestPersistence:

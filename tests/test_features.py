@@ -9,20 +9,16 @@ from hypothesis import strategies as st
 
 from warnlab.errors import ExtractionError, ValidationError
 from warnlab.features import (
-    SCOPE_FILE,
-    SCOPE_PATTERN,
     FLAG_EMPTY_FILE_POPULATION,
     FLAG_METHOD_FILE_FALLBACK,
     FLAG_NO_CLOSED_LIFETIME,
     FLAG_SINGLE_PATTERN_CATEGORY,
     LeakMode,
     MatrixRow,
-    WarningPopulation,
     audit_time_travel,
     defect_likelihood,
     discretized_defect_likelihood,
     extract_golden,
-    lifetime_stats,
     read_feature_matrix,
     warning_context,
     write_feature_matrix,
@@ -35,104 +31,91 @@ from conftest import attrs_line, change_line, make_history, rev_line, warn_line
 from golden_reference import reference_golden
 
 
-def _k(i: int, pattern: str = "P") -> WarningKey:
-    return WarningKey(pattern, f"src/f{i}.java", "com.a", f"C{i}", None)
-
-
-def _pop(closed_flags, scope=SCOPE_FILE, pattern="P") -> WarningPopulation:
-    members = tuple((_k(i, pattern), bool(c)) for i, c in enumerate(closed_flags))
-    return WarningPopulation(scope, members)
+def _counts(closed_flags) -> tuple[int, int]:
+    """(closed, total) of a population given each member's closed flag."""
+    return sum(1 for c in closed_flags if c), len(closed_flags)
 
 
 class TestPopulationFormulas:
     def test_warning_context_examples(self):
-        assert warning_context(_pop([1, 1, 1, 0])) == 0.5
-        assert warning_context(_pop([1] * 7)) == 1.0
-        assert warning_context(_pop([])) == 0.0
+        assert warning_context(3, 4) == 0.5
+        assert warning_context(7, 7) == 1.0
+        assert warning_context(0, 0) == 0.0
 
     def test_defect_likelihood_examples(self):
-        assert defect_likelihood(_pop([1, 1, 0, 0, 0, 0, 0, 0])) == 0.25
-        assert defect_likelihood(_pop([0] * 5)) == 0.0
-        assert defect_likelihood(_pop([])) == 0.0
+        assert defect_likelihood(2, 8) == 0.25
+        assert defect_likelihood(0, 5) == 0.0
+        assert defect_likelihood(0, 0) == 0.0
 
     def test_defect_likelihood_brute_force(self):
         rng = random.Random(17)
         for _ in range(300):
             flags = [rng.random() < 0.4 for _ in range(rng.randint(1, 30))]
-            pop = _pop(flags)
             closed = 0
-            for _, is_closed in pop.members:
+            for is_closed in flags:
                 if is_closed:
                     closed += 1
-            assert defect_likelihood(pop) == closed / len(flags)
+            assert defect_likelihood(*_counts(flags)) == closed / len(flags)
 
     @given(st.lists(st.booleans(), max_size=60))
     @settings(max_examples=120, deadline=None)
     def test_ranges(self, flags):
-        pop = _pop(flags)
-        assert -1.0 <= warning_context(pop) <= 1.0
-        assert 0.0 <= defect_likelihood(pop) <= 1.0
+        counts = _counts(flags)
+        assert -1.0 <= warning_context(*counts) <= 1.0
+        assert 0.0 <= defect_likelihood(*counts) <= 1.0
 
     def test_scale_identity(self):
         rng = random.Random(3)
         for _ in range(50):
             flags = [rng.random() < 0.5 for _ in range(rng.randint(1, 20))]
-            single = _pop(flags)
-            doubled = _pop(flags + flags)
-            assert warning_context(doubled) == warning_context(single)
-            assert defect_likelihood(doubled) == defect_likelihood(single)
+            single = _counts(flags)
+            doubled = _counts(flags + flags)
+            assert warning_context(*doubled) == warning_context(*single)
+            assert defect_likelihood(*doubled) == defect_likelihood(*single)
 
 
 class TestDiscretization:
     def test_hand_evaluated_two_patterns(self):
         # D(p1)=0.2 over 10, D(p2)=0.6 over 10, pooled D(T)=0.4:
         # ((-0.2)^2 + (0.2)^2) / (2-1) = 0.08
-        pops = {
-            "p1": _pop([1, 1] + [0] * 8, SCOPE_PATTERN, "p1"),
-            "p2": _pop([1] * 6 + [0] * 4, SCOPE_PATTERN, "p2"),
-        }
-        assert discretized_defect_likelihood(pops) == pytest.approx(0.08, abs=1e-15)
+        counts = {"p1": (2, 10), "p2": (6, 10)}
+        assert discretized_defect_likelihood(counts) == pytest.approx(0.08, abs=1e-15)
 
     def test_zero_variance(self):
-        pops = {
-            "p1": _pop([1, 0], SCOPE_PATTERN, "p1"),
-            "p2": _pop([1, 0], SCOPE_PATTERN, "p2"),
-            "p3": _pop([1, 0, 1, 0], SCOPE_PATTERN, "p3"),
-        }
-        assert discretized_defect_likelihood(pops) == 0.0
+        assert discretized_defect_likelihood({"p1": (1, 2), "p2": (1, 2), "p3": (2, 4)}) == 0.0
 
     def test_three_pattern_direct_sum_oracle(self):
         rng = random.Random(11)
         for _ in range(100):
-            pops = {}
+            counts = {}
             for name in ("pa", "pb", "pc"):
-                flags = [rng.random() < 0.5 for _ in range(rng.randint(1, 12))]
-                pops[name] = _pop(flags, SCOPE_PATTERN, name)
-            total = sum(len(p) for p in pops.values())
-            closed = sum(p.closed_count for p in pops.values())
+                counts[name] = _counts([rng.random() < 0.5 for _ in range(rng.randint(1, 12))])
+            total = sum(t for _, t in counts.values())
+            closed = sum(c for c, _ in counts.values())
             pooled = closed / total
             expected = 0.0
-            for name in sorted(pops):
-                pop = pops[name]
-                expected += (pop.closed_count / len(pop) - pooled) ** 2
-            expected /= len(pops) - 1
-            assert discretized_defect_likelihood(pops) == expected
+            for name in sorted(counts):
+                c, t = counts[name]
+                expected += (c / t - pooled) ** 2
+            expected /= len(counts) - 1
+            assert discretized_defect_likelihood(counts) == expected
 
     def test_single_pattern_yields_zero(self):
-        assert discretized_defect_likelihood({"p": _pop([1, 0], SCOPE_PATTERN)}) == 0.0
+        assert discretized_defect_likelihood({"p": (1, 2)}) == 0.0
         assert discretized_defect_likelihood({}) == 0.0
-        assert 0.0 <= discretized_defect_likelihood(
-            {"p": _pop([1], SCOPE_PATTERN), "q": _pop([0], SCOPE_PATTERN, "q")}
-        )
+        assert 0.0 <= discretized_defect_likelihood({"p": (1, 1), "q": (0, 1)})
 
 
 class TestLifetimeStats:
+    """Own lifetime and the category's mean closed lifetime, as extracted."""
+
     def _history(self):
         lines = [rev_line(f"r{i}", day=10 * i) for i in range(4)]  # days 0,10,20,30
         # Target warning: open the whole time.
         for i in range(4):
             lines.append(warn_line(f"r{i}", path="src/t.java", cls="T", pattern="PT",
                                    category="CAT"))
+        lines.append(attrs_line("r3", path="src/t.java", cls="T", pattern="PT"))
         # Two same-category closures: 10-day and 20-day lifetimes.
         lines.append(warn_line("r0", path="src/a.java", cls="A", pattern="PA",
                                category="CAT"))
@@ -142,37 +125,25 @@ class TestLifetimeStats:
 
     def test_first_seen_at_eval_revision(self):
         h = make_history([
-            rev_line("r0", 0), rev_line("r1", 10), warn_line("r1"),
+            rev_line("r0", 0), rev_line("r1", 10), warn_line("r1"), attrs_line("r1"),
         ])
-        key = h.keys_at("r1")[0]
-        assert lifetime_stats(h, key, "r1").lifetime_revisions == 1
+        (vec,) = extract_golden(h, "r1", LeakMode.leakfree()).values()
+        assert vec.warning_lifetime_revisions == 1
 
     def test_five_consecutive_revisions(self):
         lines = [rev_line(f"r{i}", day=i) for i in range(5)]
         lines += [warn_line(f"r{i}") for i in range(5)]
+        lines.append(attrs_line("r4"))
         h = make_history(lines)
-        key = h.keys_at("r0")[0]
-        assert lifetime_stats(h, key, "r4").lifetime_revisions == 5
+        (vec,) = extract_golden(h, "r4", LeakMode.leakfree()).values()
+        assert vec.warning_lifetime_revisions == 5
 
     def test_planted_average_lifetime(self):
         h = self._history()
-        target = next(k for k in h.keys_at("r3") if k.class_name == "T")
-        stats = lifetime_stats(h, target, "r3")
-        assert stats.lifetime_revisions == 4
-        assert stats.average_lifetime_for_type == pytest.approx(15.0, abs=1e-12)
-        assert not stats.no_closures_for_type
-
-    def test_revision_unit_toggle(self):
-        h = self._history()
-        target = next(k for k in h.keys_at("r3") if k.class_name == "T")
-        stats = lifetime_stats(h, target, "r3", lifetime_unit="revisions")
-        assert stats.average_lifetime_for_type == pytest.approx(1.5)
-
-    def test_unseen_key_errors(self):
-        h = self._history()
-        ghost = WarningKey("ZZ", "src/q.java", "com.a", "Q", None)
-        with pytest.raises(ValidationError):
-            lifetime_stats(h, ghost, "r3")
+        (vec,) = extract_golden(h, "r3", LeakMode.leakfree()).values()
+        assert vec.warning_lifetime_revisions == 4
+        assert vec.average_lifetime_for_warning_type == pytest.approx(15.0, abs=1e-12)
+        assert FLAG_NO_CLOSED_LIFETIME not in vec.flags
 
 
 def _single_warning_files_history():
@@ -396,10 +367,9 @@ class TestDifferentialAgainstReference:
         modes = [(LeakMode.leaky(), ref_rev), (LeakMode.leakfree(), None),
                  (LeakMode.leakfree(45.0), None)]
         for mode, ref in modes:
-            for unit in ("days", "revisions"):
-                vectors = extract_golden(h, at_rev, mode, ref, lifetime_unit=unit)
-                assert vectors
-                assert reference_golden(h, at_rev, mode, ref, unit, vectors) == vectors
+            vectors = extract_golden(h, at_rev, mode, ref)
+            assert vectors
+            assert reference_golden(h, at_rev, mode, ref, vectors) == vectors
 
     @pytest.mark.parametrize("seed", [1, 5, 9])
     def test_synth(self, seed):

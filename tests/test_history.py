@@ -3,15 +3,21 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from warnlab.errors import IntegrityError, LedgerParseError, ValidationError
+from warnlab.errors import IntegrityError, LedgerParseError
 from warnlab.history import (
+    KEY_COLUMNS,
     ProjectHistory,
+    WarningKey,
+    decode_key,
     emit_ledger,
     ingest_ledger,
-    require_nonempty,
+    key_from_row,
+    key_json,
+    key_row,
     truncate_history,
-    warning_key,
     warning_timeline,
 )
 from warnlab.synth import SynthConfig, generate
@@ -36,8 +42,6 @@ class TestIngest:
         h = ingest_ledger([])
         assert h.horizon is None
         assert len(h.revisions) == 0
-        with pytest.raises(ValidationError):
-            require_nonempty(h)
 
     def test_unknown_revision_named_in_error(self):
         lines = [
@@ -112,8 +116,8 @@ class TestRoundTrip:
         lines = list(emit_ledger(result.history))
         assert ingest_ledger(lines) == result.history
         # Keys survive re-ingestion untouched.
-        original = {warning_key(o) for o in result.history.observations}
-        rebuilt = {warning_key(o) for o in ingest_ledger(lines).observations}
+        original = {o.key for o in result.history.observations}
+        rebuilt = {o.key for o in ingest_ledger(lines).observations}
         assert original == rebuilt
 
 
@@ -164,10 +168,30 @@ class TestTruncate:
             truncate_history(self._ten_rev_history(), "zz")
 
 
+_keys = st.builds(
+    WarningKey, st.text(), st.text(), st.text(), st.text(),
+    st.one_of(st.none(), st.text(min_size=1)),  # "" is written as None in CSV
+)
+
+
+class TestKeyCodec:
+    @given(_keys)
+    @settings(max_examples=200, deadline=None)
+    def test_round_trips(self, key):
+        assert key_from_row(dict(zip(KEY_COLUMNS, key_row(key)))) == key
+        assert decode_key(key_json(key), {}, {}) == key
+
+    def test_interned_per_table(self):
+        entities, keys = {}, {}
+        key = WarningKey("P", "src/a.java", "com.a", "A", None)
+        first = decode_key(key_json(key), entities, keys)
+        assert decode_key(key_json(key), entities, keys) is first
+
+
 class TestWarningKey:
     def test_line_insensitive(self):
         h = make_history([rev_line("r1", 0), warn_line("r1", line=10), warn_line("r1", line=14)])
-        keys = {warning_key(o) for o in h.observations}
+        keys = {o.key for o in h.observations}
         assert len(keys) == 1
 
     def test_different_class_different_key(self):
@@ -176,12 +200,11 @@ class TestWarningKey:
             warn_line("r1", cls="Foo"),
             warn_line("r1", cls="Bar"),
         ])
-        assert len({warning_key(o) for o in h.observations}) == 2
+        assert len({o.key for o in h.observations}) == 2
 
     def test_key_built_once_and_shared_by_truncated_copies(self):
         h = make_history([rev_line("r1", 0), rev_line("r2", 10), warn_line("r1"), warn_line("r2")])
         obs = next(o for o in h.observations if o.revision == "r1")
-        assert warning_key(obs) is obs.key
         (key,) = truncate_history(h, "r1").present_keys[0]
         assert key is obs.key
 
@@ -194,7 +217,7 @@ class TestWarningKey:
             warn_line("r2", path="src/b/Foo.java"),
         ]
         h = make_history(lines)
-        keys = sorted({warning_key(o) for o in h.observations})
+        keys = sorted({o.key for o in h.observations})
         assert len(keys) == 2  # keys differ across the rename
         old_key = next(k for k in keys if k.file_path == "src/a/Foo.java")
         tl = warning_timeline(h, old_key)
@@ -264,4 +287,4 @@ class TestAttrsParsing:
         h = make_history([rev_line("r1", 0), warn_line("r1"), attrs_line("r1")])
         ((rev, key),) = h.attributes.keys()
         assert rev == "r1"
-        assert key == warning_key(next(iter(h.observations)))
+        assert key == next(iter(h.observations)).key

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from warnlab.errors import OrderingError, ValidationError
-from warnlab.history import truncate_history, warning_key
+from warnlab.history import truncate_history
 from warnlab.oracle import (
     AnnotationSet,
     Label,
@@ -215,28 +215,28 @@ FILTER_XML = """
 
 
 class TestFilterRules:
-    def _obs(self, pattern="ES_COMPARING_STRINGS_WITH_EQ", package="org.lang",
+    def _key(self, pattern="ES_COMPARING_STRINGS_WITH_EQ", package="org.lang",
              cls="BooleanUtils"):
         h = make_history([
             rev_line("r1", 0),
             warn_line("r1", pattern=pattern, package=package, cls=cls),
         ])
-        return next(iter(h.observations))
+        return next(iter(h.observations)).key
 
     def test_exact_class_and_pattern_match(self):
         rules = parse_filter_file(FILTER_XML)
-        assert filter_match(rules, self._obs())
+        assert filter_match(rules, self._key())
 
     def test_same_class_other_pattern_no_match(self):
         rules = parse_filter_file(FILTER_XML)
-        assert not filter_match(rules, self._obs(pattern="NP_NULL_DEREF"))
+        assert not filter_match(rules, self._key(pattern="NP_NULL_DEREF"))
 
     def test_prefix_matcher_covers_package(self):
         rules = parse_filter_file(FILTER_XML)
-        obs = self._obs(pattern="NP_NULL_DEREF", package="org.apache.commons.lang",
+        key = self._key(pattern="NP_NULL_DEREF", package="org.apache.commons.lang",
                         cls="StringUtils")
-        assert filter_match(rules, obs)
-        outside = self._obs(pattern="NP_NULL_DEREF", package="org.elsewhere",
+        assert filter_match(rules, key)
+        outside = self._key(pattern="NP_NULL_DEREF", package="org.elsewhere",
                             cls="StringUtils")
         assert not filter_match(rules, outside)
 
@@ -270,10 +270,10 @@ def _annotation_sets(table: dict[tuple[Label, Label], int]):
     i = 0
     for (label_a, label_b), count in table.items():
         for _ in range(count):
-            key = warning_key(next(iter(make_history([
+            key = next(iter(make_history([
                 rev_line("r1", 0),
                 warn_line("r1", path=f"src/k{i}.java", cls=f"K{i}"),
-            ]).observations)))
+            ]).observations)).key
             a_labels[key] = label_a
             b_labels[key] = label_b
             i += 1
