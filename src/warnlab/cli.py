@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,6 +50,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:  # an input file that is not UTF-8
+        print(f"error[parse]: {exc}", file=sys.stderr)
+        return 1
     except WarnlabError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1
@@ -157,12 +161,17 @@ def _load_history(path: str):
 
 
 def parse_duration_days(text: str) -> float:
-    """Durations like 730d, 12w, 6m, 2y (months are 30 days, years 365)."""
-    text = text.strip().lower()
-    units = {"d": 1.0, "w": 7.0, "m": 30.0, "y": 365.0}
-    if text and text[-1] in units:
-        return float(text[:-1]) * units[text[-1]]
-    return float(text)
+    """Durations like 730d, 12w, 6m, 2y (months are 30 days, years 365);
+    anything but a finite number of days above 0 raises ``UsageError``."""
+    value = text.strip().lower()
+    unit = {"d": 1.0, "w": 7.0, "m": 30.0, "y": 365.0}.get(value[-1:])
+    try:
+        days = float(value[:-1] if unit else value) * (unit or 1.0)
+    except ValueError:
+        days = math.nan
+    if not 0 < days < math.inf:
+        raise UsageError(f"duration must be a finite number of days above 0, got {text!r}")
+    return days
 
 
 def _write_json(path: Path, payload) -> None:
@@ -366,16 +375,13 @@ def cmd_audit(args) -> int:
                         "only applies to leak-free extraction",
             }
         else:
+            revisions = []
             for rev in (built.meta.train_rev, built.meta.test_rev):
                 audit = ft.audit_time_travel(history, rev, built.meta.mode)
-                leak_block = {
-                    "checked": True,
-                    "ok": bool(leak_block.get("ok", True) and audit.ok),
-                    "revisions": leak_block.get("revisions", []) + [
-                        {"revision": rev, "ok": audit.ok,
-                         "mismatched": len(audit.mismatched_keys)}
-                    ],
-                }
+                revisions.append({"revision": rev, "ok": audit.ok,
+                                  "mismatched": len(audit.mismatched_keys)})
+            leak_block = {"checked": True, "ok": all(r["ok"] for r in revisions),
+                          "revisions": revisions}
     payload["leakage_guard"] = leak_block
     out = _out_dir(args)
     _write_json(out / "audit.json", payload)

@@ -8,9 +8,12 @@ that reproduces the historical construction in which the ground-truth label
 seeps into the features. In leak-free mode populations contain only
 warnings first observed inside a trailing window (default 365 days) and a
 member counts as closed exactly when it is no longer reported at the
-extraction revision itself, so nothing later than the extraction revision
-can influence any value. The remaining 18 features are always computed from
-the truncated history.
+extraction revision itself.
+
+Both modes compute all 23 features from the history cut at the extraction
+revision (``truncate_history``): the cut is the only time boundary. Leaky
+mode makes one read past it, each member's closure flag, from the keys
+present at the reference revision and the member's path followed there.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ class LeakMode:
     def __post_init__(self):
         if self.mode not in ("leaky", "leakfree"):
             raise ValidationError(f"mode must be 'leaky' or 'leakfree', got {self.mode!r}")
-        if self.window_days <= 0:
-            raise ValidationError("window_days must be positive")
+        if not 0 < self.window_days < math.inf:
+            raise ValidationError(f"window_days must be finite and positive, "
+                                  f"got {self.window_days!r}")
 
     @property
     def is_leaky(self) -> bool:
@@ -277,19 +281,16 @@ def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningKey, Canoni
     return out
 
 
-def _type_lifetimes(
-    base: ProjectHistory,
-    universe: dict[WarningKey, CanonicalWarning],
-    at_idx: int,
-) -> dict[str, float]:
-    """Category -> mean lifetime in days of its warnings closed at or before ``at_idx``.
+def _type_lifetimes(base: ProjectHistory,
+                    universe: dict[WarningKey, CanonicalWarning]) -> dict[str, float]:
+    """Category -> mean lifetime in days of its closed warnings.
 
     Durations are summed in universe order, so the means do not depend on
     how many targets share a category.
     """
     durations: dict[str, list[float]] = defaultdict(list)
     for other in universe.values():
-        if other.closed_idx is None or other.closed_idx > at_idx:
+        if other.closed_idx is None:
             continue
         start = base.rev_at(other.first_seen_idx).timestamp
         end = base.rev_at(other.closed_idx).timestamp
@@ -309,11 +310,12 @@ def extract_golden(
 ) -> dict[WarningKey, FeatureVector]:
     """Compute all 23 features for every warning observed at ``at_rev``.
 
-    Leaky mode requires ``ref_rev`` and marks population members closed by
-    their presence at the reference revision; leak-free mode forbids
-    ``ref_rev`` and operates entirely on the history truncated at
-    ``at_rev``. Missing static attributes abort extraction with a
-    per-warning error. Output is sorted by warning key.
+    Every feature reads the history truncated at ``at_rev``. Leaky mode
+    requires ``ref_rev`` and marks population members closed by their
+    presence at the reference revision, its only read of the uncut
+    ``history``; leak-free mode forbids ``ref_rev``. Missing static
+    attributes abort extraction with a per-warning error. Output is sorted
+    by warning key.
 
     Cost: one pass each over the population members, the warning universe
     and the change records computes everything that depends only on the
@@ -323,19 +325,17 @@ def extract_golden(
     its own ``file_chain`` walk.
     """
     at_idx = history.rev_index(at_rev)
-    ref_idx: int | None = None
     if mode.is_leaky:
         if ref_rev is None:
             raise ValidationError("leaky extraction requires a reference revision")
         ref_idx = history.rev_index(ref_rev)
         if ref_idx <= at_idx:
             raise ValidationError("reference revision must come after the extraction revision")
-        base = history
-    else:
-        if ref_rev is not None:
-            raise ValidationError("leak-free extraction forbids a reference revision")
-        base = truncate_history(history, at_rev)
+    elif ref_rev is not None:
+        raise ValidationError("leak-free extraction forbids a reference revision")
+    base = truncate_history(history, at_rev)
     universe = build_universe(base, at_idx)
+    at_time = base.rev_at(at_idx).timestamp
 
     # Population membership and each member's closed flag, per mode.
     members: list[tuple[CanonicalWarning, bool]] = []
@@ -348,7 +348,7 @@ def extract_golden(
             closed = deleted is not None or canon.member_key.with_path(path) not in ref_keys
             members.append((canon, closed))
     else:
-        window_start = base.rev_at(at_idx).timestamp - mode.window_days * SECONDS_PER_DAY
+        window_start = at_time - mode.window_days * SECONDS_PER_DAY
         for canon in universe.values():
             if canon.first_seen_time >= window_start:
                 members.append((canon, not canon.present_at_target))
@@ -384,9 +384,8 @@ def extract_golden(
             f"{len(missing)} warning(s) lack data at {at_rev}: {listing}",
             failures={str(k): why for k, why in missing.items()},
         )
-    type_lifetimes = _type_lifetimes(base, universe, at_idx)
-    loc_by_package = _loc_by_package(base, at_idx, days=90.0)
-    at_time = base.rev_at(at_idx).timestamp
+    type_lifetimes = _type_lifetimes(base, universe)
+    loc_by_package = _loc_by_package(base, at_time, days=90.0)
 
     obs_by_key = {}
     for obs in base.observations_at.get(at_rev, ()):
@@ -454,9 +453,9 @@ def extract_golden(
             developers=len(chain.authors()),
             parameter_signature=attrs.parameter_signature,
             method_visibility=attrs.method_visibility,
-            loc_added_in_file_last_25_revisions=_loc_last_n_revisions(chain, at_idx, n=25),
+            loc_added_in_file_last_25_revisions=_loc_last_n_revisions(chain, n=25),
             loc_added_in_package_past_3_months=loc_by_package.get(canon.package, 0),
-            warning_lifetime_revisions=sum(1 for idx in canon.presence if idx <= at_idx),
+            warning_lifetime_revisions=len(canon.presence),
             flags=frozenset(flags),
         )
     for vec in out.values():
@@ -471,22 +470,20 @@ def _earliest_mention(base: ProjectHistory, canon: CanonicalWarning, chain) -> i
     return min(candidates)
 
 
-def _loc_last_n_revisions(chain, at_idx: int, n: int) -> int:
+def _loc_last_n_revisions(chain, n: int) -> int:
     per_rev: dict[int, int] = defaultdict(int)
     for idx, rec in chain.records:
-        if idx <= at_idx:
-            per_rev[idx] += rec.lines_added
+        per_rev[idx] += rec.lines_added
     recent = sorted(per_rev)[-n:]
     return sum(per_rev[idx] for idx in recent)
 
 
-def _loc_by_package(base: ProjectHistory, at_idx: int, days: float) -> dict[str, int]:
-    """Package -> lines added to its files in the ``days`` up to ``at_idx``."""
-    floor = base.rev_at(at_idx).timestamp - days * SECONDS_PER_DAY
+def _loc_by_package(base: ProjectHistory, at_time: int, days: float) -> dict[str, int]:
+    """Package -> lines added to its files in the ``days`` up to ``at_time``."""
+    floor = at_time - days * SECONDS_PER_DAY
     by_path: dict[str, int] = defaultdict(int)
     for rec in base.changes:
-        idx = base.rev_index(rec.revision)
-        if idx <= at_idx and base.rev_at(idx).timestamp > floor:
+        if base.rev_at(base.rev_index(rec.revision)).timestamp > floor:
             by_path[rec.file_path] += rec.lines_added
     return {
         package: sum(by_path.get(path, 0) for path in paths)
@@ -512,22 +509,17 @@ class TimeTravelAudit:
     mismatched_keys: tuple[WarningKey, ...]
 
 
-def audit_time_travel(
-    history: ProjectHistory,
-    at_rev: str,
-    mode: LeakMode,
-    extractor=extract_golden,
-) -> TimeTravelAudit:
+def audit_time_travel(history: ProjectHistory, at_rev: str, mode: LeakMode) -> TimeTravelAudit:
     """Verify leak-free extraction ignores everything after ``at_rev``.
 
     Recomputes the feature map on the explicitly truncated history and
-    compares bit-exactly against what ``extractor`` produces on the full
-    one. Any mismatch names the offending warnings.
+    compares bit-exactly against what ``extract_golden`` produces on the
+    full one. Any mismatch names the offending warnings.
     """
     if mode.is_leaky:
         raise ValidationError("time-travel audit applies to leak-free extraction only")
     expected = extract_golden(truncate_history(history, at_rev), at_rev, mode)
-    actual = extractor(history, at_rev, mode)
+    actual = extract_golden(history, at_rev, mode)
     mismatched = sorted(
         set(expected) ^ set(actual)
         | {k for k in expected.keys() & actual.keys() if expected[k] != actual[k]},

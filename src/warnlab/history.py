@@ -88,7 +88,6 @@ and :func:`key_from_row` reads them.
 
 from __future__ import annotations
 
-import bisect
 import json
 import logging
 import math
@@ -220,7 +219,8 @@ class ProjectHistory:
 
     Treat instances as frozen after construction: all operations are pure
     reads and may be shared freely across parallel workers. Derived indexes
-    are cached lazily and never participate in equality.
+    are cached lazily and never participate in equality. File identity
+    (``resolve_path``, ``file_chain``) reads one index, ``path_events``.
     """
 
     revisions: tuple[RevisionMeta, ...]  # sorted by (timestamp, id)
@@ -289,48 +289,23 @@ class ProjectHistory:
             acc[obs.entity.package].add(obs.file_path)
         return {pkg: frozenset(paths) for pkg, paths in acc.items()}
 
-    # -- file chain (rename/delete) indexes --------------------------------
+    # -- file identity --------------------------------------------------
 
     @cached_property
-    def _renames_out(self) -> dict[str, list[tuple[int, str]]]:
-        acc: dict[str, list[tuple[int, str]]] = defaultdict(list)
-        for rec in self.changes:
-            if rec.kind == "Rename":
-                acc[rec.old_path].append((self.rev_index(rec.revision), rec.file_path))
-        return {p: sorted(v) for p, v in acc.items()}
-
-    @cached_property
-    def _renames_in(self) -> dict[str, list[tuple[int, str]]]:
-        acc: dict[str, list[tuple[int, str]]] = defaultdict(list)
-        for rec in self.changes:
-            if rec.kind == "Rename":
-                acc[rec.file_path].append((self.rev_index(rec.revision), rec.old_path))
-        return {p: sorted(v) for p, v in acc.items()}
-
-    @cached_property
-    def _deletes(self) -> dict[str, list[int]]:
-        acc: dict[str, list[int]] = defaultdict(list)
-        for rec in self.changes:
-            if rec.kind == "Delete":
-                acc[rec.file_path].append(self.rev_index(rec.revision))
-        return {p: sorted(v) for p, v in acc.items()}
-
-    @cached_property
-    def _adds(self) -> dict[str, list[int]]:
-        acc: dict[str, list[int]] = defaultdict(list)
-        for rec in self.changes:
-            if rec.kind == "Add":
-                acc[rec.file_path].append(self.rev_index(rec.revision))
-        return {p: sorted(v) for p, v in acc.items()}
-
-    @cached_property
-    def changes_by_path(self) -> dict[str, tuple[tuple[int, FileChangeRecord], ...]]:
+    def path_events(self) -> dict[str, tuple[tuple[int, FileChangeRecord], ...]]:
+        """Path -> ``(index, record)`` of every change naming it, as ``file_path``
+        or as a Rename's ``old_path``, sorted by (index, kind, file_path,
+        old_path, author): at one index a Delete precedes a Rename."""
         acc: dict[str, list[tuple[int, FileChangeRecord]]] = defaultdict(list)
         for rec in self.changes:
-            acc[rec.file_path].append((self.rev_index(rec.revision), rec))
+            event = (self.rev_index(rec.revision), rec)
+            acc[rec.file_path].append(event)
+            if rec.old_path is not None:
+                acc[rec.old_path].append(event)
         return {
-            p: tuple(sorted(v, key=lambda t: (t[0], t[1].kind, t[1].author)))
-            for p, v in acc.items()
+            path: tuple(sorted(events, key=lambda e: (
+                e[0], e[1].kind, e[1].file_path, e[1].old_path or "", e[1].author)))
+            for path, events in acc.items()
         }
 
     def resolve_path(self, path: str, start_idx: int, end_idx: int) -> tuple[str, int | None]:
@@ -343,13 +318,18 @@ class ProjectHistory:
         """
         cur, lo = path, start_idx
         while True:
-            del_idx = _first_after(self._deletes.get(cur, ()), lo, end_idx)
-            ren = _first_rename_after(self._renames_out.get(cur, ()), lo, end_idx)
-            if del_idx is None and ren is None:
+            for idx, rec in self.path_events.get(cur, ()):
+                if idx <= lo:
+                    continue
+                if idx > end_idx:
+                    return cur, None
+                if rec.kind == "Delete":
+                    return cur, idx
+                if rec.kind == "Rename" and rec.old_path == cur:
+                    cur, lo = rec.file_path, idx
+                    break
+            else:
                 return cur, None
-            if ren is None or (del_idx is not None and del_idx <= ren[0]):
-                return cur, del_idx
-            lo, cur = ren
 
     def file_chain(self, path: str, at_idx: int) -> "FileChain":
         """Backward walk of a file's identity up to ``at_idx``.
@@ -359,26 +339,28 @@ class ProjectHistory:
         through earlier paths.
         """
         records: list[tuple[int, FileChangeRecord]] = []
-        birth_idx: int | None = None
-        cur = path
-        hi = at_idx  # inclusive upper bound for the current segment
+        cur, hi = path, at_idx  # hi: inclusive upper bound of the current segment
         while True:
-            add_idx = _last_at_most(self._adds.get(cur, ()), hi)
-            rin = _last_rename_at_most(self._renames_in.get(cur, ()), hi)
-            if add_idx is not None and (rin is None or add_idx >= rin[0]):
+            segment = [(idx, rec) for idx, rec in self.path_events.get(cur, ())
+                       if idx <= hi and rec.file_path == cur]
+            add_idx = rename_in = None
+            for idx, rec in segment:
+                if rec.kind == "Add":
+                    add_idx = idx
+                elif rec.kind == "Rename":
+                    rename_in = (idx, rec.old_path)
+            if add_idx is not None and (rename_in is None or add_idx >= rename_in[0]):
                 # Live range starts at this Add: stop the walk here.
-                for idx, rec in self.changes_by_path.get(cur, ()):
-                    if add_idx <= idx <= hi:
-                        records.append((idx, rec))
+                records += [(idx, rec) for idx, rec in segment if idx >= add_idx]
                 birth_idx = add_idx
                 break
-            lo = rin[0] if rin is not None else -1
-            for idx, rec in self.changes_by_path.get(cur, ()):
-                if lo <= idx <= hi and (idx > lo or rin is None or rec.kind == "Rename"):
-                    records.append((idx, rec))
-            if rin is None:
+            lo = -1 if rename_in is None else rename_in[0]
+            records += [(idx, rec) for idx, rec in segment
+                        if idx > lo or rec.kind == "Rename" and idx == lo]
+            if rename_in is None:
+                birth_idx = None
                 break
-            cur, hi = rin[1], rin[0] - 1
+            cur, hi = rename_in[1], lo - 1
         records.sort(key=lambda t: (t[0], t[1].file_path, t[1].kind, t[1].author))
         return FileChain(birth_idx=birth_idx, records=tuple(records))
 
@@ -390,41 +372,6 @@ class FileChain:
 
     def authors(self) -> frozenset[str]:
         return frozenset(rec.author for _, rec in self.records if rec.author)
-
-
-def _first_after(sorted_vals: Iterable[int], lo: int, hi: int) -> int | None:
-    vals = list(sorted_vals)
-    pos = bisect.bisect_right(vals, lo)
-    if pos < len(vals) and vals[pos] <= hi:
-        return vals[pos]
-    return None
-
-
-def _first_rename_after(renames: Iterable[tuple[int, str]], lo: int, hi: int) -> tuple[int, str] | None:
-    for idx, target in renames:
-        if lo < idx <= hi:
-            return idx, target
-    return None
-
-
-def _last_at_most(sorted_vals: Iterable[int], hi: int) -> int | None:
-    best = None
-    for v in sorted_vals:
-        if v <= hi:
-            best = v
-        else:
-            break
-    return best
-
-
-def _last_rename_at_most(renames: Iterable[tuple[int, str]], hi: int) -> tuple[int, str] | None:
-    best = None
-    for idx, src in renames:
-        if idx <= hi:
-            best = (idx, src)
-        else:
-            break
-    return best
 
 
 # ---------------------------------------------------------------------------

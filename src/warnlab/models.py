@@ -336,7 +336,7 @@ def load_model(path: str | Path) -> Model:
     with open(path, encoding="utf-8") as fp:
         try:
             payload = json.load(fp)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ModelError(f"{path}: not a JSON model file ({exc})") from None
     if not isinstance(payload, dict):
         raise ModelError(f"{path}: a model file holds one JSON object")

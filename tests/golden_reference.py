@@ -17,7 +17,7 @@ from warnlab.history import truncate_history
 def reference_golden(history, at_rev, mode, ref_rev, vectors):
     """``vectors`` with every population-derived field and flag recomputed."""
     at_idx = history.rev_index(at_rev)
-    base = history if mode.is_leaky else truncate_history(history, at_rev)
+    base = truncate_history(history, at_rev)
     universe = ft.build_universe(base, at_idx)
     at_time = base.rev_at(at_idx).timestamp
     members = []

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import warnlab
-from warnlab.cli import main, parse_duration_days
+from warnlab.cli import UsageError, main, parse_duration_days
+
+from conftest import rev_line, warn_line
 
 
 def run(*argv: str) -> int:
@@ -64,6 +71,32 @@ class TestDurations:
         assert parse_duration_days("3m") == 90.0
         assert parse_duration_days("1w") == 7.0
         assert parse_duration_days("42") == 42.0
+
+    @pytest.mark.parametrize("text", ["abc", "", "d", "0d", "-2y", "nan", "inf", "1e400d"])
+    def test_not_a_finite_positive_duration(self, text):
+        with pytest.raises(UsageError, match="finite number of days above 0"):
+            parse_duration_days(text)
+
+    @pytest.mark.parametrize("argv", [
+        ["features", "--mode", "leakfree", "--window", "abc"],
+        ["features", "--mode", "leakfree", "--window", "nan"],
+        ["build", "--mode", "leakfree", "--window", "inf"],
+        ["sweep", "--intervals", "abc"],
+        ["sweep", "--intervals", "nan,inf"],
+    ])
+    def test_bad_duration_argument_is_usage_error(self, synth_dir, tmp_path, capsys, argv):
+        anchors = _anchors(synth_dir)
+        by_command = {
+            "features": ["--at", anchors["test"]],
+            "build": ["--train", anchors["train"], "--test", anchors["test"],
+                      "--ref", anchors["reference"]],
+            "sweep": ["--at", anchors["train"]],
+        }
+        code = run(*argv, "--ledger", str(synth_dir / "ledger.jsonl"), *by_command[argv[0]],
+                   "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error[usage]: duration must be")
+        assert not (tmp_path / "out").exists()
 
 
 class TestBasicFlow:
@@ -206,6 +239,8 @@ class TestContracts:
         "{bad", "[]", '{"train_rev": "r1"}',
         '{"train_rev": "r1", "test_rev": "r2", "ref_rev": "r3", "mode": "leakfree", '
         '"dedup": "yes"}',
+        '{"train_rev": "r1", "test_rev": "r2", "ref_rev": "r3", "mode": "leakfree", '
+        '"window_days": Infinity, "dedup": true}',
     ])
     def test_corrupt_meta_json_categorized(self, fitted_dir, tmp_path, capsys, text):
         dsdir, model = self._corrupt_copy(fitted_dir, tmp_path)
@@ -310,6 +345,72 @@ class TestContracts:
             run("fit", "--dataset", str(tmp_path), "--model-kind", "bogus")
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+# Corruptions of a file's bytes: cut it short, overwrite a span, or splice in
+# bytes (among them invalid UTF-8, NUL and runs of brackets).
+_SPLICE = st.one_of(st.binary(max_size=12), st.sampled_from([b"\xff\xfe", b"\x00", b"[" * 5000,
+                                                           b"NaN", b"1e999", b'"', b",", b"\n"]))
+_CORRUPTION = st.tuples(st.sampled_from(("cut", "overwrite", "insert")), st.floats(0, 1),
+                        st.integers(0, 16), _SPLICE)
+
+
+def _corrupt(data: bytes, corruption) -> bytes:
+    how, where, width, splice = corruption
+    at = int(where * len(data))
+    if how == "cut":
+        return data[:at]
+    return data[:at] + splice + data[at + width if how == "overwrite" else at:]
+
+
+class TestCorruptInputFuzz:
+    """A command reading a corrupted file either accepts it or ends with exit
+    1 or 2 and an ``error[...]`` line; it never raises."""
+
+    @pytest.mark.parametrize("target", ["ds/meta.json", "ds/train.csv", "ds/test.csv",
+                                        "model.json", "notes.jsonl"])
+    def test_corrupt_input_ends_as_error(self, fitted_dir, target):
+        ledger = [rev_line("r0", 0), rev_line("r1", 30), warn_line("r0", path="src/A.java",
+                                                                   package="com.a", cls="A")]
+        notes = [json.dumps({**_NOTE, "annotator": a}) for a in ("rev1", "rev2")]
+        command = {
+            "ds/meta.json": ["audit", "--dataset", "ds"],
+            "ds/train.csv": ["fit", "--dataset", "ds", "--model-kind", "knn"],
+            "ds/test.csv": ["eval", "--dataset", "ds", "--model", "model.json"],
+            "model.json": ["eval", "--dataset", "ds", "--model", "model.json"],
+            "notes.jsonl": ["label", "--ledger", "ledger.jsonl", "--at", "r0", "--ref", "r1",
+                            "--annotations", "notes.jsonl"],
+        }[target]
+
+        def run_corrupted(corruption) -> tuple[int, str]:
+            with tempfile.TemporaryDirectory() as tmp:
+                root = Path(tmp)
+                shutil.copytree(fitted_dir / "ds", root / "ds")
+                shutil.copy(fitted_dir / "model" / "model.json", root / "model.json")
+                (root / "ledger.jsonl").write_text("\n".join(ledger), encoding="utf-8")
+                (root / "notes.jsonl").write_text("\n".join(notes), encoding="utf-8")
+                if corruption is not None:
+                    path = root / target
+                    path.write_bytes(_corrupt(path.read_bytes(), corruption))
+                # Arguments naming a file or directory under ``root`` become its path.
+                argv = [str(root / arg) if (root / arg).exists() else arg for arg in command]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = run(*argv, "--out", str(root / "out"))
+                return code, err.getvalue()
+
+        assert run_corrupted(None) == (0, "")
+
+        @given(_CORRUPTION)
+        @example(("insert", 0.0, 0, b"\x80"))  # not UTF-8
+        @example(("overwrite", 0.0, 10**9, b"[" * 5000))  # nested too deep
+        @settings(max_examples=30, deadline=None)
+        def check(corruption):
+            code, err = run_corrupted(corruption)
+            assert code in (0, 1, 2)
+            assert code == 0 or err.startswith("error["), err
+
+        check()
 
 
 # Run in a fresh interpreter: the test process has imported numpy already.

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warnlab import features
 from warnlab.errors import ExtractionError, ValidationError
 from warnlab.features import (
     FLAG_EMPTY_FILE_POPULATION,
@@ -192,7 +194,7 @@ class TestExtractGolden:
         cut = extract_golden(truncate_history(h, a.train), a.train, LeakMode.leakfree())
         assert full == cut
 
-    def test_guard_bypass_detected_by_audit(self):
+    def test_guard_bypass_detected_by_audit(self, monkeypatch):
         result = generate(SynthConfig(seed=13, n_files=10, n_revisions=24,
                                       warnings_per_revision=6,
                                       fix_delay_days=(30.0, 400.0)))
@@ -200,13 +202,29 @@ class TestExtractGolden:
         clean = audit_time_travel(h, a.train, LeakMode.leakfree())
         assert clean.ok
 
-        def breached(history, at_rev, mode):
-            # Reads closure flags at the horizon, far past ``at_rev``.
+        def breached(history, at_rev, mode, ref_rev=None):
+            # Given a history that runs past ``at_rev``, reads closure flags
+            # at its horizon.
+            if history.horizon == at_rev:
+                return extract_golden(history, at_rev, mode, ref_rev)
             return extract_golden(history, at_rev, LeakMode.leaky(), history.horizon)
 
-        audit = audit_time_travel(h, a.train, LeakMode.leakfree(), extractor=breached)
+        monkeypatch.setattr(features, "extract_golden", breached)
+        audit = audit_time_travel(h, a.train, LeakMode.leakfree())
         assert not audit.ok
         assert audit.mismatched_keys
+
+    @pytest.mark.parametrize("mode,ref", [(LeakMode.leakfree(), None), (LeakMode.leaky(), "r3")])
+    def test_future_files_stay_out_of_package_loc(self, mode, ref):
+        # Bar.java is added at r1 with 700 lines but first warned at r3, so
+        # at r2 the package holds only Foo.java and its 100 lines.
+        lines = [rev_line(f"r{i}", day=10 * i) for i in range(4)]
+        lines += [change_line("r1", "src/a/Foo.java", "Add", lines_added=100),
+                  change_line("r1", "src/a/Bar.java", "Add", lines_added=700),
+                  warn_line("r1"), warn_line("r2"), attrs_line("r2"),
+                  warn_line("r3", path="src/a/Bar.java", cls="Bar")]
+        (vec,) = extract_golden(make_history(lines), "r2", mode, ref).values()
+        assert vec.loc_added_in_package_past_3_months == 100
 
     def test_leaky_requires_reference(self):
         h = _single_warning_files_history()
@@ -214,6 +232,11 @@ class TestExtractGolden:
             extract_golden(h, "r1", LeakMode.leaky())
         with pytest.raises(ValidationError):
             extract_golden(h, "r1", LeakMode.leakfree(), "r2")
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+    def test_window_must_be_finite_and_positive(self, window):
+        with pytest.raises(ValidationError, match="window_days must be finite and positive"):
+            LeakMode.leakfree(window)
 
     def test_missing_attrs_reported_per_warning(self):
         lines = [

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from warnlab.errors import IntegrityError, LedgerParseError
 from warnlab.history import (
     KEY_COLUMNS,
+    FileChangeRecord,
     ProjectHistory,
+    RevisionMeta,
     WarningKey,
     decode_key,
     emit_ledger,
@@ -23,6 +25,7 @@ from warnlab.history import (
 from warnlab.synth import SynthConfig, generate
 
 from conftest import DAY, EPOCH, attrs_line, change_line, make_history, rev_line, warn_line
+from path_walker import walk_backward, walk_forward
 
 
 class TestIngest:
@@ -223,6 +226,73 @@ class TestWarningKey:
         tl = warning_timeline(h, old_key)
         assert tl.presence == (("r1", True), ("r2", True))
         assert tl.closed_at is None
+
+
+def _assert_identity_matches_walkers(history):
+    n = len(history.revisions)
+    paths = {rec.file_path for rec in history.changes}
+    paths |= {rec.old_path for rec in history.changes if rec.old_path} | {"never/named.java"}
+    for path in sorted(paths):
+        for start in range(-1, n):
+            for end in range(-1, n):
+                expected = walk_forward(history, path, start, end)
+                assert history.resolve_path(path, start, end) == expected
+            if start >= 0:
+                chain = history.file_chain(path, start)
+                birth, records = walk_backward(history, path, start)
+                assert chain.birth_idx == birth
+                assert sorted(chain.records, key=lambda t: (t[0], repr(t[1]))) == records
+
+
+_PATHS = ("A.java", "B.java", "C.java")
+_CHANGE = st.tuples(st.integers(0, 5), st.sampled_from(_PATHS),
+                    st.sampled_from(("Add", "Modify", "Delete", "Rename")),
+                    st.sampled_from(_PATHS), st.integers(0, 3), st.sampled_from(("x", "y")))
+
+
+class TestFileIdentity:
+    """resolve_path and file_chain against the per-revision walkers."""
+
+    def _history(self, *changes):
+        lines = [rev_line(f"r{i}", day=i) for i in range(6)]
+        for rid, path, kind, *old in changes:
+            lines.append(change_line(rid, path, kind, lines_added=1,
+                                     old_path=old[0] if old else None))
+        return make_history(lines)
+
+    def test_rename_chain_back_to_its_first_path(self):
+        h = self._history(("r0", "A.java", "Add"), ("r1", "B.java", "Rename", "A.java"),
+                          ("r2", "A.java", "Rename", "B.java"), ("r3", "A.java", "Modify"))
+        assert h.resolve_path("A.java", 0, 5) == ("A.java", None)
+        assert h.resolve_path("A.java", 0, 1) == ("B.java", None)
+        assert h.file_chain("A.java", 5).birth_idx == 0
+        _assert_identity_matches_walkers(h)
+
+    def test_delete_then_re_add(self):
+        h = self._history(("r0", "A.java", "Add"), ("r2", "A.java", "Delete"),
+                          ("r3", "A.java", "Add"), ("r4", "A.java", "Modify"))
+        assert h.resolve_path("A.java", 0, 5) == ("A.java", 2)
+        assert h.resolve_path("A.java", 3, 5) == ("A.java", None)
+        assert h.file_chain("A.java", 4).birth_idx == 3
+        _assert_identity_matches_walkers(h)
+
+    def test_delete_and_rename_at_one_revision(self):
+        h = self._history(("r0", "A.java", "Add"), ("r2", "A.java", "Delete"),
+                          ("r2", "B.java", "Rename", "A.java"))
+        assert h.resolve_path("A.java", 0, 5) == ("A.java", 2)
+        _assert_identity_matches_walkers(h)
+
+    @given(st.lists(_CHANGE, max_size=14))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_change_streams(self, drawn):
+        changes = frozenset(
+            FileChangeRecord(f"r{rev}", path, kind, lines, 0, author,
+                             old if kind == "Rename" else None)
+            for rev, path, kind, old, lines, author in drawn
+            if kind != "Rename" or old != path
+        )
+        revisions = tuple(RevisionMeta(f"r{i}", i) for i in range(6))
+        _assert_identity_matches_walkers(ProjectHistory(revisions, frozenset(), changes))
 
 
 class TestTimeline:
