@@ -2,18 +2,18 @@
 
 Five of the features summarize how often warnings in a population (same
 method, same file, same warning type, same bug pattern) were closed. In
-leaky mode the closure flag of every population member is read off the
-reference revision, which sits in the future of the extraction revision:
-that reproduces the historical construction in which the ground-truth label
-seeps into the features. In leak-free mode populations contain only
-warnings first observed inside a trailing window (default 365 days) and a
-member counts as closed exactly when it is no longer reported at the
-extraction revision itself.
+leaky mode the population is the warnings observed at the extraction
+revision, and each member's closure flag is the ground-truth heuristic's own
+label against the reference revision (``oracle.heuristic_label``):
+Actionable and Unknown count as closed, FalseAlarm as open. That reproduces
+the historical construction in which the label seeps into the features. In
+leak-free mode populations contain only warnings first observed inside a
+trailing window (default 365 days) and a member counts as closed exactly
+when it is no longer reported at the extraction revision itself.
 
 Both modes compute all 23 features from the history cut at the extraction
 revision (``truncate_history``): the cut is the only time boundary. Leaky
-mode makes one read past it, each member's closure flag, from the keys
-present at the reference revision and the member's path followed there.
+mode makes one read past it, the heuristic labels for the closure flags.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import ExtractionError, ValidationError
@@ -30,10 +30,12 @@ from .history import (
     SECONDS_PER_DAY,
     ProjectHistory,
     WarningKey,
+    WarningObservation,
     key_from_row,
     key_row,
     truncate_history,
 )
+from .oracle import Label, heuristic_label
 
 # Population scopes for the warning-combination features.
 SCOPE_METHOD = "method"
@@ -152,34 +154,10 @@ class FeatureVector:
     flags: frozenset[str] = field(default_factory=frozenset)
 
 
-NUMERIC_FIELDS = (
-    "warning_context_in_method",
-    "warning_context_in_file",
-    "warning_context_for_warning_type",
-    "defect_likelihood_for_warning_pattern",
-    "discretization_of_defect_likelihood",
-    "average_lifetime_for_warning_type",
-    "comment_code_ratio",
-    "method_depth",
-    "file_depth",
-    "methods_in_file",
-    "classes_in_package",
-    "warning_priority",
-    "file_age_days",
-    "file_creation_timestamp",
-    "developers",
-    "loc_added_in_file_last_25_revisions",
-    "loc_added_in_package_past_3_months",
-    "warning_lifetime_revisions",
-)
-
-CATEGORICAL_FIELDS = (
-    "warning_pattern",
-    "warning_type",
-    "package",
-    "parameter_signature",
-    "method_visibility",
-)
+# The model schema, read off the annotations in declaration order: int and
+# float fields are numeric, str fields categorical.
+NUMERIC_FIELDS = tuple(f.name for f in fields(FeatureVector) if f.type in ("int", "float"))
+CATEGORICAL_FIELDS = tuple(f.name for f in fields(FeatureVector) if f.type == "str")
 
 # Canonical export names for the 23 features.
 CANONICAL_NAMES: dict[str, str] = {
@@ -218,19 +196,17 @@ assert len(FEATURE_FIELDS) == 23
 
 @dataclass(frozen=True)
 class CanonicalWarning:
-    """One physical warning after merging keys across its rename chain."""
+    """One physical warning after merging keys across its rename chain.
+
+    Pattern, path, package and method are read off ``member_key``. The live
+    range ends at the earliest Delete met by any merged key, so a warning is
+    closed only by an absence before that deletion.
+    """
 
     member_key: WarningKey  # representative key carrying the resolved path
-    pattern: str
     category: str
-    package: str
-    method: str | None
-    path: str  # path at the extraction revision (or at deletion)
-    first_seen_idx: int
-    first_seen_time: int
     presence: frozenset[int]
-    deleted_idx: int | None
-    present_at_target: bool
+    first_seen_idx: int
     closed_idx: int | None  # first index absent while the file was alive
 
 
@@ -238,44 +214,29 @@ def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningKey, Canoni
     """Merge every warning key of ``base`` across renames, as of ``at_idx``.
 
     Each key is resolved from its last observation, so a key observed at
-    ``at_idx`` (or later) is itself the canonical key of its warning.
+    ``at_idx`` (or later) is itself the canonical key of its warning. Merged
+    keys keep their earliest deletion, as ``resolve_path`` stops at the
+    first Delete, whatever order the keys come in.
     """
-    merged: dict[WarningKey, dict] = {}
+    presence_of: dict[WarningKey, set[int]] = defaultdict(set)
+    deleted_of: dict[WarningKey, int] = {}
     for key, presence in base.key_presence.items():
-        last_idx = presence[-1]
-        path, deleted_idx = base.resolve_path(key.file_path, last_idx, at_idx)
+        path, deleted_idx = base.resolve_path(key.file_path, presence[-1], at_idx)
         canon = key.with_path(path)
-        entry = merged.setdefault(
-            canon,
-            {"presence": set(), "deleted_idx": deleted_idx},
-        )
-        entry["presence"].update(presence)
+        presence_of[canon].update(presence)
         if deleted_idx is not None:
-            entry["deleted_idx"] = deleted_idx
+            deleted_of[canon] = min(deleted_idx, deleted_of.get(canon, deleted_idx))
     out: dict[WarningKey, CanonicalWarning] = {}
-    for canon, entry in merged.items():
-        presence = frozenset(entry["presence"])
+    for canon, presence in presence_of.items():
         first_idx = min(presence)
-        deleted_idx = entry["deleted_idx"]
-        closed_idx = None
-        for idx in range(first_idx + 1, at_idx + 1):
-            if deleted_idx is not None and idx >= deleted_idx:
-                break
-            if idx not in presence:
-                closed_idx = idx
-                break
+        end_idx = min(at_idx, deleted_of.get(canon, at_idx + 1) - 1)
+        closed_idx = next(
+            (idx for idx in range(first_idx + 1, end_idx + 1) if idx not in presence), None)
         out[canon] = CanonicalWarning(
             member_key=canon,
-            pattern=canon.bug_pattern,
             category=base.pattern_categories[canon.bug_pattern],
-            package=canon.package,
-            method=canon.method,
-            path=canon.file_path,
+            presence=frozenset(presence),
             first_seen_idx=first_idx,
-            first_seen_time=base.rev_at(first_idx).timestamp,
-            presence=presence,
-            deleted_idx=deleted_idx,
-            present_at_target=at_idx in presence,
             closed_idx=closed_idx,
         )
     return out
@@ -285,8 +246,8 @@ def _type_lifetimes(base: ProjectHistory,
                     universe: dict[WarningKey, CanonicalWarning]) -> dict[str, float]:
     """Category -> mean lifetime in days of its closed warnings.
 
-    Durations are summed in universe order, so the means do not depend on
-    how many targets share a category.
+    Durations are summed exactly (``math.fsum``), so the means depend
+    neither on universe order nor on how many targets share a category.
     """
     durations: dict[str, list[float]] = defaultdict(list)
     for other in universe.values():
@@ -295,7 +256,7 @@ def _type_lifetimes(base: ProjectHistory,
         start = base.rev_at(other.first_seen_idx).timestamp
         end = base.rev_at(other.closed_idx).timestamp
         durations[other.category].append((end - start) / SECONDS_PER_DAY)
-    return {category: sum(ds) / len(ds) for category, ds in durations.items()}
+    return {category: math.fsum(ds) / len(ds) for category, ds in durations.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +272,14 @@ def extract_golden(
     """Compute all 23 features for every warning observed at ``at_rev``.
 
     Every feature reads the history truncated at ``at_rev``. Leaky mode
-    requires ``ref_rev`` and marks population members closed by their
-    presence at the reference revision, its only read of the uncut
-    ``history``; leak-free mode forbids ``ref_rev``. Missing static
-    attributes abort extraction with a per-warning error. Output is sorted
-    by warning key.
+    requires ``ref_rev``, and its population members are the warnings at
+    ``at_rev`` with ``heuristic_label``'s labels against ``ref_rev`` as
+    closure flags (Actionable or Unknown count as closed), its only read of
+    the uncut ``history``; leak-free mode forbids ``ref_rev``. Missing
+    static attributes abort extraction with a per-warning error. A key
+    observed more than once at ``at_rev`` takes its priority from the
+    observation with the lowest (line, priority). Output is sorted by
+    warning key.
 
     Cost: one pass each over the population members, the warning universe
     and the change records computes everything that depends only on the
@@ -338,35 +302,29 @@ def extract_golden(
     at_time = base.rev_at(at_idx).timestamp
 
     # Population membership and each member's closed flag, per mode.
-    members: list[tuple[CanonicalWarning, bool]] = []
     if mode.is_leaky:
-        ref_keys = history.present_keys[ref_idx]
-        for canon in universe.values():
-            if not canon.present_at_target:
-                continue
-            path, deleted = history.resolve_path(canon.path, at_idx, ref_idx)
-            closed = deleted is not None or canon.member_key.with_path(path) not in ref_keys
-            members.append((canon, closed))
+        members = [(universe[lw.key], lw.label is not Label.FALSE_ALARM)
+                   for lw in heuristic_label(history, at_rev, ref_rev)]
     else:
         window_start = at_time - mode.window_days * SECONDS_PER_DAY
-        for canon in universe.values():
-            if canon.first_seen_time >= window_start:
-                members.append((canon, not canon.present_at_target))
+        members = [(canon, at_idx not in canon.presence) for canon in universe.values()
+                   if base.rev_at(canon.first_seen_idx).timestamp >= window_start]
 
     # [closed, total] per population, keyed by (scope, path[, method]) or
     # (scope, category | pattern).
     counts: dict[tuple[str, ...], list[int]] = defaultdict(lambda: [0, 0])
     patterns_by_category: dict[str, set[str]] = defaultdict(set)
     for canon, closed in members:
-        scopes = [(SCOPE_FILE, canon.path), (SCOPE_WARNING_TYPE, canon.category),
-                  (SCOPE_PATTERN, canon.pattern)]
-        if canon.method is not None:
-            scopes.append((SCOPE_METHOD, canon.path, canon.method))
+        key = canon.member_key
+        scopes = [(SCOPE_FILE, key.file_path), (SCOPE_WARNING_TYPE, canon.category),
+                  (SCOPE_PATTERN, key.bug_pattern)]
+        if key.method is not None:
+            scopes.append((SCOPE_METHOD, key.file_path, key.method))
         for scope in scopes:
             tally = counts[scope]
             tally[0] += closed
             tally[1] += 1
-        patterns_by_category[canon.category].add(canon.pattern)
+        patterns_by_category[canon.category].add(key.bug_pattern)
     empty = (0, 0)
     discretization = {
         category: discretized_defect_likelihood({p: counts[(SCOPE_PATTERN, p)] for p in patterns})
@@ -387,9 +345,13 @@ def extract_golden(
     type_lifetimes = _type_lifetimes(base, universe)
     loc_by_package = _loc_by_package(base, at_time, days=90.0)
 
-    obs_by_key = {}
-    for obs in base.observations_at.get(at_rev, ()):
-        obs_by_key.setdefault(obs.key, obs)
+    # Per key, its observation at the target with the lowest (line, priority).
+    obs_by_key: dict[WarningKey, WarningObservation] = {}
+    for obs in base.observations:
+        if obs.revision == at_rev:
+            kept = obs_by_key.setdefault(obs.key, obs)
+            if (obs.line, obs.priority) < (kept.line, kept.priority):
+                obs_by_key[obs.key] = obs
 
     out: dict[WarningKey, FeatureVector] = {}
     for key in targets:
@@ -398,20 +360,20 @@ def extract_golden(
         canon = universe[key]
         flags: set[str] = set()
 
-        file_count = counts.get((SCOPE_FILE, canon.path), empty)
+        file_count = counts.get((SCOPE_FILE, key.file_path), empty)
         if file_count[1] == 0:
             flags.add(FLAG_EMPTY_FILE_POPULATION)
-        if canon.method is None:
+        if key.method is None:
             method_count = file_count
             flags.add(FLAG_METHOD_FILE_FALLBACK)
         else:
-            method_count = counts.get((SCOPE_METHOD, canon.path, canon.method), empty)
+            method_count = counts.get((SCOPE_METHOD, key.file_path, key.method), empty)
         if method_count[1] == 0:
             flags.add(FLAG_EMPTY_METHOD_POPULATION)
         type_count = counts.get((SCOPE_WARNING_TYPE, canon.category), empty)
         if type_count[1] == 0:
             flags.add(FLAG_EMPTY_TYPE_POPULATION)
-        pattern_count = counts.get((SCOPE_PATTERN, canon.pattern), empty)
+        pattern_count = counts.get((SCOPE_PATTERN, key.bug_pattern), empty)
         if pattern_count[1] == 0:
             flags.add(FLAG_EMPTY_PATTERN_POPULATION)
 
@@ -425,7 +387,7 @@ def extract_golden(
         if type_lifetime is None:
             flags.add(FLAG_NO_CLOSED_LIFETIME)
 
-        chain = base.file_chain(canon.path, at_idx)
+        chain = base.file_chain(key.file_path, at_idx)
         if chain.birth_idx is not None:
             birth_time = base.rev_at(chain.birth_idx).timestamp
         else:
@@ -454,7 +416,7 @@ def extract_golden(
             parameter_signature=attrs.parameter_signature,
             method_visibility=attrs.method_visibility,
             loc_added_in_file_last_25_revisions=_loc_last_n_revisions(chain, n=25),
-            loc_added_in_package_past_3_months=loc_by_package.get(canon.package, 0),
+            loc_added_in_package_past_3_months=loc_by_package.get(key.package, 0),
             warning_lifetime_revisions=len(canon.presence),
             flags=frozenset(flags),
         )

@@ -262,16 +262,6 @@ class ProjectHistory:
             acc[obs.key].add(self.rev_index(obs.revision))
         return {k: tuple(sorted(v)) for k, v in acc.items()}
 
-    @cached_property
-    def observations_at(self) -> dict[str, tuple[WarningObservation, ...]]:
-        acc: dict[str, list[WarningObservation]] = defaultdict(list)
-        for obs in self.observations:
-            acc[obs.revision].append(obs)
-        return {
-            rev: tuple(sorted(v, key=lambda o: (o.key.sort_key(), o.line)))
-            for rev, v in acc.items()
-        }
-
     def keys_at(self, rev_id: str) -> tuple[WarningKey, ...]:
         """Distinct warning keys observed at a revision, in sort order."""
         return tuple(sorted(self.present_keys[self.rev_index(rev_id)], key=WarningKey.sort_key))

@@ -7,6 +7,7 @@ records for package LOC. ``extract_golden`` must agree with it bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from warnlab import features as ft
@@ -22,36 +23,40 @@ def reference_golden(history, at_rev, mode, ref_rev, vectors):
     at_time = base.rev_at(at_idx).timestamp
     members = []
     for canon in universe.values():
-        if mode.is_leaky and canon.present_at_target:
+        present = at_idx in canon.presence
+        if mode.is_leaky and present:
             ref_idx = history.rev_index(ref_rev)
-            path, deleted = history.resolve_path(canon.path, at_idx, ref_idx)
+            path, deleted = history.resolve_path(canon.member_key.file_path, at_idx, ref_idx)
             gone = canon.member_key.with_path(path) not in history.present_keys[ref_idx]
             members.append((canon, deleted is not None or gone))
-        elif not mode.is_leaky and canon.first_seen_time >= at_time - mode.window_days * DAY:
-            members.append((canon, not canon.present_at_target))
+        elif not mode.is_leaky and (base.rev_at(canon.first_seen_idx).timestamp
+                                    >= at_time - mode.window_days * DAY):
+            members.append((canon, not present))
 
     out = {}
     for key, vec in vectors.items():
         path, _ = base.resolve_path(key.file_path, base.key_presence[key][-1], at_idx)
         canon = universe[key.with_path(path)]
+        k = canon.member_key
 
         def pop(match):  # the population's (closed, total)
             flags = [closed for c, closed in members if match(c)]
             return sum(flags), len(flags)
 
-        file_pop = pop(lambda c: c.path == canon.path)
-        method_pop = file_pop if canon.method is None else pop(
-            lambda c: (c.path, c.method) == (canon.path, canon.method))
+        file_pop = pop(lambda c: c.member_key.file_path == k.file_path)
+        method_pop = file_pop if k.method is None else pop(
+            lambda c: (c.member_key.file_path, c.member_key.method) == (k.file_path, k.method))
         type_pop = pop(lambda c: c.category == canon.category)
-        pattern_pop = pop(lambda c: c.pattern == canon.pattern)
-        per_pattern = {c.pattern: pop(lambda o, p=c.pattern: o.pattern == p)
+        pattern_pop = pop(lambda c: c.member_key.bug_pattern == k.bug_pattern)
+        per_pattern = {c.member_key.bug_pattern: pop(
+                           lambda o, p=c.member_key.bug_pattern: o.member_key.bug_pattern == p)
                        for c, _ in members if c.category == canon.category}
         durations = []
         for o in universe.values():
             if o.category == canon.category and o.closed_idx is not None and o.closed_idx <= at_idx:
                 span = base.rev_at(o.closed_idx).timestamp - base.rev_at(o.first_seen_idx).timestamp
                 durations.append(span / DAY)
-        paths = {o.file_path for o in base.observations if o.entity.package == canon.package}
+        paths = {o.file_path for o in base.observations if o.entity.package == k.package}
         loc_pkg = sum(rec.lines_added for rec in base.changes
                       if rec.file_path in paths and base.rev_index(rec.revision) <= at_idx
                       and base.rev_at(base.rev_index(rec.revision)).timestamp > at_time - 90 * DAY)
@@ -59,7 +64,7 @@ def reference_golden(history, at_rev, mode, ref_rev, vectors):
         raised = {
             ft.FLAG_FILE_CREATION_INFERRED: ft.FLAG_FILE_CREATION_INFERRED in vec.flags,
             ft.FLAG_EMPTY_FILE_POPULATION: not file_pop[1],
-            ft.FLAG_METHOD_FILE_FALLBACK: canon.method is None,
+            ft.FLAG_METHOD_FILE_FALLBACK: k.method is None,
             ft.FLAG_EMPTY_METHOD_POPULATION: not method_pop[1],
             ft.FLAG_EMPTY_TYPE_POPULATION: not type_pop[1],
             ft.FLAG_EMPTY_PATTERN_POPULATION: not pattern_pop[1],
@@ -74,7 +79,8 @@ def reference_golden(history, at_rev, mode, ref_rev, vectors):
             warning_context_for_warning_type=ft.warning_context(*type_pop),
             defect_likelihood_for_warning_pattern=ft.defect_likelihood(*pattern_pop),
             discretization_of_defect_likelihood=ft.discretized_defect_likelihood(per_pattern),
-            average_lifetime_for_warning_type=sum(durations) / len(durations) if durations else 0.0,
+            average_lifetime_for_warning_type=(
+                math.fsum(durations) / len(durations) if durations else 0.0),
             warning_lifetime_revisions=sum(1 for idx in canon.presence if idx <= at_idx),
             loc_added_in_package_past_3_months=loc_pkg,
             flags=frozenset(flag for flag, on in raised.items() if on),

@@ -5,10 +5,12 @@ import csv
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,11 @@ from hypothesis import strategies as st
 
 import warnlab
 from warnlab.cli import UsageError, main, parse_duration_days
+from warnlab.features import LeakMode, build_universe, extract_golden
+from warnlab.history import emit_ledger, ingest_ledger, truncate_history, warning_timeline
+from warnlab.synth import SynthConfig, generate
 
-from conftest import rev_line, warn_line
+from conftest import attrs_line, change_line, rev_line, warn_line
 
 
 def run(*argv: str) -> int:
@@ -490,3 +495,102 @@ class TestIdempotency:
         assert run("label", "--ledger", str(synth_dir / "ledger.jsonl"),
                    "--at", anchors["train"], "--ref", anchors["reference"]) == 0
         assert (target / "labels.csv").exists()
+
+
+# Probe ledgers whose features.csv bytes once depended on PYTHONHASHSEED, each
+# with the revision it is extracted at.
+
+def _named_method(line: str) -> str:
+    """Name a null entity method: ``hash(None)`` varies per process before
+    Python 3.12, and set order must depend on the hash seed alone."""
+    record = json.loads(line)
+    if "entity" in record and record["entity"]["method"] is None:
+        record["entity"]["method"] = "<init>()"
+    return json.dumps(record)
+
+
+def _fractional_day_ledger() -> tuple[list[str], str]:
+    """Synth history with each revision shifted by 0-86399 s: closed lifetimes
+    stop being whole days, so their float sum depends on summation order."""
+    history = generate(SynthConfig(
+        seed=3, n_files=48, n_revisions=48, warnings_per_revision=12,
+        incidental_close_rate=0.2, file_delete_rate=0.1)).history
+    rng = random.Random(0)
+    shifted = tuple(replace(rev, timestamp=rev.timestamp + rng.randrange(86400))
+                    for rev in history.revisions)
+    lines = emit_ledger(replace(history, revisions=shifted))
+    return [_named_method(line) for line in lines], "r0010"
+
+
+_Q, _P = "src/a/Q.java", "src/a/P.java"
+
+
+def _redeleted_path_ledger() -> tuple[list[str], str]:
+    """A warning renamed Q -> P, whose P is deleted, re-added with the same
+    warning, and deleted again: its two keys merge with deletions r2 and r4.
+    A warning in R closed after 30 days shares the category, and S's warning
+    at r5 is the extraction target."""
+    lines = [rev_line(f"r{i}", day=30 * i, parent=f"r{i - 1}" if i else None)
+             for i in range(6)]
+    lines += [change_line("r0", path, "Add", lines_added=10)
+              for path in (_Q, "src/a/R.java", "src/a/S.java")]
+    lines += [
+        warn_line("r0", path=_Q, method="m()"),
+        warn_line("r0", path="src/a/R.java", pattern="DM_EXIT", cls="R", method="m()"),
+        change_line("r1", _P, "Rename", old_path=_Q), warn_line("r1", path=_P, method="m()"),
+        change_line("r2", _P, "Delete"),
+        change_line("r3", _P, "Add", lines_added=5), warn_line("r3", path=_P, method="m()"),
+        change_line("r4", _P, "Delete"),
+        warn_line("r5", path="src/a/S.java", pattern="EQ_ALWAYS_TRUE", cls="S", method="m()"),
+        attrs_line("r5", path="src/a/S.java", pattern="EQ_ALWAYS_TRUE", cls="S", method="m()"),
+    ]
+    return lines, "r5"
+
+
+def _same_line_ledger() -> tuple[list[str], str]:
+    """One warning key observed three times at one line, priorities 1, 2, 3."""
+    lines = [rev_line("r0", day=0), change_line("r0", "src/a/Foo.java", "Add", lines_added=10)]
+    lines += [warn_line("r0", method="m()", priority=priority, line=7) for priority in (1, 2, 3)]
+    return lines + [attrs_line("r0", method="m()")], "r0"
+
+
+class TestHashSeedIndependence:
+    # Before the fixes, hash seeds 1 and 3 gave different features.csv bytes
+    # on each of the three ledgers.
+    SEEDS = ("1", "3")
+
+    @pytest.mark.parametrize("probe", [
+        _fractional_day_ledger, _redeleted_path_ledger, _same_line_ledger,
+    ], ids=["fsum-lifetimes", "earliest-deletion", "lowest-line-priority"])
+    def test_features_csv_bytes_do_not_depend_on_hash_seed(self, probe, tmp_path):
+        lines, at = probe()
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        outputs = []
+        for seed in self.SEEDS:
+            out = tmp_path / f"hashseed{seed}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "warnlab.cli", "features", "--ledger", str(ledger),
+                 "--at", at, "--mode", "leakfree", "--out", str(out)],
+                env=_env_with_src({**os.environ, "PYTHONHASHSEED": seed}),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "features.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_merged_keys_end_at_earliest_deletion(self):
+        lines, at = _redeleted_path_ledger()
+        history = ingest_ledger(lines)
+        universe = build_universe(truncate_history(history, at), history.rev_index(at))
+        first_key = next(key for key in history.keys_at("r0") if key.file_path == _Q)
+        merged = universe[first_key.with_path(_P)]
+        assert merged.closed_idx is None
+        assert warning_timeline(history, first_key).closed_at is None
+        (vec,) = extract_golden(history, at, LeakMode.leakfree()).values()
+        assert vec.average_lifetime_for_warning_type == 30.0  # R's closure alone
+
+    def test_same_line_duplicates_take_the_lowest_priority(self):
+        lines, at = _same_line_ledger()
+        (vec,) = extract_golden(ingest_ledger(lines), at, LeakMode.leakfree()).values()
+        assert vec.warning_priority == 1
