@@ -23,13 +23,9 @@ import os
 import sys
 from pathlib import Path
 
-# models and evaluation import numpy: only cmd_fit, cmd_eval and cmd_report
-# import them, so the ledger commands start without it.
-from . import dataset as ds
-from . import features as ft
-from . import oracle as oc
-from . import synth as sy
-from .errors import ValidationError, WarnlabError
+# Each handler imports the layers it runs: ingest and synth load history alone,
+# and only fit, eval and report import numpy (through models and evaluation).
+from .errors import MODEL_KINDS, ValidationError, WarnlabError, read_json, typed_reader
 from .history import KEY_COLUMNS, emit_ledger, ingest_ledger, key_row
 
 ENV_OUT = "WARNLAB_OUT"
@@ -113,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="train a model on a built dataset")
     p.add_argument("--dataset", required=True, help="directory produced by build")
-    p.add_argument("--model-kind", choices=ds.MODEL_KINDS, required=True)
+    p.add_argument("--model-kind", choices=MODEL_KINDS, required=True)
     p.add_argument("--k", type=int, default=1, help="neighbors for knn")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -196,6 +192,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_label(args) -> int:
+    from . import oracle as oc
     history = _load_history(args.ledger)
     labels = oc.heuristic_label(history, args.at, args.ref)
     filter_stats = None
@@ -248,6 +245,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import oracle as oc
     history = _load_history(args.ledger)
     intervals = [parse_duration_days(part) for part in args.intervals.split(",") if part]
     table = oc.sweep_reference(history, args.at, intervals)
@@ -285,10 +283,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _mode_from_args(args) -> ft.LeakMode:
+def _mode_from_args(args):
+    from .features import LeakMode
     if args.mode == "leaky":
-        return ft.LeakMode.leaky()
-    return ft.LeakMode.leakfree(parse_duration_days(args.window))
+        return LeakMode.leaky()
+    return LeakMode.leakfree(parse_duration_days(args.window))
 
 
 def cmd_features(args) -> int:
@@ -296,6 +295,7 @@ def cmd_features(args) -> int:
         raise UsageError("--ref conflicts with --mode leakfree")
     if args.mode == "leaky" and not args.ref:
         raise UsageError("--mode leaky requires --ref")
+    from . import features as ft
     history = _load_history(args.ledger)
     vectors = ft.extract_golden(history, args.at, _mode_from_args(args), args.ref)
     out = _out_dir(args)
@@ -310,6 +310,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import dataset as ds
     history = _load_history(args.ledger)
     built = ds.build_dataset(
         history, args.train, args.test, args.ref,
@@ -329,8 +330,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import dataset as ds
     from . import models as md
-
     built = ds.load_dataset(args.dataset)
     if not built.train:
         raise ValidationError("dataset has an empty training split")
@@ -347,9 +348,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import dataset as ds
     from . import evaluation as ev
     from . import models as md
-
     built = ds.load_dataset(args.dataset)
     model = md.load_model(args.model)
     report = ev.evaluate_model(model, built, project=args.project)
@@ -362,6 +363,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import dataset as ds
+    from . import features as ft
     built = ds.load_dataset(args.dataset)
     dup = ds.audit_duplication(built)
     payload: dict = {"duplication": dup.to_json()}
@@ -397,8 +400,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth as sy
     if args.config:
-        settings = ds.read_json(args.config)
+        settings = read_json(args.config)
         if args.seed is not None and isinstance(settings, dict):
             settings["seed"] = args.seed
         config = sy.SynthConfig.from_json(settings)
@@ -424,11 +428,10 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     from . import evaluation as ev
-
     reports = []
     sweeps = []
     for path in args.merge:
-        payload = ds.read_json(path)
+        payload = read_json(path)
         try:
             if isinstance(payload, dict) and "rows" in payload:
                 sweeps.append((path, payload))
@@ -493,7 +496,7 @@ def _sweep_ratios(path: str, rows) -> dict:
     for row in rows:
         if not isinstance(row, dict) or "ratio" not in row:
             raise ValidationError(f"{path}: sweep row {row!r} is not an object with a ratio")
-        typed = ds.typed_reader(row, f"{path}: sweep row")
+        typed = typed_reader(row, f"{path}: sweep row")
         ratios[typed("interval_days", (int, float))] = typed("ratio", (int, float, type(None)))
     return ratios
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import OrderingError, ValidationError
+from .errors import OrderingError, ValidationError, read_json, typed_reader
 from .features import (
     FeatureVector,
     LeakMode,
@@ -27,10 +27,6 @@ from .features import (
 from .history import ProjectHistory, WarningKey, truncate_history
 from .oracle import Label, heuristic_label
 
-# The model kinds a dataset can train. They live here, not in models, so the
-# CLI parser can offer them without importing numpy.
-MODEL_KINDS = ("constant", "repeat", "knn", "linear")
-
 # The label values a dataset holds, and so a model learns: Unknown-labeled
 # warnings are dropped when a dataset is built.
 DATASET_LABELS = frozenset((Label.ACTIONABLE.value, Label.FALSE_ALARM.value))
@@ -42,30 +38,6 @@ class LabeledInstance:
     features: FeatureVector
     label: Label
     origin_rev: str
-
-
-def read_json(path: str | Path):
-    """A JSON file's value; content that is not JSON raises ``ValidationError``."""
-    with open(path, encoding="utf-8") as fp:
-        try:
-            return json.load(fp)
-        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
-            raise ValidationError(f"{path}: not JSON ({exc})") from None
-
-
-def typed_reader(data: dict, what: str):
-    """``typed(name, kind, default=None)``: ``data[name]`` (or ``default``)
-    checked against ``kind``; a mistyped or missing field raises
-    ``ValidationError`` naming ``what``."""
-
-    def typed(name, kind, default=None):
-        value = data.get(name, default)
-        # bool is an int subclass: a count must not be true or false.
-        if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-            raise ValidationError(f"{what} field {name!r} is {value!r}")
-        return value
-
-    return typed
 
 
 @dataclass(frozen=True)

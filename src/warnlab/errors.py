@@ -1,10 +1,19 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, with the checked JSON
+readers that raise it and the model kinds the CLI offers.
 
 Every error carries a short ``category`` slug that the CLI prints as
-``error[<category>]: <message>`` before exiting nonzero.
+``error[<category>]: <message>`` before exiting nonzero. This module imports
+nothing from warnlab, so a command that needs only these loads no layer.
 """
 
 from __future__ import annotations
+
+import json
+import os
+
+# The model kinds a dataset can train. They live here, not in models, so the
+# CLI parser can offer them without importing numpy or the dataset layer.
+MODEL_KINDS = ("constant", "repeat", "knn", "linear")
 
 
 class WarnlabError(Exception):
@@ -53,3 +62,27 @@ class ExtractionError(WarnlabError):
 
 class ModelError(WarnlabError):
     category = "model"
+
+
+def read_json(path: str | os.PathLike[str]):
+    """A JSON file's value; content that is not JSON raises ``ValidationError``."""
+    with open(path, encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
+            raise ValidationError(f"{path}: not JSON ({exc})") from None
+
+
+def typed_reader(data: dict, what: str):
+    """``typed(name, kind, default=None)``: ``data[name]`` (or ``default``)
+    checked against ``kind``; a mistyped or missing field raises
+    ``ValidationError`` naming ``what``."""
+
+    def typed(name, kind, default=None):
+        value = data.get(name, default)
+        # bool is an int subclass: a count must not be true or false.
+        if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+            raise ValidationError(f"{what} field {name!r} is {value!r}")
+        return value
+
+    return typed

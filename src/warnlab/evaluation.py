@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .dataset import Dataset, typed_reader
-from .errors import ValidationError
+from .dataset import Dataset
+from .errors import ValidationError, typed_reader
 from .models import Model, encode_with, labels_of, predict_from_scores, score
 from .oracle import Label
 

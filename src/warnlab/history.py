@@ -77,13 +77,31 @@ line for a (revision, key) pair wins)
     method               string or null  no (null)    null: a class-level warning
     ===================  ==============  ===========  ================================
 
+Wire form, as :func:`emit_ledger` writes it: each line is what
+``json.dumps(record, sort_keys=True)`` writes. Keys are sorted, with ``", "``
+and ``": "`` separators; strings go through
+``json.encoder.encode_basestring_ascii`` (non-ASCII and control characters
+as ``\\uXXXX`` escapes); integers are ``int.__repr__`` and
+``comment_code_ratio`` is ``float.__repr__``; an absent method or parent is
+``null``, and an absent ``old_path`` is left out. Line order is total, so
+the bytes depend on the history alone, not on the hash seed:
+
+- revisions by (timestamp, id), then warnings by (revision index,
+  bug_pattern, file_path, package, class, method or "", line, priority,
+  bug_category, method is not null);
+- then changes by (revision index, file_path, change_kind, author,
+  lines_added, lines_deleted, old_path or "", old_path is not null);
+- then attrs by (revision index, bug_pattern, file_path, package, class,
+  method or "", method is not null).
+
 A ``WarningKey`` travels in two shapes, and this module holds the one codec
 for both. As a JSON object (ledger warning and attrs records, annotation
 files, ``truth.json``) it is ``bug_pattern``, ``file_path`` and an
-``entity`` object: :func:`key_json` writes it and :func:`decode_key` reads
-it with the checks above. As a CSV row (``labels.csv`` and the feature
-matrices) it is the five :data:`KEY_COLUMNS`: :func:`key_row` writes them
-and :func:`key_from_row` reads them.
+``entity`` object: :func:`key_json` writes it (``emit_ledger``'s templates
+in the ledger) and :func:`decode_key` reads it with the checks above. As a
+CSV row (``labels.csv`` and the feature matrices) it is the five
+:data:`KEY_COLUMNS`: :func:`key_row` writes them and :func:`key_from_row`
+reads them.
 """
 
 from __future__ import annotations
@@ -94,6 +112,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import make_scanner
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -705,50 +724,52 @@ def key_from_row(row: Mapping[str, str]) -> WarningKey:
 # Ledger emission (round-trips with ingest_ledger)
 # ---------------------------------------------------------------------------
 
+def _optional(text: str | None) -> str:
+    return "null" if text is None else _quote(text)
+
+
+def _entity(e: Entity | WarningKey) -> str:
+    return (f'{{"class": {_quote(e.class_name)}, "method": {_optional(e.method)}, '
+            f'"package": {_quote(e.package)}}}')
+
+
 def emit_ledger(history: ProjectHistory) -> Iterator[str]:
-    """Serialize a history back to ledger lines, deterministically ordered."""
-    for rev in history.revisions:
-        yield json.dumps(
-            {"kind": "revision", "id": rev.id, "timestamp": rev.timestamp,
-             "parent": rev.parent, "branch": rev.branch},
-            sort_keys=True,
-        )
-    obs_sorted = sorted(
-        history.observations,
-        key=lambda o: (history.rev_index(o.revision), o.key.sort_key(), o.line),
-    )
-    for obs in obs_sorted:
-        yield json.dumps(
-            {"kind": "warning", "revision": obs.revision, **key_json(obs.key),
-             "bug_category": obs.bug_category, "priority": obs.priority, "line": obs.line},
-            sort_keys=True,
-        )
-    chg_sorted = sorted(
-        history.changes,
-        key=lambda c: (history.rev_index(c.revision), c.file_path, c.kind, c.author),
-    )
-    for rec in chg_sorted:
-        payload = {"kind": "change", "revision": rec.revision, "file_path": rec.file_path,
-                   "change_kind": rec.kind, "lines_added": rec.lines_added,
-                   "lines_deleted": rec.lines_deleted, "author": rec.author}
-        if rec.old_path is not None:
-            payload["old_path"] = rec.old_path
-        yield json.dumps(payload, sort_keys=True)
-    attr_items = sorted(
-        history.attributes.items(),
-        key=lambda kv: (history.rev_index(kv[0][0]), kv[0][1].sort_key()),
-    )
-    for (rev_id, key), attrs in attr_items:
-        yield json.dumps(
-            {"kind": "attrs", "revision": rev_id, **key_json(key),
-             "comment_code_ratio": attrs.comment_code_ratio,
-             "method_depth": attrs.method_depth, "file_depth": attrs.file_depth,
-             "methods_in_file": attrs.methods_in_file,
-             "classes_in_package": attrs.classes_in_package,
-             "parameter_signature": attrs.parameter_signature,
-             "method_visibility": attrs.method_visibility},
-            sort_keys=True,
-        )
+    """Serialize a history back to ledger lines, in the wire form and the
+    total order stated in the module docstring: one f-string per record
+    kind, with its keys in sorted order. Sorting reads raw fields, so no
+    ``WarningKey`` is built for an observation."""
+    order = history._order
+    for r in history.revisions:
+        yield (f'{{"branch": {_quote(r.branch)}, "id": {_quote(r.id)}, "kind": "revision", '
+               f'"parent": {_optional(r.parent)}, "timestamp": {r.timestamp}}}')
+    for o in sorted(history.observations, key=lambda o: (
+            order[o.revision], o.bug_pattern, o.file_path, o.entity.package,
+            o.entity.class_name, o.entity.method or "", o.line, o.priority, o.bug_category,
+            o.entity.method is not None)):
+        yield (f'{{"bug_category": {_quote(o.bug_category)}, '
+               f'"bug_pattern": {_quote(o.bug_pattern)}, "entity": {_entity(o.entity)}, '
+               f'"file_path": {_quote(o.file_path)}, "kind": "warning", "line": {o.line}, '
+               f'"priority": {o.priority}, "revision": {_quote(o.revision)}}}')
+    for c in sorted(history.changes, key=lambda c: (
+            order[c.revision], c.file_path, c.kind, c.author, c.lines_added, c.lines_deleted,
+            c.old_path or "", c.old_path is not None)):
+        old_path = "" if c.old_path is None else f'"old_path": {_quote(c.old_path)}, '
+        yield (f'{{"author": {_quote(c.author)}, "change_kind": {_quote(c.kind)}, '
+               f'"file_path": {_quote(c.file_path)}, "kind": "change", '
+               f'"lines_added": {c.lines_added}, "lines_deleted": {c.lines_deleted}, '
+               f'{old_path}"revision": {_quote(c.revision)}}}')
+    for (rev_id, k), a in sorted(history.attributes.items(), key=lambda item: (
+            order[item[0][0]], *item[0][1].sort_key(), item[0][1].method is not None)):
+        yield (f'{{"bug_pattern": {_quote(k.bug_pattern)}, '
+               f'"classes_in_package": {a.classes_in_package}, '
+               f'"comment_code_ratio": {a.comment_code_ratio!r}, '
+               f'"entity": {_entity(k)}, '
+               f'"file_depth": {a.file_depth}, "file_path": {_quote(k.file_path)}, '
+               f'"kind": "attrs", "method_depth": {a.method_depth}, '
+               f'"method_visibility": {_quote(a.method_visibility)}, '
+               f'"methods_in_file": {a.methods_in_file}, '
+               f'"parameter_signature": {_quote(a.parameter_signature)}, '
+               f'"revision": {_quote(rev_id)}}}')
 
 
 # ---------------------------------------------------------------------------

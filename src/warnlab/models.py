@@ -29,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import DATASET_LABELS, MODEL_KINDS, LabeledInstance
-from .errors import ModelError
+from .dataset import DATASET_LABELS, LabeledInstance
+from .errors import MODEL_KINDS, ModelError
 from .features import CATEGORICAL_FIELDS, NUMERIC_FIELDS
 from .history import WarningKey
 from .oracle import Label

@@ -18,8 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 
-from .dataset import typed_reader
-from .errors import ValidationError
+from .errors import ValidationError, typed_reader
 from .history import (
     SECONDS_PER_DAY,
     Entity,

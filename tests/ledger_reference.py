@@ -1,10 +1,13 @@
-"""Straightforward per-record ledger parse, kept as the reference for ingest.
+"""Straightforward per-record ledger parse and emit, kept as the references
+for ``warnlab.history.ingest_ledger`` and ``emit_ledger``.
 
 Every line goes through ``json.loads`` and builds fresh objects, and every
 field is read through ``_require``; nothing is interned or shared. It
-applies the same validation rules as ``warnlab.history.ingest_ledger``, so
-the two must agree on every input: the same ``ProjectHistory``, or the same
-error class with the same line number.
+applies the same validation rules as ``ingest_ledger``, so the two must
+agree on every input: the same ``ProjectHistory``, or the same error class
+with the same line number. ``reference_emit`` writes each record as a dict
+through ``json.dumps(sort_keys=True)``; the template emitter must match it
+byte for byte.
 """
 
 from __future__ import annotations
@@ -211,3 +214,42 @@ def _parse_attrs(rec: dict) -> tuple[str, WarningKey, StaticAttributes]:
         method_visibility=visibility,
     )
     return _string(_require(rec, "revision"), "revision"), key, attrs
+
+
+def reference_emit(history: ProjectHistory):
+    """Ledger lines as a dict per record through ``json.dumps(sort_keys=True)``,
+    in the emitter's total order, kept as the reference for ``emit_ledger``."""
+    order = {rev.id: i for i, rev in enumerate(history.revisions)}
+
+    def key_fields(key: WarningKey) -> dict:
+        return {"bug_pattern": key.bug_pattern, "file_path": key.file_path,
+                "entity": {"package": key.package, "class": key.class_name,
+                           "method": key.method}}
+
+    for rev in history.revisions:
+        yield json.dumps({"kind": "revision", "id": rev.id, "timestamp": rev.timestamp,
+                          "parent": rev.parent, "branch": rev.branch}, sort_keys=True)
+    for obs in sorted(history.observations, key=lambda o: (
+            order[o.revision], o.key.sort_key(), o.line, o.priority, o.bug_category,
+            o.key.method is not None)):
+        yield json.dumps({"kind": "warning", "revision": obs.revision, **key_fields(obs.key),
+                          "bug_category": obs.bug_category, "priority": obs.priority,
+                          "line": obs.line}, sort_keys=True)
+    for rec in sorted(history.changes, key=lambda c: (
+            order[c.revision], c.file_path, c.kind, c.author, c.lines_added,
+            c.lines_deleted, c.old_path or "", c.old_path is not None)):
+        payload = {"kind": "change", "revision": rec.revision, "file_path": rec.file_path,
+                   "change_kind": rec.kind, "lines_added": rec.lines_added,
+                   "lines_deleted": rec.lines_deleted, "author": rec.author}
+        if rec.old_path is not None:
+            payload["old_path"] = rec.old_path
+        yield json.dumps(payload, sort_keys=True)
+    for (rev_id, key), attrs in sorted(history.attributes.items(), key=lambda kv: (
+            order[kv[0][0]], kv[0][1].sort_key(), kv[0][1].method is not None)):
+        yield json.dumps({"kind": "attrs", "revision": rev_id, **key_fields(key),
+                          "comment_code_ratio": attrs.comment_code_ratio,
+                          "method_depth": attrs.method_depth, "file_depth": attrs.file_depth,
+                          "methods_in_file": attrs.methods_in_file,
+                          "classes_in_package": attrs.classes_in_package,
+                          "parameter_signature": attrs.parameter_signature,
+                          "method_visibility": attrs.method_visibility}, sort_keys=True)

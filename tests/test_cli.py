@@ -429,6 +429,15 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+# Prints, as its last line, the modules loaded once the command has run.
+_LOADED_SCRIPT = """
+import json, sys
+from warnlab.cli import main
+assert main(json.loads(sys.argv[1])) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
 class TestImports:
     def test_ledger_commands_never_import_numpy(self, synth_dir, tmp_path):
         ledger = str(synth_dir / "ledger.jsonl")
@@ -454,6 +463,23 @@ class TestImports:
             env=_env_with_src(os.environ), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv,absent", [
+        (["synth", "--config", "{dir}/synth.json", "--out", "{dir}/out"],
+         ["warnlab.dataset", "warnlab.features", "warnlab.oracle", "xml.etree"]),
+        (["ingest", "--ledger", "{dir}/synth/ledger.jsonl"],
+         ["warnlab.dataset", "warnlab.features", "warnlab.synth"]),
+    ], ids=["synth", "ingest"])
+    def test_commands_load_only_the_layers_they_run(self, synth_dir, tmp_path, argv, absent):
+        (tmp_path / "synth.json").write_text('{"seed": 3, "n_files": 4}', encoding="utf-8")
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_SCRIPT, json.dumps(argv)],
+            env=_env_with_src(os.environ), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert sorted(loaded & set(absent)) == []
 
     @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
     def test_cli_defaults_to_one_blas_thread(self, preset, expected):
@@ -577,6 +603,29 @@ class TestHashSeedIndependence:
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append((out / "features.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_emitted_ledger_does_not_depend_on_hash_seed(self, tmp_path):
+        # Sort-key ties once fell back to set order: three priorities at one
+        # line of one key, and Modify records differing only in lines_added.
+        lines, _at = _same_line_ledger()
+        lines += [change_line("r0", "src/a/Foo.java", "Modify", lines_added=n)
+                  for n in range(1, 7)]
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        script = ("import sys\n"
+                  "from warnlab.history import emit_ledger, ingest_ledger\n"
+                  "with open(sys.argv[1], encoding='utf-8') as fp:\n"
+                  "    print('\\n'.join(emit_ledger(ingest_ledger(fp))))\n")
+        outputs = []
+        for seed in self.SEEDS:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(ledger)],
+                env=_env_with_src({**os.environ, "PYTHONHASHSEED": seed}),
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
     def test_merged_keys_end_at_earliest_deletion(self):

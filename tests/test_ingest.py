@@ -1,23 +1,36 @@
-"""Ledger ingest: strict fields, exact error messages, and agreement with the
-straightforward per-record parse in ``ledger_reference``."""
+"""Ledger ingest and emit: strict fields, exact error messages, and agreement
+with the straightforward per-record parse and emit in ``ledger_reference``."""
 
 from __future__ import annotations
 
 import json
 import math
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from warnlab.cli import main
 from warnlab.errors import IntegrityError, LedgerParseError
-from warnlab.history import emit_ledger, ingest_ledger
+from warnlab.history import (
+    CHANGE_KINDS,
+    VISIBILITIES,
+    Entity,
+    FileChangeRecord,
+    ProjectHistory,
+    RevisionMeta,
+    StaticAttributes,
+    WarningKey,
+    WarningObservation,
+    emit_ledger,
+    ingest_ledger,
+)
 from warnlab.synth import SynthConfig, generate
 
 from conftest import attrs_line, change_line, rev_line, warn_line
-from ledger_reference import reference_ingest
+from ledger_reference import reference_emit, reference_ingest
 
 
 def _edit(record: str, /, **fields) -> str:
@@ -266,3 +279,113 @@ def test_one_corrupt_field_matches_reference(data):
     got = _outcome(ingest_ledger, lines)
     want = _outcome(reference_ingest, lines)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Emission: the template emitter against the json.dumps reference
+# ---------------------------------------------------------------------------
+
+# The benchmark's three shapes (files, revisions, warnings per revision).
+_SHAPES = {"paper-audit": (48, 48, 12), "deep-history": (40, 108, 2),
+           "wide-snapshot": (120, 18, 52)}
+
+
+@pytest.mark.parametrize("seed", [1, 5, 9])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_emit_matches_reference_on_synth(shape, seed):
+    n_files, n_revisions, per_revision = _SHAPES[shape]
+    history = generate(SynthConfig(
+        seed=seed, n_files=n_files, n_revisions=n_revisions,
+        warnings_per_revision=per_revision, incidental_close_rate=0.2,
+        file_delete_rate=0.1)).history
+    assert list(emit_ledger(history)) == list(reference_emit(history))
+
+
+# Strings that stress the escaper: quotes, backslashes, control characters,
+# DEL, non-ASCII in and beyond the BMP, a line separator and a lone surrogate.
+_TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", " ",
+                           "\u2028", "\U0001f600", "\ud800", "/", "a"])
+_TEXT = st.text(st.one_of(_TRICKY, st.characters()), max_size=4)
+
+
+@st.composite
+def _histories(draw) -> ProjectHistory:
+    """A valid history whose every string field draws from one small pool of
+    tricky texts, so equal fields (and sort ties) are common."""
+    pool = draw(st.lists(_TEXT, min_size=2, max_size=4, unique=True))
+    text = st.sampled_from(pool)
+    nonempty = st.sampled_from([t for t in pool if t] or ["x"])
+    ids = draw(st.lists(text, min_size=1, max_size=3, unique=True))
+    stamps = sorted(draw(st.lists(st.integers(0, 2**40), min_size=len(ids),
+                                  max_size=len(ids))))
+    revisions = [
+        RevisionMeta(rid, stamp, draw(st.none() | st.sampled_from(ids[:i] or [None])),
+                     draw(text))
+        for i, (rid, stamp) in enumerate(zip(ids, stamps))
+    ]
+    rev = st.sampled_from(ids)
+    entity = st.builds(Entity, text, text, st.none() | st.just("") | text)
+    categories = {}
+    observations = []
+    for _ in range(draw(st.integers(0, 8))):
+        pattern = draw(text)
+        observations.append(WarningObservation(
+            draw(rev), draw(nonempty), pattern,
+            categories.setdefault(pattern, draw(text)),
+            draw(st.integers(1, 3)), draw(entity), draw(st.integers(1, 3))))
+    changes = []
+    for _ in range(draw(st.integers(0, 8))):
+        path, kind = draw(text), draw(st.sampled_from(CHANGE_KINDS))
+        renamed_from = [t for t in pool if t and t != path] or [path + "~"]
+        old_path = draw(st.sampled_from(renamed_from) if kind == "Rename"
+                        else st.none() | st.just("") | text)
+        changes.append(FileChangeRecord(draw(rev), path, kind, draw(st.integers(0, 3)),
+                                        draw(st.sampled_from([0, 1, 2**40])), draw(text),
+                                        old_path))
+    ratio = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 0.1]) | st.floats(
+        min_value=0, allow_nan=False, allow_infinity=False)
+    attributes = {}
+    for _ in range(draw(st.integers(0, 6))):
+        e = draw(entity)
+        key = WarningKey(draw(text), draw(text), e.package, e.class_name, e.method)
+        attributes[(draw(rev), key)] = StaticAttributes(
+            draw(ratio), *(draw(st.integers(0, 2**40)) for _ in range(4)), draw(text),
+            draw(st.sampled_from(VISIBILITIES)))
+    ordered = tuple(sorted(revisions, key=lambda r: r.order_key))
+    return ProjectHistory(ordered, frozenset(observations), frozenset(changes),
+                          attributes, ordered[-1].id)
+
+
+def _tied_history() -> ProjectHistory:
+    """Records that differ only in the last fields of their sort keys."""
+    revs = (RevisionMeta("r0", 0),)
+    entities = [Entity("p", "C", method) for method in (None, "")]
+    observations = [WarningObservation("r0", "F.java", "P", "X", priority, entity, 7)
+                    for priority in (1, 2, 3) for entity in entities]
+    changes = [FileChangeRecord("r0", "F.java", "Modify", added, 0, "", old_path)
+               for added in (1, 2) for old_path in (None, "")]
+    attrs = StaticAttributes(0.5, 0, 0, 0, 0, "()V", "public")
+    attributes = {("r0", WarningKey("P", "F.java", "p", "C", e.method)): attrs
+                  for e in entities}
+    return ProjectHistory(revs, frozenset(observations), frozenset(changes), attributes, "r0")
+
+
+@given(_histories())
+@example(_tied_history())
+@settings(max_examples=200, deadline=None)
+def test_emit_matches_reference_and_round_trips(history):
+    """Byte equality with the json.dumps reference on hand-built histories,
+    the same bytes whatever order the records were collected in, and every
+    emitted ledger ingests back to an equal history."""
+    lines = list(emit_ledger(history))
+    assert lines == list(reference_emit(history))
+    # Records handed over in the reverse order (tuples, which keep it) sort
+    # to the same lines only if no two records tie on the whole sort key.
+    backwards = replace(
+        history, observations=tuple(reversed(list(history.observations))),
+        changes=tuple(reversed(list(history.changes))),
+        attributes=dict(reversed(history.attributes.items())))
+    assert list(emit_ledger(backwards)) == lines
+    again = ingest_ledger(lines)
+    assert again == history
+    assert again.attributes == history.attributes

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from warnlab import models
-from warnlab.dataset import MODEL_KINDS, Dataset, DatasetMeta, LabeledInstance
-from warnlab.errors import ModelError
+from warnlab.dataset import Dataset, DatasetMeta, LabeledInstance
+from warnlab.errors import MODEL_KINDS, ModelError
 from warnlab.evaluation import confusion, evaluate_model
 from warnlab.features import FeatureVector, LeakMode
 from warnlab.history import WarningKey
