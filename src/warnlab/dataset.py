@@ -72,18 +72,18 @@ class DatasetMeta:
         if not isinstance(data, dict):
             raise ValidationError("dataset metadata must be a JSON object")
         typed = typed_reader(data, "dataset metadata")
-        notices = typed("notices", list, [])
+        notices = typed("notices", list)
         if not all(isinstance(n, str) for n in notices):
             raise ValidationError("dataset metadata notices must be strings")
         return cls(
             train_rev=typed("train_rev", str),
             test_rev=typed("test_rev", str),
             ref_rev=typed("ref_rev", str),
-            mode=LeakMode(typed("mode", str), typed("window_days", (int, float), 365.0)),
+            mode=LeakMode(typed("mode", str), typed("window_days", (int, float))),
             dedup=typed("dedup", bool),
-            dropped_unknown_train=typed("dropped_unknown_train", int, 0),
-            dropped_unknown_test=typed("dropped_unknown_test", int, 0),
-            dedup_removed=typed("dedup_removed", int, 0),
+            dropped_unknown_train=typed("dropped_unknown_train", int),
+            dropped_unknown_test=typed("dropped_unknown_test", int),
+            dedup_removed=typed("dedup_removed", int),
             notices=tuple(notices),
         )
 
@@ -149,14 +149,14 @@ def build_dataset(
     keep_test: set[WarningKey] | None = None
     dedup_removed = 0
     if dedup:
-        # A test key survives iff its rename-bridged first observation
-        # happened strictly after the training revision.
+        # A test key survives iff its warning, the universe entry of its
+        # live range, was first observed strictly after the training revision.
         base = truncate_history(history, test_rev)
         universe = build_universe(base, test_idx)
         keep_test = {
             key
             for key in base.present_keys[test_idx]
-            if universe[key].first_seen_idx > train_idx
+            if universe[(key, None)].first_seen_idx > train_idx
         }
 
     test_instances, dropped_test = _labeled_split(
@@ -267,19 +267,25 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
 
 
 def load_dataset(in_dir: str | Path) -> Dataset:
-    """Read a ``save_dataset`` directory; malformed content raises ``ValidationError``."""
+    """Read a ``save_dataset`` directory; malformed content, and a row whose
+    mode or origin revision contradicts ``meta.json``, raise ``ValidationError``."""
     src = Path(in_dir)
     meta = DatasetMeta.from_json(read_json(src / "meta.json"))
     splits: dict[str, tuple[LabeledInstance, ...]] = {}
-    for split_name in ("train", "test"):
+    for split_name, origin in (("train", meta.train_rev), ("test", meta.test_rev)):
         with open(src / f"{split_name}.csv", encoding="utf-8", newline="") as fp:
             rows = read_feature_matrix(fp)
         instances = []
-        for row in rows:
+        for number, row in enumerate(rows, start=1):
             if row.label not in DATASET_LABELS:
                 raise ValidationError(
                     f"{split_name}.csv: label {row.label!r} is not "
                     f"{' or '.join(sorted(DATASET_LABELS))}"
+                )
+            if (row.origin_rev, row.mode) != (origin, meta.mode.mode):
+                raise ValidationError(
+                    f"{split_name}.csv row {number}: origin_rev {row.origin_rev!r} and mode "
+                    f"{row.mode!r}, but meta.json says {origin!r} and {meta.mode.mode!r}"
                 )
             instances.append(LabeledInstance(
                 key=row.key,

@@ -75,10 +75,12 @@ def read_json(path: str | os.PathLike[str]):
 
 def typed_reader(data: dict, what: str):
     """``typed(name, kind, default=None)``: ``data[name]`` (or ``default``)
-    checked against ``kind``; a mistyped or missing field raises
-    ``ValidationError`` naming ``what``."""
+    checked against ``kind``; a mistyped field, or a missing one without a
+    default, raises ``ValidationError`` naming ``what``."""
 
     def typed(name, kind, default=None):
+        if default is None and name not in data:
+            raise ValidationError(f"{what} field {name!r} is missing")
         value = data.get(name, default)
         # bool is an int subclass: a count must not be true or false.
         if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):

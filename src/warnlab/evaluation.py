@@ -30,10 +30,6 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def confusion(y_true: Sequence[Label], y_pred: Sequence[Label]) -> ConfusionCounts:
     if len(y_true) != len(y_pred):
@@ -278,7 +274,7 @@ def evaluate_model(model: Model, dataset: Dataset, project: str = "project") -> 
     """Score a fitted model on a dataset's test split.
 
     The model scores the split once; the predicted labels are those scores
-    thresholded as ``predict`` does.
+    thresholded by ``predict_from_scores``.
     """
     if not dataset.test:
         raise ValidationError("dataset has an empty test split")
@@ -307,18 +303,3 @@ def strawman_f1(ratio: float) -> float:
         raise ValidationError("actionability ratio must lie in [0, 1]")
     return 2.0 * ratio / (1.0 + ratio) if ratio else 0.0
 
-
-__all__ = [
-    "ConfusionCounts",
-    "EvalReport",
-    "PRF1",
-    "WilcoxonResult",
-    "auc",
-    "confusion",
-    "evaluate_model",
-    "evaluate_predictions",
-    "prf1",
-    "render_report_table",
-    "strawman_f1",
-    "wilcoxon_exact",
-]

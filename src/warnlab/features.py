@@ -1,7 +1,13 @@
 """The 23 golden warning features, in leaky and leak-free modes.
 
 Five of the features summarize how often warnings in a population (same
-method, same file, same warning type, same bug pattern) were closed. In
+method, same file, same warning type, same bug pattern) were closed. A
+warning is one entry of the warning universe (``build_universe``): its
+observations within one live range of its file, as the ``history`` module
+docstring defines it, bridged across renames. It is closed at the first
+revision of that range that does not report it; a Delete ends the range
+without closing it. The same universe gives each warning its lifetime and
+the mean closed lifetime per type, and deduplication its first sighting. In
 leaky mode the population is the warnings observed at the extraction
 revision, and each member's closure flag is the ground-truth heuristic's own
 label against the reference revision (``oracle.heuristic_label``):
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import IO, Iterable, Mapping, Sequence
@@ -191,16 +198,16 @@ assert len(FEATURE_FIELDS) == 23
 
 
 # ---------------------------------------------------------------------------
-# Canonical warning universe (rename-merged view of one history)
+# Warning universe: one entry per warning, under the live-range rule
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CanonicalWarning:
-    """One physical warning after merging keys across its rename chain.
+    """One physical warning: the observations of one live range, merged
+    across the file's rename chain.
 
-    Pattern, path, package and method are read off ``member_key``. The live
-    range ends at the earliest Delete met by any merged key, so a warning is
-    closed only by an absence before that deletion.
+    Pattern, path, package and method are read off ``member_key``. A
+    warning is closed only by an absence inside its live range.
     """
 
     member_key: WarningKey  # representative key carrying the resolved path
@@ -210,29 +217,42 @@ class CanonicalWarning:
     closed_idx: int | None  # first index absent while the file was alive
 
 
-def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningKey, CanonicalWarning]:
-    """Merge every warning key of ``base`` across renames, as of ``at_idx``.
+# A warning's identity: its canonical key and the index of the Delete that
+# ended its live range, None while it lives.
+WarningId = tuple[WarningKey, int | None]
 
-    Each key is resolved from its last observation, so a key observed at
-    ``at_idx`` (or later) is itself the canonical key of its warning. Merged
-    keys keep their earliest deletion, as ``resolve_path`` stops at the
-    first Delete, whatever order the keys come in.
+
+def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningId, CanonicalWarning]:
+    """Every warning of ``base`` as of ``at_idx``, under the live-range rule
+    of the ``history`` module docstring.
+
+    Each key's presence is split where a Delete of its path or a Rename away
+    from it ends a live range, and each part is resolved forward from its
+    last observation (``resolve_path``), so parts of one file's rename chain
+    merge. A warning alive at ``at_idx`` is ``universe[(key, None)]``, with
+    ``key`` its own key there. A warning whose file was deleted is keyed by
+    that Delete's index: the Delete does not close it, and it never merges
+    with a warning of a later file at the same path.
     """
-    presence_of: dict[WarningKey, set[int]] = defaultdict(set)
-    deleted_of: dict[WarningKey, int] = {}
+    presence_of: dict[WarningId, set[int]] = defaultdict(set)
     for key, presence in base.key_presence.items():
-        path, deleted_idx = base.resolve_path(key.file_path, presence[-1], at_idx)
-        canon = key.with_path(path)
-        presence_of[canon].update(presence)
-        if deleted_idx is not None:
-            deleted_of[canon] = min(deleted_idx, deleted_of.get(canon, deleted_idx))
-    out: dict[WarningKey, CanonicalWarning] = {}
-    for canon, presence in presence_of.items():
+        path = key.file_path
+        ends = [idx for idx, rec in base.path_events.get(path, ())
+                if rec.kind == "Delete" or (rec.kind == "Rename" and rec.old_path == path)]
+        lo = 0
+        for end in (*ends, len(base.revisions)):
+            hi = bisect_left(presence, end, lo)
+            if hi > lo:  # presence[lo:hi]: one live range of the key
+                resolved, deleted_idx = base.resolve_path(path, presence[hi - 1], at_idx)
+                presence_of[(key.with_path(resolved), deleted_idx)].update(presence[lo:hi])
+            lo = hi
+    out: dict[WarningId, CanonicalWarning] = {}
+    for (canon, deleted_idx), presence in presence_of.items():
         first_idx = min(presence)
-        end_idx = min(at_idx, deleted_of.get(canon, at_idx + 1) - 1)
+        last_alive = at_idx if deleted_idx is None else deleted_idx - 1
         closed_idx = next(
-            (idx for idx in range(first_idx + 1, end_idx + 1) if idx not in presence), None)
-        out[canon] = CanonicalWarning(
+            (idx for idx in range(first_idx + 1, last_alive + 1) if idx not in presence), None)
+        out[(canon, deleted_idx)] = CanonicalWarning(
             member_key=canon,
             category=base.pattern_categories[canon.bug_pattern],
             presence=frozenset(presence),
@@ -303,7 +323,7 @@ def extract_golden(
 
     # Population membership and each member's closed flag, per mode.
     if mode.is_leaky:
-        members = [(universe[lw.key], lw.label is not Label.FALSE_ALARM)
+        members = [(universe[(lw.key, None)], lw.label is not Label.FALSE_ALARM)
                    for lw in heuristic_label(history, at_rev, ref_rev)]
     else:
         window_start = at_time - mode.window_days * SECONDS_PER_DAY
@@ -357,7 +377,7 @@ def extract_golden(
     for key in targets:
         obs = obs_by_key[key]
         attrs = base.attributes[(at_rev, key)]
-        canon = universe[key]
+        canon = universe[(key, None)]
         flags: set[str] = set()
 
         file_count = counts.get((SCOPE_FILE, key.file_path), empty)

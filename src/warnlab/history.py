@@ -6,9 +6,13 @@ in the ledger is treated as an analysis snapshot of the whole project, so a
 warning is "present" at a revision exactly when the ledger carries an
 observation for it there, and "absent" otherwise. File identity survives
 renames: change records of kind Rename connect the old path to the new one,
-and the timeline operations bridge warnings across that chain. A Delete
-record ends a path's live range; a later Add of the same path starts a new,
-unrelated file.
+and ``features.build_universe`` bridges warnings across that chain.
+
+The live-range rule: a Delete of a path, or a Rename away from it, ends the
+live range of the file at that path. A later Add of the path, or a later
+observation at it, starts a new, unrelated file. A warning whose range ends
+at a Delete is not closed by it, and it never merges with a warning of a
+later file at the same path.
 
 Record schema, as :func:`ingest_ledger` checks it and :func:`emit_ledger`
 writes it. "string" is a JSON string; "integer" is a JSON integer, never
@@ -198,8 +202,8 @@ class WarningKey:
 
     Identity is (bug pattern, file path, entity signature); the line number
     is deliberately excluded so that a warning keeps its key while code moves
-    around inside a file. Keys do change across file renames; timeline
-    operations bridge those via the rename chain.
+    around inside a file. Keys do change across file renames;
+    ``features.build_universe`` bridges those via the rename chain.
     """
 
     bug_pattern: str
@@ -220,18 +224,6 @@ class WarningKey:
                           self.class_name, self.method)
 
 
-@dataclass(frozen=True)
-class WarningTimeline:
-    """Lifecycle of one warning key across the history, rename-bridged."""
-
-    key: WarningKey
-    first_seen: str
-    presence: tuple[tuple[str, bool], ...]  # (revision id, present) from first_seen on
-    closed_at: str | None  # first revision analyzed with the file alive and the key absent
-    file_deleted_at: str | None
-    reopen_count: int  # closures followed by a later reappearance (flicker)
-
-
 @dataclass
 class ProjectHistory:
     """Immutable timeline of revisions, warnings, changes, and attributes.
@@ -246,7 +238,11 @@ class ProjectHistory:
     observations: frozenset[WarningObservation]
     changes: frozenset[FileChangeRecord]
     attributes: dict[tuple[str, WarningKey], StaticAttributes] = field(default_factory=dict)
-    horizon: str | None = None
+
+    @property
+    def horizon(self) -> str | None:
+        """The last revision's id; None for an empty history."""
+        return self.revisions[-1].id if self.revisions else None
 
     # -- revision ordering ------------------------------------------------
 
@@ -322,8 +318,8 @@ class ProjectHistory:
 
         Applies Rename records strictly after ``start_idx`` and stops at the
         first Delete, returning ``(final_path, deleted_at_index_or_None)``.
-        The warning's live range ends at a Delete even if the same path is
-        re-added later; a re-added path is a different file.
+        Under the live-range rule (module docstring) a re-added path is a
+        different file.
         """
         cur, lo = path, start_idx
         while True:
@@ -501,14 +497,11 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
                 f"{prev!r} and {obs.bug_category!r}"
             )
 
-    ordered = tuple(sorted(revisions, key=lambda r: r.order_key))
-    horizon = ordered[-1].id if ordered else None
     return ProjectHistory(
-        revisions=ordered,
+        revisions=tuple(sorted(revisions, key=lambda r: r.order_key)),
         observations=frozenset(observations),
         changes=frozenset(changes),
         attributes=attributes,
-        horizon=horizon,
     )
 
 
@@ -777,15 +770,15 @@ def emit_ledger(history: ProjectHistory) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 def truncate_history(history: ProjectHistory, rev_id: str) -> ProjectHistory:
-    """Drop every record after ``rev_id`` and pin the horizon there.
+    """Drop every record after ``rev_id``, which becomes the horizon.
 
     This is the time-travel guard handed to leak-free feature extraction:
     nothing chronologically after the cut survives. A cut at the last
-    revision of a history already pinned there returns ``history`` itself,
-    so applying the same cut twice shares the first cut's cached indexes.
+    revision returns ``history`` itself, so applying the same cut twice
+    shares the first cut's cached indexes.
     """
     cut = history.rev_index(rev_id)
-    if cut == len(history.revisions) - 1 and history.horizon == rev_id:
+    if cut == len(history.revisions) - 1:
         return history
     keep = {rev.id for rev in history.revisions[: cut + 1]}
     return ProjectHistory(
@@ -797,51 +790,4 @@ def truncate_history(history: ProjectHistory, rev_id: str) -> ProjectHistory:
             for (rev, key), attrs in history.attributes.items()
             if rev in keep
         },
-        horizon=rev_id,
-    )
-
-
-def warning_timeline(history: ProjectHistory, key: WarningKey) -> WarningTimeline:
-    """Presence, closure, and deletion lifecycle for one warning key.
-
-    The walk starts at the key's first observation and follows the file's
-    rename chain forward, so presence is detected even after the warning's
-    own key changes with the path. Closure is the first revision where the
-    file is analyzed alive but the warning is not reported; a Delete ends
-    the timeline without closing the warning.
-    """
-    presence_idx = history.key_presence.get(key)
-    if not presence_idx:
-        raise IntegrityError(f"warning key never observed: {key}")
-    first_idx = presence_idx[0]
-    cur_path = key.file_path
-    closed_at: str | None = None
-    deleted_at: str | None = None
-    reopen_count = 0
-    was_present = True
-    rows: list[tuple[str, bool]] = []
-    last_idx = len(history.revisions) - 1
-    for idx in range(first_idx, last_idx + 1):
-        if idx > first_idx:
-            # Apply rename/delete events landing exactly at this revision.
-            cur_path, del_idx = history.resolve_path(cur_path, idx - 1, idx)
-            if del_idx is not None:
-                deleted_at = history.rev_at(del_idx).id
-                for dead in range(idx, last_idx + 1):
-                    rows.append((history.rev_at(dead).id, False))
-                break
-        present = key.with_path(cur_path) in history.present_keys[idx]
-        rows.append((history.rev_at(idx).id, present))
-        if not present and closed_at is None and idx > first_idx:
-            closed_at = history.rev_at(idx).id
-        if present and not was_present:
-            reopen_count += 1
-        was_present = present
-    return WarningTimeline(
-        key=key,
-        first_seen=history.rev_at(first_idx).id,
-        presence=tuple(rows),
-        closed_at=closed_at,
-        file_deleted_at=deleted_at,
-        reopen_count=reopen_count,
     )

@@ -37,8 +37,10 @@ from .oracle import Label
 
 MODEL_FORMAT = "warnlab.model/1"
 
-DEFAULT_REGULARIZATION = 1e-3
-DEFAULT_EPOCHS = 50
+# The linear model's L2 weight and its passes over the training split;
+# model.json records both.
+REGULARIZATION = 1e-3
+EPOCHS = 50
 
 # Upper bound on the float64 values in each temporary of a kNN scoring block
 # (512 KiB), whatever the split sizes.
@@ -136,14 +138,6 @@ def encode_with(manifest: ColumnManifest, instances: Sequence[LabeledInstance]) 
     )
 
 
-def encode(
-    train: Sequence[LabeledInstance], test: Sequence[LabeledInstance]
-) -> tuple[EncodedMatrix, EncodedMatrix]:
-    """Fit the encoding on train and apply it to both splits."""
-    manifest = fit_manifest(train)
-    return encode_with(manifest, train), encode_with(manifest, test)
-
-
 def labels_of(instances: Sequence[LabeledInstance]) -> list[Label]:
     return [inst.label for inst in instances]
 
@@ -171,8 +165,6 @@ def fit(
     seed: int = 0,
     *,
     k: int = 1,
-    regularization: float = DEFAULT_REGULARIZATION,
-    epochs: int = DEFAULT_EPOCHS,
 ) -> Model:
     """Train a model of the requested kind on an encoded training split."""
     if len(labels) != len(train):
@@ -200,12 +192,12 @@ def fit(
         for required in (Label.ACTIONABLE, Label.FALSE_ALARM):
             if required not in present:
                 raise ModelError(f"training split has no {required.value} instance")
-        w, b = _fit_linear_margin(train.X, labels, seed, regularization, epochs)
+        w, b = _fit_linear_margin(train.X, labels, seed)
         params = {
             "weights": w.tolist(),
             "bias": b,
-            "regularization": regularization,
-            "epochs": epochs,
+            "regularization": REGULARIZATION,
+            "epochs": EPOCHS,
         }
     else:
         raise ModelError(f"unknown model kind {kind!r}")
@@ -213,12 +205,12 @@ def fit(
 
 
 def _fit_linear_margin(
-    X: np.ndarray, labels: Sequence[Label], seed: int, lam: float, epochs: int
+    X: np.ndarray, labels: Sequence[Label], seed: int
 ) -> tuple[np.ndarray, float]:
     """Primal subgradient descent on the L2-regularized hinge loss.
 
-    Step size 1/(lam * t) with one pass over a seeded permutation per epoch;
-    the bias is updated on margin violations but not regularized.
+    Step size 1/(REGULARIZATION * t) with one pass over a seeded permutation
+    per epoch; the bias is updated on margin violations but not regularized.
     """
     y = np.array([1.0 if lab is Label.ACTIONABLE else -1.0 for lab in labels])
     n, d = X.shape
@@ -226,12 +218,12 @@ def _fit_linear_margin(
     b = 0.0
     rng = np.random.default_rng(seed)
     t = 0
-    for _ in range(epochs):
+    for _ in range(EPOCHS):
         for i in rng.permutation(n):
             t += 1
-            eta = 1.0 / (lam * t)
+            eta = 1.0 / (REGULARIZATION * t)
             margin = y[i] * (X[i] @ w + b)
-            w *= 1.0 - eta * lam
+            w *= 1.0 - eta * REGULARIZATION
             if margin < 1.0:
                 w += eta * y[i] * X[i]
                 b += eta * y[i]
@@ -265,13 +257,9 @@ def score(model: Model, encoded: EncodedMatrix) -> np.ndarray:
 
 
 def predict_from_scores(model: Model, scores: Sequence[float]) -> list[Label]:
-    """The labels ``predict`` gives for scores ``score`` returned for ``model``."""
+    """The labels of scores that ``score`` returned for ``model``."""
     threshold = _ACTIONABLE_AT[model.kind]
     return [Label.ACTIONABLE if s >= threshold else Label.FALSE_ALARM for s in scores]
-
-
-def predict(model: Model, encoded: EncodedMatrix) -> list[Label]:
-    return predict_from_scores(model, score(model, encoded))
 
 
 def _knn_scores(model: Model, encoded: EncodedMatrix) -> np.ndarray:

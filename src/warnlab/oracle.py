@@ -5,15 +5,13 @@ evaluation revision against a later reference revision: a warning that
 vanished while its file is still alive is labeled Actionable, a warning
 still reported is a FalseAlarm, and a warning whose file was deleted is
 Unknown and excluded from datasets. The module also ingests developer
-filter files (confirmed false alarms), manual annotation sets, and computes
-inter-annotator agreement.
+filter files (confirmed false alarms) and manual annotation sets.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -198,6 +196,8 @@ def parse_filter_file(source: str | IO[str]) -> list[FilterRule]:
     match or ``name-prefix`` for a prefix match on the qualified name) and
     one or more Bug elements with ``pattern`` attributes.
     """
+    import xml.etree.ElementTree as ET  # only ``label --filter-file`` reads XML
+
     text = source if isinstance(source, str) else source.read()
     try:
         root = ET.fromstring(text)
@@ -276,7 +276,7 @@ def confirm_false_alarms(
 
 
 # ---------------------------------------------------------------------------
-# Manual annotations and agreement
+# Manual annotations
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -323,33 +323,3 @@ def apply_annotations(
             lw = replace(lw, label=manual, reason=Reason.MANUAL_OVERRIDE)
         out.append(lw)
     return out
-
-
-def cohen_kappa(a: AnnotationSet, b: AnnotationSet) -> float:
-    """Chance-corrected agreement over the three-way label table.
-
-    kappa = (p_o - p_e) / (1 - p_e); when expected agreement is already 1
-    (both annotators constant on the same label) the value is 1 by
-    convention.
-    """
-    keys_a, keys_b = set(a.labels), set(b.labels)
-    if keys_a != keys_b:
-        if keys_a.isdisjoint(keys_b):
-            raise ValidationError("annotation sets cover disjoint warning keys")
-        raise ValidationError(
-            f"annotation sets must cover the same keys "
-            f"({len(keys_a ^ keys_b)} key(s) differ)"
-        )
-    n = len(keys_a)
-    if n < 2:
-        raise ValidationError("need at least 2 jointly annotated warnings")
-    cats = list(Label)
-    observed = sum(1 for k in keys_a if a.labels[k] is b.labels[k]) / n
-    expected = sum(
-        (sum(1 for k in keys_a if a.labels[k] is c) / n)
-        * (sum(1 for k in keys_a if b.labels[k] is c) / n)
-        for c in cats
-    )
-    if expected == 1.0:
-        return 1.0
-    return (observed - expected) / (1.0 - expected)

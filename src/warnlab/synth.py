@@ -120,10 +120,6 @@ class TruthRecord:
     closure_kind: str | None  # fix | incidental | file_deleted | None (still open)
     closed_day: float | None  # day offset of the closing revision
 
-    @property
-    def incidental(self) -> bool:
-        return self.closure_kind in (CLOSURE_INCIDENTAL, CLOSURE_FILE_DELETED)
-
 
 @dataclass(frozen=True)
 class Anchors:
@@ -381,7 +377,6 @@ def generate(config: SynthConfig) -> SynthResult:
         observations=frozenset(observations),
         changes=frozenset(changes),
         attributes=attributes,
-        horizon=revisions[-1].id,
     )
     anchors = Anchors(
         train=revisions[train_idx].id,

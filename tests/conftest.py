@@ -96,3 +96,16 @@ def four_rev_history():
     for rid in ("r1", "r2", "r3"):
         lines.append(warn_line(rid))
     return make_history(lines)
+
+
+@pytest.fixture
+def re_added_history():
+    """Foo.java added at r0 and warned at r0-r1, deleted at r2, re-added at r3
+    and warned at r3-r4, with attrs at each warned revision; r5 is empty."""
+    lines = [rev_line(f"r{i}", day=30 * i, parent=f"r{i - 1}" if i else None) for i in range(6)]
+    lines += [change_line("r0", "src/a/Foo.java", "Add", lines_added=40),
+              change_line("r2", "src/a/Foo.java", "Delete"),
+              change_line("r3", "src/a/Foo.java", "Add", lines_added=20)]
+    for rid in ("r0", "r1", "r3", "r4"):
+        lines += [warn_line(rid), attrs_line(rid)]
+    return make_history(lines)

@@ -87,13 +87,11 @@ def reference_ingest(lines) -> ProjectHistory:
         if categories.setdefault(obs.bug_pattern, obs.bug_category) != obs.bug_category:
             raise IntegrityError(f"bug pattern {obs.bug_pattern!r} mapped to two categories")
 
-    ordered = tuple(sorted(revisions, key=lambda r: r.order_key))
     return ProjectHistory(
-        revisions=ordered,
+        revisions=tuple(sorted(revisions, key=lambda r: r.order_key)),
         observations=frozenset(observations),
         changes=frozenset(changes),
         attributes=attributes,
-        horizon=ordered[-1].id if ordered else None,
     )
 
 

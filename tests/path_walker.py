@@ -1,11 +1,15 @@
 """Brute-force oracle for file identity: one revision at a time.
 
 ``ProjectHistory.resolve_path`` and ``file_chain`` must agree with these
-walkers for every path, start and end. The walkers read the raw change set
-at each revision and share no index with the code under test.
+walkers for every path, start and end, and ``features.build_universe`` with
+``walk_warnings`` at every cut. The walkers read the raw change and
+observation sets at each revision and share no index with the code under
+test.
 """
 
 from __future__ import annotations
+
+from warnlab.history import WarningKey
 
 
 def _changes_at(history, idx, path):
@@ -50,3 +54,50 @@ def walk_backward(history, path, at_idx):
 
 def _ordered(records):
     return sorted(records, key=lambda t: (t[0], repr(t[1])))
+
+
+def walk_warnings(history, cut):
+    """``build_universe(truncate_history(history, cut), cut)`` as
+    ``{(key, deleted_idx): (presence, first_seen_idx, closed_idx)}``.
+
+    Steps through each revision up to ``cut`` with the live files, each a
+    table of warnings, by path. A revision's changes act first, on the paths
+    the files had before it: a Delete of a file's path ends the file, else a
+    Rename out of it moves the file (to the first target in sort order), and
+    files that land on one path merge. Then each observation joins the live
+    file at its path, a new file when there is none, as the warning of its
+    (pattern, package, class, method). A warning is closed at the first
+    revision at which its file was alive and it was not observed.
+    """
+    files, ended = {}, []  # path -> {identity: (presence, alive)}; (path, idx, table)
+    for idx in range(cut + 1):
+        moved = {}
+        for path, table in files.items():
+            here = _changes_at(history, idx, path)
+            if any(rec.kind == "Delete" and rec.file_path == path for rec in here):
+                ended.append((path, idx, table))
+                continue
+            targets = sorted(rec.file_path for rec in here
+                             if rec.kind == "Rename" and rec.old_path == path)
+            into = moved.setdefault(targets[0] if targets else path, {})
+            for ident, (presence, alive) in table.items():
+                mine = into.setdefault(ident, (set(), set()))
+                mine[0].update(presence)
+                mine[1].update(alive)
+        files = moved
+        rev = history.revisions[idx].id
+        for obs in history.observations:
+            if obs.revision == rev:
+                ident = (obs.bug_pattern, obs.entity.package, obs.entity.class_name,
+                         obs.entity.method)
+                files.setdefault(obs.file_path, {}).setdefault(ident, (set(), set()))[0].add(idx)
+        for table in files.values():
+            for _presence, alive in table.values():
+                alive.add(idx)
+    out = {}
+    for path, end, table in [*ended, *((path, None, table) for path, table in files.items())]:
+        for (pattern, package, cls, method), (presence, alive) in table.items():
+            key = WarningKey(pattern, path, package, cls, method)
+            closed = next((i for i in sorted(alive) if i not in presence), None)
+            out[(key, end)] = (frozenset(presence), min(presence), closed)
+    return out

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import warnlab
 from warnlab.cli import UsageError, main, parse_duration_days
 from warnlab.features import LeakMode, build_universe, extract_golden
-from warnlab.history import emit_ledger, ingest_ledger, truncate_history, warning_timeline
+from warnlab.history import emit_ledger, ingest_ledger, truncate_history
 from warnlab.synth import SynthConfig, generate
 
 from conftest import attrs_line, change_line, rev_line, warn_line
@@ -246,6 +246,9 @@ class TestContracts:
         '"dedup": "yes"}',
         '{"train_rev": "r1", "test_rev": "r2", "ref_rev": "r3", "mode": "leakfree", '
         '"window_days": Infinity, "dedup": true}',
+        # Every field but window_days and dedup_removed: none has a default.
+        '{"train_rev": "r1", "test_rev": "r2", "ref_rev": "r3", "mode": "leakfree", '
+        '"dedup": true, "dropped_unknown_train": 0, "dropped_unknown_test": 0, "notices": []}',
     ])
     def test_corrupt_meta_json_categorized(self, fitted_dir, tmp_path, capsys, text):
         dsdir, model = self._corrupt_copy(fitted_dir, tmp_path)
@@ -255,6 +258,7 @@ class TestContracts:
     @pytest.mark.parametrize("column,value", [
         ("file age", "abc"), ("developers", "2.5"), ("file age", "nan"),
         ("label", "Unknown"), ("flags", None),  # None: drop the cell, a short row
+        ("mode", "leaky"), ("origin_rev", "r9999"),  # contradicts meta.json
     ])
     def test_corrupt_test_csv_categorized(self, fitted_dir, tmp_path, capsys, column, value):
         dsdir, model = self._corrupt_copy(fitted_dir, tmp_path)
@@ -469,10 +473,13 @@ class TestImports:
          ["warnlab.dataset", "warnlab.features", "warnlab.oracle", "xml.etree"]),
         (["ingest", "--ledger", "{dir}/synth/ledger.jsonl"],
          ["warnlab.dataset", "warnlab.features", "warnlab.synth"]),
-    ], ids=["synth", "ingest"])
+        (["label", "--ledger", "{dir}/synth/ledger.jsonl", "--at", "{train}", "--ref",
+          "{reference}", "--out", "{dir}/label"],
+         ["warnlab.dataset", "warnlab.features", "warnlab.synth", "xml.etree"]),
+    ], ids=["synth", "ingest", "label"])
     def test_commands_load_only_the_layers_they_run(self, synth_dir, tmp_path, argv, absent):
         (tmp_path / "synth.json").write_text('{"seed": 3, "n_files": 4}', encoding="utf-8")
-        argv = [arg.format(dir=tmp_path) for arg in argv]
+        argv = [arg.format(dir=tmp_path, **_anchors(synth_dir)) for arg in argv]
         proc = subprocess.run(
             [sys.executable, "-c", _LOADED_SCRIPT, json.dumps(argv)],
             env=_env_with_src(os.environ), capture_output=True, text=True, timeout=60,
@@ -553,7 +560,7 @@ _Q, _P = "src/a/Q.java", "src/a/P.java"
 
 def _redeleted_path_ledger() -> tuple[list[str], str]:
     """A warning renamed Q -> P, whose P is deleted, re-added with the same
-    warning, and deleted again: its two keys merge with deletions r2 and r4.
+    warning, and deleted again: two warnings, ended by the r2 and r4 Deletes.
     A warning in R closed after 30 days shares the category, and S's warning
     at r5 is the extraction target."""
     lines = [rev_line(f"r{i}", day=30 * i, parent=f"r{i - 1}" if i else None)
@@ -587,7 +594,7 @@ class TestHashSeedIndependence:
 
     @pytest.mark.parametrize("probe", [
         _fractional_day_ledger, _redeleted_path_ledger, _same_line_ledger,
-    ], ids=["fsum-lifetimes", "earliest-deletion", "lowest-line-priority"])
+    ], ids=["fsum-lifetimes", "redeleted-path", "lowest-line-priority"])
     def test_features_csv_bytes_do_not_depend_on_hash_seed(self, probe, tmp_path):
         lines, at = probe()
         ledger = tmp_path / "ledger.jsonl"
@@ -628,14 +635,15 @@ class TestHashSeedIndependence:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
-    def test_merged_keys_end_at_earliest_deletion(self):
+    def test_each_live_range_is_its_own_warning(self):
         lines, at = _redeleted_path_ledger()
         history = ingest_ledger(lines)
         universe = build_universe(truncate_history(history, at), history.rev_index(at))
         first_key = next(key for key in history.keys_at("r0") if key.file_path == _Q)
-        merged = universe[first_key.with_path(_P)]
-        assert merged.closed_idx is None
-        assert warning_timeline(history, first_key).closed_at is None
+        renamed = universe[(first_key.with_path(_P), 2)]
+        re_added = universe[(first_key.with_path(_P), 4)]
+        assert (renamed.presence, renamed.closed_idx) == ({0, 1}, None)
+        assert (re_added.presence, re_added.closed_idx) == ({3}, None)
         (vec,) = extract_golden(history, at, LeakMode.leakfree()).values()
         assert vec.average_lifetime_for_warning_type == 30.0  # R's closure alone
 

@@ -3,12 +3,13 @@ from __future__ import annotations
 import pytest
 
 from warnlab.dataset import (
+    DatasetMeta,
     audit_duplication,
     build_dataset,
     load_dataset,
     save_dataset,
 )
-from warnlab.errors import OrderingError
+from warnlab.errors import OrderingError, ValidationError
 from warnlab.features import LeakMode
 from warnlab.oracle import Label
 from warnlab.synth import SynthConfig, generate
@@ -71,6 +72,12 @@ class TestBuildDataset:
         deduped = _synth_dataset(dedup=True)
         assert {i.key for i in deduped.test} <= {i.key for i in full.test}
         assert deduped.train == full.train
+
+    def test_dedup_keeps_a_warning_of_a_re_added_path(self, re_added_history):
+        built = build_dataset(re_added_history, "r1", "r4", "r5", LeakMode.leakfree(),
+                              dedup=True)
+        assert [inst.key for inst in built.test] == list(re_added_history.keys_at("r4"))
+        assert built.meta.dedup_removed == 0
 
     def test_ordering_violation_rejected(self):
         h = _no_closure_history()
@@ -144,3 +151,14 @@ class TestPersistence:
         save_dataset(ds, tmp_path)
         again = load_dataset(tmp_path)
         assert again == ds
+
+    @pytest.mark.parametrize("field", [
+        "train_rev", "test_rev", "ref_rev", "mode", "window_days", "dedup",
+        "dropped_unknown_train", "dropped_unknown_test", "dedup_removed", "notices",
+    ])
+    def test_meta_requires_every_field_it_writes(self, field):
+        meta = DatasetMeta("r1", "r2", "r3", LeakMode.leakfree(), dedup=True).to_json()
+        assert DatasetMeta.from_json(meta).to_json() == meta
+        del meta[field]
+        with pytest.raises(ValidationError, match=repr(field)):
+            DatasetMeta.from_json(meta)

@@ -285,6 +285,14 @@ class TestExtractGolden:
             assert vec.average_lifetime_for_warning_type == 0.0
             assert FLAG_NO_CLOSED_LIFETIME in vec.flags
 
+    def test_re_added_path_is_a_new_warning(self, re_added_history):
+        # The warning of the deleted file is a second population member, not
+        # closed by the Delete and not part of the new warning's lifetime.
+        (vec,) = extract_golden(re_added_history, "r4", LeakMode.leakfree()).values()
+        assert vec.warning_lifetime_revisions == 2
+        assert vec.warning_context_in_file == 0.0
+        assert FLAG_NO_CLOSED_LIFETIME in vec.flags
+
     def test_output_sorted_by_key(self):
         result = generate(SynthConfig(seed=2, n_files=6, n_revisions=16,
                                       warnings_per_revision=5))

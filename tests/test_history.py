@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from warnlab.errors import IntegrityError, LedgerParseError
 from warnlab.history import (
     KEY_COLUMNS,
+    Entity,
     FileChangeRecord,
     ProjectHistory,
     RevisionMeta,
@@ -19,13 +20,14 @@ from warnlab.history import (
     key_from_row,
     key_json,
     key_row,
+    WarningObservation,
     truncate_history,
-    warning_timeline,
 )
+from warnlab.features import build_universe
 from warnlab.synth import SynthConfig, generate
 
 from conftest import DAY, EPOCH, attrs_line, change_line, make_history, rev_line, warn_line
-from path_walker import walk_backward, walk_forward
+from path_walker import walk_backward, walk_forward, walk_warnings
 
 
 class TestIngest:
@@ -159,7 +161,6 @@ class TestTruncate:
                 if h.revisions[h.rev_index(c.revision)].timestamp <= cut_time
             ),
             attributes={},
-            horizon="r05",
         )
         assert t == expected
         # Idempotent: the second cut is the first one itself.
@@ -211,7 +212,7 @@ class TestWarningKey:
         (key,) = truncate_history(h, "r1").present_keys[0]
         assert key is obs.key
 
-    def test_rename_changes_key_but_timeline_bridges(self):
+    def test_rename_changes_key_but_universe_bridges(self):
         lines = [
             rev_line("r1", 0), rev_line("r2", 30, parent="r1"),
             change_line("r1", "src/a/Foo.java", "Add"),
@@ -222,10 +223,11 @@ class TestWarningKey:
         h = make_history(lines)
         keys = sorted({o.key for o in h.observations})
         assert len(keys) == 2  # keys differ across the rename
-        old_key = next(k for k in keys if k.file_path == "src/a/Foo.java")
-        tl = warning_timeline(h, old_key)
-        assert tl.presence == (("r1", True), ("r2", True))
-        assert tl.closed_at is None
+        new_key = next(k for k in keys if k.file_path == "src/b/Foo.java")
+        universe = build_universe(h, 1)
+        assert list(universe) == [(new_key, None)]
+        assert universe[(new_key, None)].presence == {0, 1}
+        assert universe[(new_key, None)].closed_idx is None
 
 
 def _assert_identity_matches_walkers(history):
@@ -295,55 +297,92 @@ class TestFileIdentity:
         _assert_identity_matches_walkers(ProjectHistory(revisions, frozenset(), changes))
 
 
-class TestTimeline:
+class TestUniverse:
+    """The warning lifecycle: ``build_universe`` under the live-range rule."""
+
     def test_closed_at_first_absent_revision(self, four_rev_history):
         key = four_rev_history.keys_at("r1")[0]
-        tl = warning_timeline(four_rev_history, key)
-        assert tl.first_seen == "r1"
-        assert tl.closed_at == "r4"
-        assert tl.file_deleted_at is None
+        warning = build_universe(four_rev_history, 3)[(key, None)]
+        assert (warning.first_seen_idx, warning.closed_idx) == (0, 3)
 
     def test_open_warning_never_closes(self):
         lines = [rev_line(f"r{i}", day=10 * i) for i in range(1, 4)]
         lines += [warn_line(f"r{i}") for i in range(1, 4)]
         h = make_history(lines)
-        tl = warning_timeline(h, h.keys_at("r1")[0])
-        assert tl.closed_at is None
-        assert tl.file_deleted_at is None
+        assert build_universe(h, 2)[(h.keys_at("r1")[0], None)].closed_idx is None
 
-    def test_file_delete_blocks_closure(self):
+    def test_file_delete_ends_the_range_without_closing(self):
         lines = [
             rev_line("r1", 0), rev_line("r2", 10), rev_line("r3", 20), rev_line("r4", 30),
             warn_line("r1"), warn_line("r2"),
             change_line("r3", "src/a/Foo.java", "Delete"),
         ]
         h = make_history(lines)
-        tl = warning_timeline(h, h.keys_at("r1")[0])
-        assert tl.file_deleted_at == "r3"
-        assert tl.closed_at is None
+        ((ident, warning),) = build_universe(h, 3).items()
+        assert ident == (h.keys_at("r1")[0], 2)  # ended by the Delete at r3
+        assert warning.closed_idx is None
 
-    def test_flicker_counted(self):
+    def test_reappearance_stays_one_warning(self):
         lines = [rev_line(f"r{i}", day=10 * i) for i in range(1, 5)]
         lines += [warn_line("r1"), warn_line("r3"), warn_line("r4")]
         h = make_history(lines)
-        tl = warning_timeline(h, h.keys_at("r1")[0])
-        assert tl.closed_at == "r2"
-        assert tl.reopen_count == 1
+        ((ident, warning),) = build_universe(h, 3).items()
+        assert ident == (h.keys_at("r1")[0], None)
+        assert (warning.presence, warning.closed_idx) == ({0, 2, 3}, 1)
 
-    def test_never_observed_key_errors(self, four_rev_history):
-        key = four_rev_history.keys_at("r1")[0]
-        ghost = key.with_path("src/else/Other.java")
-        with pytest.raises(IntegrityError, match="never observed"):
-            warning_timeline(four_rev_history, ghost)
+    def test_re_added_path_starts_a_new_warning(self, re_added_history):
+        key = re_added_history.keys_at("r0")[0]
+        universe = build_universe(truncate_history(re_added_history, "r4"), 4)
+        assert sorted(universe, key=lambda ident: ident[1] is None) == [(key, 2), (key, None)]
+        old, new = universe[(key, 2)], universe[(key, None)]
+        assert (old.presence, old.first_seen_idx, old.closed_idx) == ({0, 1}, 0, None)
+        assert (new.presence, new.first_seen_idx, new.closed_idx) == ({3, 4}, 3, None)
 
     def test_presence_depends_only_on_prefix(self, four_rev_history):
-        # Presence rows up to a cut are identical when computed on the
-        # truncated history.
         key = four_rev_history.keys_at("r1")[0]
-        full = warning_timeline(four_rev_history, key)
-        t = truncate_history(four_rev_history, "r3")
-        short = warning_timeline(t, key)
-        assert full.presence[:3] == short.presence
+        full = build_universe(four_rev_history, 3)[(key, None)]
+        short = build_universe(truncate_history(four_rev_history, "r3"), 2)[(key, None)]
+        assert short.presence == {idx for idx in full.presence if idx <= 2}
+
+
+_OBSERVATION = st.tuples(st.integers(0, 5), st.sampled_from(("A.java", "A.java", "B.java")),
+                         st.sampled_from(("P", "Q")), st.sampled_from((None, "m()")))
+
+
+def _assert_universe_matches_walker(history):
+    for cut in range(len(history.revisions)):
+        universe = build_universe(truncate_history(history, history.revisions[cut].id), cut)
+        assert {ident: (w.presence, w.first_seen_idx, w.closed_idx)
+                for ident, w in universe.items()} == walk_warnings(history, cut)
+        assert all(w.member_key == ident[0] for ident, w in universe.items())
+
+
+class TestUniverseAgainstWalker:
+    """``build_universe`` at every cut against the per-revision walker."""
+
+    def test_synth(self):
+        history = generate(SynthConfig(seed=4, n_files=6, n_revisions=12,
+                                       warnings_per_revision=4, file_delete_rate=0.3)).history
+        _assert_universe_matches_walker(history)
+
+    @given(st.lists(_CHANGE, max_size=10), st.lists(_OBSERVATION, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_histories(self, drawn_changes, drawn_observations):
+        # Two paths carry most records, so Renames, Deletes and re-adds of
+        # one path meet in most draws.
+        changes = frozenset(
+            FileChangeRecord(f"r{rev}", path, kind, lines, 0, author,
+                             old if kind == "Rename" else None)
+            for rev, path, kind, old, lines, author in drawn_changes
+            if kind != "Rename" or old != path
+        )
+        observations = frozenset(
+            WarningObservation(f"r{rev}", path, pattern, "CORRECTNESS", 2,
+                               Entity("com.a", "A", method), 10)
+            for rev, path, pattern, method in drawn_observations
+        )
+        revisions = tuple(RevisionMeta(f"r{i}", i) for i in range(6))
+        _assert_universe_matches_walker(ProjectHistory(revisions, observations, changes))
 
 
 class TestAttrsParsing:

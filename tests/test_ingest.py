@@ -352,8 +352,7 @@ def _histories(draw) -> ProjectHistory:
             draw(ratio), *(draw(st.integers(0, 2**40)) for _ in range(4)), draw(text),
             draw(st.sampled_from(VISIBILITIES)))
     ordered = tuple(sorted(revisions, key=lambda r: r.order_key))
-    return ProjectHistory(ordered, frozenset(observations), frozenset(changes),
-                          attributes, ordered[-1].id)
+    return ProjectHistory(ordered, frozenset(observations), frozenset(changes), attributes)
 
 
 def _tied_history() -> ProjectHistory:
@@ -367,7 +366,7 @@ def _tied_history() -> ProjectHistory:
     attrs = StaticAttributes(0.5, 0, 0, 0, 0, "()V", "public")
     attributes = {("r0", WarningKey("P", "F.java", "p", "C", e.method)): attrs
                   for e in entities}
-    return ProjectHistory(revs, frozenset(observations), frozenset(changes), attributes, "r0")
+    return ProjectHistory(revs, frozenset(observations), frozenset(changes), attributes)
 
 
 @given(_histories())

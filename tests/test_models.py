@@ -17,17 +17,26 @@ from warnlab.models import (
     KNN_BLOCK_ELEMENTS,
     EncodedMatrix,
     Model,
-    encode,
     encode_with,
     fit,
     fit_manifest,
     labels_of,
     load_model,
-    predict,
+    predict_from_scores,
     save_model,
     score,
 )
 from warnlab.oracle import Label
+
+
+def encode(train, test):
+    """Both splits under the manifest fitted on ``train``."""
+    manifest = fit_manifest(train)
+    return encode_with(manifest, train), encode_with(manifest, test)
+
+
+def predict(model, encoded):
+    return predict_from_scores(model, score(model, encoded))
 
 
 def make_vector(**overrides) -> FeatureVector:

@@ -13,7 +13,6 @@ from warnlab.oracle import (
     Label,
     Reason,
     apply_annotations,
-    cohen_kappa,
     confirm_false_alarms,
     filter_match,
     heuristic_label,
@@ -24,6 +23,7 @@ from warnlab.oracle import (
 )
 from warnlab.synth import SynthConfig, generate
 
+from agreement import cohen_kappa
 from conftest import change_line, make_history, rev_line, warn_line
 
 
