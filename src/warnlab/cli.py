@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -153,7 +154,11 @@ def _out_dir(args) -> Path:
 
 def _load_history(path: str):
     with open(path, encoding="utf-8") as fp:
-        return ingest_ledger(fp)
+        history = ingest_ledger(fp)
+    # A command keeps the history until it exits: freezing the heap here
+    # spares every later full collection a walk over the ledger's objects.
+    gc.freeze()
+    return history
 
 
 def parse_duration_days(text: str) -> float:

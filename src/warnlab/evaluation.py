@@ -224,7 +224,7 @@ class EvalReport:
             raise ValidationError("report must be a JSON object")
         typed = typed_reader(data, "report")
         count = typed_reader(typed("counts", dict), "report counts")
-        flags = typed("flags", list, [])
+        flags = typed("flags", list)
         if not all(isinstance(flag, str) for flag in flags):
             raise ValidationError("report flags must be strings")
         number = (int, float)

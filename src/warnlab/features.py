@@ -426,10 +426,10 @@ def extract_golden(
             file_depth=attrs.file_depth,
             methods_in_file=attrs.methods_in_file,
             classes_in_package=attrs.classes_in_package,
-            warning_pattern=obs.bug_pattern,
+            warning_pattern=obs.key.bug_pattern,
             warning_type=obs.bug_category,
             warning_priority=obs.priority,
-            package=obs.entity.package,
+            package=obs.key.package,
             file_age_days=(at_time - birth_time) / SECONDS_PER_DAY,
             file_creation_timestamp=float(birth_time),
             developers=len(chain.authors()),

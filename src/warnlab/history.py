@@ -50,7 +50,8 @@ ignored.
     revision             string          yes          id of a ledger revision
     file_path            string          yes
     change_kind          string          yes          Add, Modify, Delete or Rename
-    old_path             string or null  for Rename   non-empty, not equal to file_path
+    old_path             string or null  for Rename   non-empty, not equal to file_path;
+                                                      null or absent on other kinds
     lines_added          integer         no (0)       >= 0
     lines_deleted        integer         no (0)       >= 0
     author               string          no ("")
@@ -94,9 +95,20 @@ the bytes depend on the history alone, not on the hash seed:
   bug_pattern, file_path, package, class, method or "", line, priority,
   bug_category, method is not null);
 - then changes by (revision index, file_path, change_kind, author,
-  lines_added, lines_deleted, old_path or "", old_path is not null);
+  lines_added, lines_deleted, old_path or "");
 - then attrs by (revision index, bug_pattern, file_path, package, class,
   method or "", method is not null).
+
+So every warning, change and attrs line ends in ``, "revision": "<id>"}``,
+and most lines repeat an earlier line up to that suffix: the same warning,
+change or attrs payload at another revision. :func:`ingest_ledger` decodes
+each distinct record prefix once. A line whose prefix it has seen, and whose
+suffix is one valid JSON string followed by the closing ``}`` and nothing
+else, reuses that prefix's decoded and validated fields and decodes only its
+revision string. Any other line (revision records, whitespace or another
+member after the revision, a suffix that is not a valid string) takes the
+full decode, and a prefix whose decode fails never enters the memo, so
+errors and their line numbers are those of a line-by-line decode.
 
 A ``WarningKey`` travels in two shapes, and this module holds the one codec
 for both. As a JSON object (ledger warning and attrs records, annotation
@@ -116,6 +128,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import make_scanner
 from typing import IO, Iterable, Iterator, Mapping
@@ -142,34 +155,20 @@ class RevisionMeta:
 
 
 @dataclass(frozen=True)
-class Entity:
-    """Code entity a warning is attached to: package, class, optional method."""
-
-    package: str
-    class_name: str
-    method: str | None = None
-
-
-@dataclass(frozen=True)
 class WarningObservation:
+    """One warning seen at one revision.
+
+    ``key`` is the warning's line-insensitive identity: its bug pattern, file
+    path and entity (package, class, optional method). Ingest hands every
+    observation of one key the same ``WarningKey`` object, the one that attrs
+    records of that key carry too.
+    """
+
     revision: str
-    file_path: str
-    bug_pattern: str
+    key: WarningKey
     bug_category: str
     priority: int
-    entity: Entity
     line: int
-
-    @cached_property
-    def key(self) -> WarningKey:
-        """Line-insensitive identity, built once and shared by every index."""
-        return WarningKey(
-            bug_pattern=self.bug_pattern,
-            file_path=self.file_path,
-            package=self.entity.package,
-            class_name=self.entity.class_name,
-            method=self.entity.method,
-        )
 
 
 @dataclass(frozen=True)
@@ -284,14 +283,14 @@ class ProjectHistory:
     @cached_property
     def pattern_categories(self) -> dict[str, str]:
         """Bug pattern -> its category (one per pattern, validated at ingest)."""
-        return {obs.bug_pattern: obs.bug_category for obs in self.observations}
+        return {obs.key.bug_pattern: obs.bug_category for obs in self.observations}
 
     @cached_property
     def package_paths(self) -> dict[str, frozenset[str]]:
         """Package -> file paths, attributed through warning observations."""
         acc: dict[str, set[str]] = defaultdict(set)
         for obs in self.observations:
-            acc[obs.entity.package].add(obs.file_path)
+            acc[obs.key.package].add(obs.key.file_path)
         return {pkg: frozenset(paths) for pkg, paths in acc.items()}
 
     # -- file identity --------------------------------------------------
@@ -305,7 +304,7 @@ class ProjectHistory:
         for rec in self.changes:
             event = (self.rev_index(rec.revision), rec)
             acc[rec.file_path].append(event)
-            if rec.old_path is not None:
+            if rec.kind == "Rename":
                 acc[rec.old_path].append(event)
         return {
             path: tuple(sorted(events, key=lambda e: (
@@ -388,6 +387,10 @@ class FileChain:
 # calls.
 _scan_json = make_scanner(json.JSONDecoder())
 
+# Every warning, change and attrs line emit_ledger writes ends in this text,
+# the revision id and ``"}`` (module docstring, wire form).
+_REVISION_MEMBER = ', "revision": "'
+
 
 def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     """Parse and validate a ledger into a ProjectHistory.
@@ -398,60 +401,65 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     or contradict each other. Duplicate identical warning lines are
     collapsed with a logged warning.
 
-    Cost contract: one JSON decode per line; one object per distinct
-    entity (an ``Entity`` shared by warning and attrs records), per distinct
-    attrs key (a ``WarningKey``) and per distinct attrs payload (a
-    ``StaticAttributes``), each validated once, on first sight; and one hash
-    per observation, taken when it is collected and reused by the frozen
-    set. An observation's own ``key`` is built on first use, as before.
+    Cost contract: one full JSON decode per distinct record prefix; a
+    repeated prefix decodes only its revision string; a prefix whose decode
+    fails never enters the memo (the rule is in the module docstring). One
+    ``WarningKey`` per distinct key, shared by observations and attrs
+    records, and one ``StaticAttributes`` per distinct attrs payload, each
+    validated once, on first sight; one hash per observation, taken when it
+    is collected and reused by the frozen set.
     """
     revisions: list[RevisionMeta] = []
     observations: dict[WarningObservation, None] = {}  # a set in line order
     changes: list[FileChangeRecord] = []
     attributes: dict[tuple[str, WarningKey], StaticAttributes] = {}
-    entities: dict[tuple, Entity] = {}
     keys: dict[tuple, WarningKey] = {}
     payloads: dict[tuple, StaticAttributes] = {}
+    memo: dict[str, tuple[str, tuple]] = {}  # prefix -> (kind, fields but the revision)
     warning_lines = 0
 
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
-        try:
-            rec, end = _scan_json(line, 0)
-        except StopIteration:  # no JSON value starts the line; json.loads names a BOM
-            msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff"
-                   else "Expecting value")
-            raise LedgerParseError(f"invalid JSON ({msg})", line_no) from None
-        except json.JSONDecodeError as exc:
-            raise LedgerParseError(f"invalid JSON ({exc.msg})", line_no) from None
-        except (ValueError, RecursionError) as exc:  # integer past the digit limit; deep nesting
-            raise LedgerParseError(f"invalid JSON ({exc})", line_no) from None
-        if end != len(line):
-            raise LedgerParseError("invalid JSON (Extra data)", line_no)
-        if type(rec) is not dict:
-            raise LedgerParseError("record must be a JSON object", line_no)
-        kind = rec.get("kind")
-        try:
-            if kind == "warning":
-                observations[_decode_warning(rec, entities)] = None
-                warning_lines += 1
-            elif kind == "attrs":
-                rev, key, attrs = _decode_attrs(rec, entities, keys, payloads)
-                attributes[(rev, key)] = attrs
-            elif kind == "revision":
-                revisions.append(_decode_revision(rec))
-            elif kind == "change":
-                changes.append(_decode_change(rec))
-            else:
-                raise LedgerParseError(f"unknown record kind {kind!r}", line_no)
-        except KeyError as exc:
-            raise LedgerParseError(
-                f"bad {kind} record: \"missing field {exc.args[0]!r}\"", line_no
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise LedgerParseError(f"bad {kind} record: {exc}", line_no) from None
+        cut = line.rfind(_REVISION_MEMBER)
+        # tail: the revision id when the line ends in a plain revision member.
+        tail = _revision_suffix(line, cut) if cut > 0 else None
+        prefix = None if tail is None else line[:cut]
+        hit = None if prefix is None else memo.get(prefix)
+        if hit is not None:
+            kind, fields = hit
+            rev = tail
+        else:
+            rec = _decode_json(line, line_no)
+            kind = rec.get("kind")
+            try:
+                if kind == "revision":
+                    revisions.append(_decode_revision(rec))
+                    continue
+                if kind == "warning":
+                    rev, fields = _decode_warning(rec, keys)
+                elif kind == "attrs":
+                    rev, fields = _decode_attrs(rec, keys, payloads)
+                elif kind == "change":
+                    rev, fields = _decode_change(rec)
+                else:
+                    raise LedgerParseError(f"unknown record kind {kind!r}", line_no)
+            except KeyError as exc:
+                raise LedgerParseError(
+                    f"bad {kind} record: \"missing field {exc.args[0]!r}\"", line_no
+                ) from None
+            except (TypeError, ValueError) as exc:
+                raise LedgerParseError(f"bad {kind} record: {exc}", line_no) from None
+            if tail == rev:  # the line ends in its own revision member
+                memo[prefix] = (kind, fields)
+        if kind == "warning":
+            observations[WarningObservation(rev, *fields)] = None
+            warning_lines += 1
+        elif kind == "attrs":
+            attributes[(rev, fields[0])] = fields[1]
+        else:
+            changes.append(FileChangeRecord(rev, *fields))
 
     duplicate_obs = warning_lines - len(observations)
     if duplicate_obs:
@@ -490,10 +498,10 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
 
     categories: dict[str, str] = {}
     for obs in observations:
-        prev = categories.setdefault(obs.bug_pattern, obs.bug_category)
+        prev = categories.setdefault(obs.key.bug_pattern, obs.bug_category)
         if prev != obs.bug_category:
             raise IntegrityError(
-                f"bug pattern {obs.bug_pattern!r} mapped to both "
+                f"bug pattern {obs.key.bug_pattern!r} mapped to both "
                 f"{prev!r} and {obs.bug_category!r}"
             )
 
@@ -508,7 +516,39 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
 # The decoders below read each field by indexing; a missing one raises
 # KeyError(field name), which ingest_ledger reports as a missing field. Types
 # are checked exactly: a JSON string, a JSON integer (never true, false or a
-# number written with a fraction or exponent), or a JSON number.
+# number written with a fraction or exponent), or a JSON number. The warning,
+# change and attrs decoders return the revision apart from the record's other
+# fields, which ingest_ledger's memo reuses for a repeated record prefix.
+
+def _decode_json(line: str, line_no: int) -> dict:
+    """The JSON object on a stripped line, with json.loads' error messages."""
+    try:
+        rec, end = _scan_json(line, 0)
+    except StopIteration:  # no JSON value starts the line; json.loads names a BOM
+        msg = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if line[0] == "\ufeff"
+               else "Expecting value")
+        raise LedgerParseError(f"invalid JSON ({msg})", line_no) from None
+    except json.JSONDecodeError as exc:
+        raise LedgerParseError(f"invalid JSON ({exc.msg})", line_no) from None
+    except (ValueError, RecursionError) as exc:  # integer past the digit limit; deep nesting
+        raise LedgerParseError(f"invalid JSON ({exc})", line_no) from None
+    if end != len(line):
+        raise LedgerParseError("invalid JSON (Extra data)", line_no)
+    if type(rec) is not dict:
+        raise LedgerParseError("record must be a JSON object", line_no)
+    return rec
+
+
+def _revision_suffix(line: str, cut: int) -> str | None:
+    """The revision id of a line whose ``_REVISION_MEMBER`` starts at ``cut``,
+    if that member's value is a valid JSON string followed by the closing
+    ``}`` and nothing else; None otherwise."""
+    try:
+        rev, end = scanstring(line, cut + len(_REVISION_MEMBER))
+    except ValueError:  # json.JSONDecodeError: a bad escape or no closing quote
+        return None
+    return rev if line[end:] == "}" else None
+
 
 def _wrong_type(name: str, value, expected: str) -> ValueError:
     return ValueError(f"{name} must be {expected}, got {value!r}")
@@ -561,27 +601,8 @@ def _decode_revision(rec: dict) -> RevisionMeta:
     )
 
 
-def _decode_entity(value, entities: dict[tuple, Entity]) -> Entity:
-    """The interned Entity of an entity object, validated on first sight."""
-    if type(value) is not dict:
-        raise ValueError("entity must be an object")
-    ident = (value["package"], value["class"], value.get("method"))
-    try:
-        entity = entities.get(ident)
-    except TypeError:  # an array or object where a string belongs
-        entity = None
-    if entity is None:
-        # Only JSON strings (and null for the method) equal a stored
-        # identity, so a hit above needs no type check.
-        entity = entities[ident] = Entity(
-            package=_string(ident[0], "package"),
-            class_name=_string(ident[1], "class"),
-            method=_optional_string(ident[2], "method"),
-        )
-    return entity
-
-
-def _decode_warning(rec: dict, entities: dict[tuple, Entity]) -> WarningObservation:
+def _decode_warning(rec: dict, keys: dict[tuple, WarningKey]) -> tuple[str, tuple]:
+    """A warning's revision, and the other ``WarningObservation`` fields in order."""
     priority = _integer(rec["priority"], "priority")
     if not 1 <= priority <= 3:
         raise ValueError(f"priority must be in 1..3, got {priority}")
@@ -591,18 +612,14 @@ def _decode_warning(rec: dict, entities: dict[tuple, Entity]) -> WarningObservat
     file_path = _string(rec["file_path"], "file_path")
     if not file_path:
         raise ValueError("file_path must be non-empty")
-    return WarningObservation(
-        revision=_string(rec["revision"], "revision"),
-        file_path=file_path,
-        bug_pattern=_string(rec["bug_pattern"], "bug_pattern"),
-        bug_category=_string(rec["bug_category"], "bug_category"),
-        priority=priority,
-        entity=_decode_entity(rec["entity"], entities),
-        line=line,
-    )
+    revision = _string(rec["revision"], "revision")
+    _string(rec["bug_pattern"], "bug_pattern")  # before bug_category, as errors name them
+    bug_category = _string(rec["bug_category"], "bug_category")
+    return revision, (decode_key(rec, keys), bug_category, priority, line)
 
 
-def _decode_change(rec: dict) -> FileChangeRecord:
+def _decode_change(rec: dict) -> tuple[str, tuple]:
+    """A change's revision, and the other ``FileChangeRecord`` fields in order."""
     # The record tag already uses "kind", so the change kind rides in
     # "change_kind" on the wire (emit_ledger writes it back the same way).
     change_kind = rec["change_kind"]
@@ -611,6 +628,8 @@ def _decode_change(rec: dict) -> FileChangeRecord:
     old_path = _optional_string(rec.get("old_path"), "old_path")
     if change_kind == "Rename" and not old_path:
         raise ValueError("Rename record requires old_path")
+    if change_kind != "Rename" and old_path is not None:
+        raise ValueError(f"{change_kind} record must not carry old_path")
     lines_added = _integer(rec.get("lines_added", 0), "lines_added")
     lines_deleted = _integer(rec.get("lines_deleted", 0), "lines_deleted")
     if lines_added < 0 or lines_deleted < 0:
@@ -619,24 +638,16 @@ def _decode_change(rec: dict) -> FileChangeRecord:
     file_path = _string(rec["file_path"], "file_path")
     if change_kind == "Rename" and old_path == file_path:
         raise ValueError(f"Rename old_path equals file_path {file_path!r}")
-    return FileChangeRecord(
-        revision=revision,
-        file_path=file_path,
-        kind=change_kind,
-        lines_added=lines_added,
-        lines_deleted=lines_deleted,
-        author=_string(rec.get("author", ""), "author"),
-        old_path=old_path,
-    )
+    author = _string(rec.get("author", ""), "author")
+    return revision, (file_path, change_kind, lines_added, lines_deleted, author, old_path)
 
 
 def _decode_attrs(
     rec: dict,
-    entities: dict[tuple, Entity],
     keys: dict[tuple, WarningKey],
     payloads: dict[tuple, StaticAttributes],
-) -> tuple[str, WarningKey, StaticAttributes]:
-    key = decode_key(rec, entities, keys)
+) -> tuple[str, tuple[WarningKey, StaticAttributes]]:
+    key = decode_key(rec, keys)
     visibility = rec["method_visibility"]
     if visibility not in VISIBILITIES:
         raise ValueError(f"method_visibility must be one of {VISIBILITIES}, got {visibility!r}")
@@ -659,7 +670,7 @@ def _decode_attrs(
     attrs = payloads.get(ident)
     if attrs is None:
         attrs = payloads[ident] = StaticAttributes(*payload)
-    return _string(rec["revision"], "revision"), key, attrs
+    return _string(rec["revision"], "revision"), (key, attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +686,8 @@ def key_json(key: WarningKey) -> dict:
             "entity": {"package": key.package, "class": key.class_name, "method": key.method}}
 
 
-def decode_key(value: dict, entities: dict[tuple, Entity],
-               keys: dict[tuple, WarningKey]) -> WarningKey:
-    """The WarningKey of a ``key_json`` object, interned in the caller's tables
+def decode_key(value: dict, keys: dict[tuple, WarningKey]) -> WarningKey:
+    """The WarningKey of a ``key_json`` object, interned in the caller's table
     and validated on first sight: a missing field raises KeyError(field name)
     and a mistyped one ValueError. Fields outside the key are ignored."""
     entity = value["entity"]
@@ -690,7 +700,11 @@ def decode_key(value: dict, entities: dict[tuple, Entity],
     except TypeError:  # an array or object where a string belongs
         key = None
     if key is None:
-        _decode_entity(entity, entities)  # validates the entity's fields
+        # Only JSON strings (and null for the method) equal a stored
+        # identity, so a hit above needs no type check.
+        package = _string(package, "package")
+        class_name = _string(class_name, "class")
+        method = _optional_string(method, "method")
         key = keys[ident] = WarningKey(
             _string(ident[0], "bug_pattern"), _string(ident[1], "file_path"),
             package, class_name, method,
@@ -721,7 +735,7 @@ def _optional(text: str | None) -> str:
     return "null" if text is None else _quote(text)
 
 
-def _entity(e: Entity | WarningKey) -> str:
+def _entity(e: WarningKey) -> str:
     return (f'{{"class": {_quote(e.class_name)}, "method": {_optional(e.method)}, '
             f'"package": {_quote(e.package)}}}')
 
@@ -736,16 +750,16 @@ def emit_ledger(history: ProjectHistory) -> Iterator[str]:
         yield (f'{{"branch": {_quote(r.branch)}, "id": {_quote(r.id)}, "kind": "revision", '
                f'"parent": {_optional(r.parent)}, "timestamp": {r.timestamp}}}')
     for o in sorted(history.observations, key=lambda o: (
-            order[o.revision], o.bug_pattern, o.file_path, o.entity.package,
-            o.entity.class_name, o.entity.method or "", o.line, o.priority, o.bug_category,
-            o.entity.method is not None)):
+            order[o.revision], *o.key.sort_key(), o.line, o.priority, o.bug_category,
+            o.key.method is not None)):
+        k = o.key
         yield (f'{{"bug_category": {_quote(o.bug_category)}, '
-               f'"bug_pattern": {_quote(o.bug_pattern)}, "entity": {_entity(o.entity)}, '
-               f'"file_path": {_quote(o.file_path)}, "kind": "warning", "line": {o.line}, '
+               f'"bug_pattern": {_quote(k.bug_pattern)}, "entity": {_entity(k)}, '
+               f'"file_path": {_quote(k.file_path)}, "kind": "warning", "line": {o.line}, '
                f'"priority": {o.priority}, "revision": {_quote(o.revision)}}}')
     for c in sorted(history.changes, key=lambda c: (
             order[c.revision], c.file_path, c.kind, c.author, c.lines_added, c.lines_deleted,
-            c.old_path or "", c.old_path is not None)):
+            c.old_path or "")):
         old_path = "" if c.old_path is None else f'"old_path": {_quote(c.old_path)}, '
         yield (f'{{"author": {_quote(c.author)}, "change_kind": {_quote(c.kind)}, '
                f'"file_path": {_quote(c.file_path)}, "kind": "change", '

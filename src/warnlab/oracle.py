@@ -290,7 +290,6 @@ def read_annotations(stream: Iterable[str] | IO[str]) -> list[AnnotationSet]:
     is a warning key in the ledger's shape (``history.key_json``, checked as
     the ledger checks it) plus a ``label`` and an ``annotator`` string."""
     per_annotator: dict[str, dict[WarningKey, Label]] = {}
-    entities: dict = {}
     keys: dict = {}
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -298,7 +297,7 @@ def read_annotations(stream: Iterable[str] | IO[str]) -> list[AnnotationSet]:
             continue
         try:
             rec = json.loads(line)
-            key = decode_key(rec, entities, keys)
+            key = decode_key(rec, keys)
             label = Label(rec["label"])
             annotator = rec["annotator"]
             if type(annotator) is not str:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, fields
 from .errors import ValidationError, typed_reader
 from .history import (
     SECONDS_PER_DAY,
-    Entity,
     FileChangeRecord,
     ProjectHistory,
     RevisionMeta,
@@ -294,7 +293,6 @@ def generate(config: SynthConfig) -> SynthResult:
         last_idx = min(close_idx, n)
 
         method = f"m{rng.randint(1, 400)}()" if rng.random() < 0.8 else None
-        entity = Entity(package=file.package, class_name=file.class_name, method=method)
         line = rng.randint(10, 500)
         priority = rng.randint(1, 3)
         attrs = StaticAttributes(
@@ -306,17 +304,14 @@ def generate(config: SynthConfig) -> SynthResult:
             parameter_signature=rng.choice(SIGNATURES),
             method_visibility=rng.choice(VISIBILITY_CHOICES),
         )
-        proto = WarningObservation(
-            revision="", file_path=file.path, bug_pattern=pattern,
-            bug_category=category, priority=priority, entity=entity, line=line,
-        )
-        key = proto.key
+        key = WarningKey(bug_pattern=pattern, file_path=file.path, package=file.package,
+                         class_name=file.class_name, method=method)
         for idx in range(born_idx, last_idx):
             rev_id = revisions[idx].id
             observations.append(
                 WarningObservation(
-                    revision=rev_id, file_path=file.path, bug_pattern=pattern,
-                    bug_category=category, priority=priority, entity=entity, line=line,
+                    revision=rev_id, key=key, bug_category=category, priority=priority,
+                    line=line,
                 )
             )
             attributes[(rev_id, key)] = attrs

@@ -55,7 +55,7 @@ def reference_golden(history, at_rev, mode, ref_rev, vectors):
             if o.category == canon.category and o.closed_idx is not None and o.closed_idx <= at_idx:
                 span = base.rev_at(o.closed_idx).timestamp - base.rev_at(o.first_seen_idx).timestamp
                 durations.append(span / DAY)
-        paths = {o.file_path for o in base.observations if o.entity.package == k.package}
+        paths = {o.key.file_path for o in base.observations if o.key.package == k.package}
         loc_pkg = sum(rec.lines_added for rec in base.changes
                       if rec.file_path in paths and base.rev_index(rec.revision) <= at_idx
                       and base.rev_at(base.rev_index(rec.revision)).timestamp > at_time - 90 * DAY)

@@ -19,7 +19,6 @@ from warnlab.errors import IntegrityError, LedgerParseError
 from warnlab.history import (
     CHANGE_KINDS,
     VISIBILITIES,
-    Entity,
     FileChangeRecord,
     ProjectHistory,
     RevisionMeta,
@@ -84,8 +83,9 @@ def reference_ingest(lines) -> ProjectHistory:
             raise IntegrityError(f"record references unknown revision {rev_id!r}")
     categories = {}
     for obs in observations:
-        if categories.setdefault(obs.bug_pattern, obs.bug_category) != obs.bug_category:
-            raise IntegrityError(f"bug pattern {obs.bug_pattern!r} mapped to two categories")
+        pattern = obs.key.bug_pattern
+        if categories.setdefault(pattern, obs.bug_category) != obs.bug_category:
+            raise IntegrityError(f"bug pattern {pattern!r} mapped to two categories")
 
     return ProjectHistory(
         revisions=tuple(sorted(revisions, key=lambda r: r.order_key)),
@@ -128,13 +128,16 @@ def _parse_revision(rec: dict) -> RevisionMeta:
     )
 
 
-def _parse_entity(value) -> Entity:
-    if not isinstance(value, dict):
+def _parse_key(rec: dict) -> WarningKey:
+    entity = _require(rec, "entity")
+    if not isinstance(entity, dict):
         raise ValueError("entity must be an object")
-    return Entity(
-        package=_string(_require(value, "package"), "package"),
-        class_name=_string(_require(value, "class"), "class"),
-        method=_optional_string(value.get("method"), "method"),
+    return WarningKey(
+        bug_pattern=_string(_require(rec, "bug_pattern"), "bug_pattern"),
+        file_path=_string(_require(rec, "file_path"), "file_path"),
+        package=_string(_require(entity, "package"), "package"),
+        class_name=_string(_require(entity, "class"), "class"),
+        method=_optional_string(entity.get("method"), "method"),
     )
 
 
@@ -148,11 +151,9 @@ def _parse_warning(rec: dict) -> WarningObservation:
         raise ValueError("file_path must be non-empty")
     return WarningObservation(
         revision=_string(_require(rec, "revision"), "revision"),
-        file_path=file_path,
-        bug_pattern=_string(_require(rec, "bug_pattern"), "bug_pattern"),
+        key=_parse_key(rec),
         bug_category=_string(_require(rec, "bug_category"), "bug_category"),
         priority=priority,
-        entity=_parse_entity(_require(rec, "entity")),
         line=line,
     )
 
@@ -164,6 +165,8 @@ def _parse_change(rec: dict) -> FileChangeRecord:
     old_path = _optional_string(rec.get("old_path"), "old_path")
     if change_kind == "Rename" and not old_path:
         raise ValueError("Rename record requires old_path")
+    if change_kind != "Rename" and old_path is not None:
+        raise ValueError("only a Rename record carries old_path")
     lines_added = _integer(rec.get("lines_added", 0), "lines_added", 0)
     lines_deleted = _integer(rec.get("lines_deleted", 0), "lines_deleted", 0)
     revision = _string(_require(rec, "revision"), "revision")
@@ -182,14 +185,7 @@ def _parse_change(rec: dict) -> FileChangeRecord:
 
 
 def _parse_attrs(rec: dict) -> tuple[str, WarningKey, StaticAttributes]:
-    entity = _parse_entity(_require(rec, "entity"))
-    key = WarningKey(
-        bug_pattern=_string(_require(rec, "bug_pattern"), "bug_pattern"),
-        file_path=_string(_require(rec, "file_path"), "file_path"),
-        package=entity.package,
-        class_name=entity.class_name,
-        method=entity.method,
-    )
+    key = _parse_key(rec)
     visibility = _require(rec, "method_visibility")
     if visibility not in VISIBILITIES:
         raise ValueError("unknown method_visibility")
@@ -235,7 +231,7 @@ def reference_emit(history: ProjectHistory):
                           "line": obs.line}, sort_keys=True)
     for rec in sorted(history.changes, key=lambda c: (
             order[c.revision], c.file_path, c.kind, c.author, c.lines_added,
-            c.lines_deleted, c.old_path or "", c.old_path is not None)):
+            c.lines_deleted, c.old_path or "")):
         payload = {"kind": "change", "revision": rec.revision, "file_path": rec.file_path,
                    "change_kind": rec.kind, "lines_added": rec.lines_added,
                    "lines_deleted": rec.lines_deleted, "author": rec.author}

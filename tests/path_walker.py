@@ -88,9 +88,9 @@ def walk_warnings(history, cut):
         rev = history.revisions[idx].id
         for obs in history.observations:
             if obs.revision == rev:
-                ident = (obs.bug_pattern, obs.entity.package, obs.entity.class_name,
-                         obs.entity.method)
-                files.setdefault(obs.file_path, {}).setdefault(ident, (set(), set()))[0].add(idx)
+                k = obs.key
+                ident = (k.bug_pattern, k.package, k.class_name, k.method)
+                files.setdefault(k.file_path, {}).setdefault(ident, (set(), set()))[0].add(idx)
         for table in files.values():
             for _presence, alive in table.values():
                 alive.add(idx)

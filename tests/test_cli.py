@@ -292,6 +292,17 @@ class TestContracts:
         assert run("report", "--merge", str(bad), "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err.startswith(f"error[validation]: {bad}: ")
 
+    def test_report_without_flags_categorized(self, tmp_path, capsys):
+        from warnlab.evaluation import evaluate_predictions
+        from warnlab.oracle import Label
+        data = evaluate_predictions([Label.ACTIONABLE], [Label.ACTIONABLE], [1.0]).to_json()
+        del data["flags"]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert run("report", "--merge", str(path), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error[validation]: {path}: report field 'flags' is missing")
+
     @pytest.mark.parametrize("text", ["{bad", "[1]", '{"seed": 1, "n_filez": 3}',
                                       '{"n_files": 3}', '{"seed": 1, "n_files": "3"}',
                                       '{"seed": 1, "fix_delay_days": [NaN, 5.0]}',

@@ -226,6 +226,12 @@ class TestReportJson:
         report = evaluate_predictions(y_true, y_pred, [0.9, 0.6, 0.4, 0.1], project="p")
         assert EvalReport.from_json(report.to_json()) == report
 
+    def test_missing_flags_rejected(self):
+        data = evaluate_predictions([Label.ACTIONABLE], [Label.ACTIONABLE], [1.0]).to_json()
+        del data["flags"]
+        with pytest.raises(ValidationError, match="'flags' is missing"):
+            EvalReport.from_json(data)
+
     @pytest.mark.parametrize("field,value", [
         ("f1", "0.5"), ("auc", True), ("project", None), ("flags", [1]),
         ("counts", {"tp": 1, "fp": 0, "fn": 0}), ("counts", {"tp": 1.5, "fp": 0, "fn": 0, "tn": 0}),

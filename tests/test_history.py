@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from warnlab.cli import main
 from warnlab.errors import IntegrityError, LedgerParseError
 from warnlab.history import (
     KEY_COLUMNS,
-    Entity,
     FileChangeRecord,
     ProjectHistory,
     RevisionMeta,
@@ -183,13 +183,13 @@ class TestKeyCodec:
     @settings(max_examples=200, deadline=None)
     def test_round_trips(self, key):
         assert key_from_row(dict(zip(KEY_COLUMNS, key_row(key)))) == key
-        assert decode_key(key_json(key), {}, {}) == key
+        assert decode_key(key_json(key), {}) == key
 
     def test_interned_per_table(self):
-        entities, keys = {}, {}
+        keys = {}
         key = WarningKey("P", "src/a.java", "com.a", "A", None)
-        first = decode_key(key_json(key), entities, keys)
-        assert decode_key(key_json(key), entities, keys) is first
+        first = decode_key(key_json(key), keys)
+        assert decode_key(key_json(key), keys) is first
 
 
 class TestWarningKey:
@@ -284,6 +284,29 @@ class TestFileIdentity:
         assert h.resolve_path("A.java", 0, 5) == ("A.java", 2)
         _assert_identity_matches_walkers(h)
 
+    def test_old_path_only_on_a_rename(self, tmp_path, capsys):
+        """A Delete of X.java naming A.java as its old_path once ended A.java's
+        live range: resolve_path("A.java", 0, 2) read ("A.java", 1)."""
+        lines = [rev_line(f"r{i}", day=i) for i in range(3)] + [
+            change_line("r0", "A.java", "Add"), change_line("r0", "X.java", "Add"),
+            change_line("r1", "X.java", "Delete", old_path="A.java")]
+        with pytest.raises(LedgerParseError, match="line 6: bad change record: "
+                                                   "Delete record must not carry old_path"):
+            make_history(lines)
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["ingest", "--ledger", str(ledger)]) == 1
+        assert capsys.readouterr().err.startswith("error[parse]: line 6: ")
+        # A null old_path is an absent one, on any kind.
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "old_path": None})
+        assert make_history(lines).resolve_path("A.java", 0, 2) == ("A.java", None)
+        # A history built in code files a Delete under its own path only.
+        changes = frozenset([FileChangeRecord("r0", "A.java", "Add"),
+                             FileChangeRecord("r1", "X.java", "Delete", old_path="A.java")])
+        h = ProjectHistory(tuple(RevisionMeta(f"r{i}", i) for i in range(3)), frozenset(), changes)
+        assert h.resolve_path("A.java", 0, 2) == ("A.java", None)
+        assert h.file_chain("A.java", 2).records == ((0, FileChangeRecord("r0", "A.java", "Add")),)
+
     @given(st.lists(_CHANGE, max_size=14))
     @settings(max_examples=150, deadline=None)
     def test_drawn_change_streams(self, drawn):
@@ -377,8 +400,8 @@ class TestUniverseAgainstWalker:
             if kind != "Rename" or old != path
         )
         observations = frozenset(
-            WarningObservation(f"r{rev}", path, pattern, "CORRECTNESS", 2,
-                               Entity("com.a", "A", method), 10)
+            WarningObservation(f"r{rev}", WarningKey(pattern, path, "com.a", "A", method),
+                               "CORRECTNESS", 2, 10)
             for rev, path, pattern, method in drawn_observations
         )
         revisions = tuple(RevisionMeta(f"r{i}", i) for i in range(6))

@@ -7,6 +7,7 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,6 @@ from warnlab.errors import IntegrityError, LedgerParseError
 from warnlab.history import (
     CHANGE_KINDS,
     VISIBILITIES,
-    Entity,
     FileChangeRecord,
     ProjectHistory,
     RevisionMeta,
@@ -173,6 +173,8 @@ class TestMessages:
         (change_line("r1", "a", "Copy"), "bad change record: change_kind must be one of "
                                          "('Add', 'Modify', 'Delete', 'Rename'), got 'Copy'"),
         (change_line("r1", "a", "Rename"), "bad change record: Rename record requires old_path"),
+        (change_line("r1", "a", "Delete", old_path="b"),
+         "bad change record: Delete record must not carry old_path"),
         (change_line("r1", "a", "Modify", lines_added=-1),
          "bad change record: line counts must be non-negative"),
         (_edit(attrs_line("r1"), method_visibility="secret"),
@@ -203,13 +205,14 @@ class TestAgainstReference:
         history = ingest_ledger(lines)
         assert len(history.observations) == len([ln for ln in lines if '"warning"' in ln]) - 1
         assert {c.kind for c in history.changes} == {"Add", "Modify", "Rename", "Delete"}
-        assert any(o.entity.method is None for o in history.observations)
+        assert any(o.key.method is None for o in history.observations)
 
     def test_one_object_per_identity(self):
+        """Observations and attrs records of one key share one WarningKey."""
         history = ingest_ledger(_hand_ledger() + _synth_lines(5))
         by_value = defaultdict(set)
         for obs in history.observations:
-            by_value[obs.entity].add(id(obs.entity))
+            by_value[obs.key].add(id(obs.key))
         for (_rev, key), attrs in history.attributes.items():
             by_value[key].add(id(key))
             by_value[attrs].add(id(attrs))
@@ -282,6 +285,123 @@ def test_one_corrupt_field_matches_reference(data):
 
 
 # ---------------------------------------------------------------------------
+# The prefix memo: a line that repeats an earlier record up to its revision
+# member decodes only its revision string, and must read as a full decode
+# ---------------------------------------------------------------------------
+
+# Revision ids that need escapes, leave ASCII, hold a control character or
+# quote the revision member itself.
+_MEMO_IDS = st.sampled_from(["r1", "r2", "", "é", "\x00", "\x1f", "\u2028", "\U0001f600",
+                             "\ud800", '"', "\\", 'x", "revision": "y'])
+_MEMO_BODIES = (
+    {"kind": "warning", "bug_category": "C", "bug_pattern": "P", "file_path": "A.java",
+     "entity": {"class": "A", "method": None, "package": "p"}, "line": 3, "priority": 1},
+    {"kind": "warning", "bug_category": "C", "bug_pattern": "P",
+     "file_path": 'a", "revision": "b', "line": 3, "priority": 2,
+     "entity": {"class": "A", "method": "m\u00e9", "package": "p", "revision": "r1"}},
+    {"kind": "change", "author": "x", "change_kind": "Add", "file_path": "A.java",
+     "lines_added": 1, "lines_deleted": 0},
+    {"kind": "change", "author": "", "change_kind": "Rename", "file_path": "B.java",
+     "lines_added": 0, "lines_deleted": 0, "old_path": "A.java"},
+    {"kind": "attrs", "bug_pattern": "P", "file_path": "A.java",
+     "entity": {"class": "A", "method": None, "package": "p"}, "classes_in_package": 1,
+     "comment_code_ratio": 0.5, "file_depth": 1, "method_depth": 0, "methods_in_file": 2,
+     "method_visibility": "public", "parameter_signature": "()V"},
+    {"kind": "warning", "bug_category": "C", "bug_pattern": "P", "file_path": "A.java",
+     "entity": {"class": "A", "method": None, "package": "p"}, "line": 3, "priority": 7},
+)
+
+
+def _escaped(text: str) -> str:
+    """``text`` as a JSON string with every UTF-16 code unit a ``\\uXXXX`` escape."""
+    units = text.encode("utf-16-be", "surrogatepass")
+    return '"' + "".join(f"\\u{units[i]:02x}{units[i + 1]:02x}"
+                         for i in range(0, len(units), 2)) + '"'
+
+
+@st.composite
+def _memo_line(draw, body: dict, rev: str, other: str) -> str:
+    """One record line: most often the canonical wire form, so its prefix
+    repeats, else a form that must not take the memo's short path."""
+    ascii_only = draw(st.booleans())
+    rec = {**body, "revision": rev}
+    wire = json.dumps(rec, sort_keys=True, ensure_ascii=ascii_only)
+    cut = wire.rfind(', "revision": "') + len(', "revision": ')
+    variant = draw(st.sampled_from([
+        "plain", "plain", "plain", "escaped", "space", "duplicate", "reordered", "trailing",
+        "bad-close", "truncated", "bad-string", "member-after"]))
+    if variant == "escaped":
+        return wire[:cut] + _escaped(rev) + "}"
+    if variant == "space":
+        return wire[:-1] + draw(st.sampled_from([" }", "\t}", "  }"]))
+    if variant == "duplicate":  # a revision key inside the prefix; the last one wins
+        return '{"revision": ' + json.dumps(other) + ", " + wire[1:]
+    if variant == "reordered":
+        names = draw(st.permutations(sorted(rec)))
+        return json.dumps({name: rec[name] for name in names}, ensure_ascii=ascii_only)
+    if variant == "trailing":
+        return wire + draw(st.sampled_from(["}", " x", ",", '"', " {}"]))
+    if variant == "bad-close":
+        return wire[:-1] + draw(st.sampled_from(["]", ",", "x"]))
+    if variant == "truncated":
+        return wire[:draw(st.integers(cut, len(wire) - 1))]
+    if variant == "bad-string":
+        return wire[:cut] + draw(st.sampled_from(['"\\x"', '"\x01"', '"\\u12"', "5", "null",
+                                                  '"r1"]', '"r1\\"}'])) + "}"
+    if variant == "member-after":
+        return wire[:-1] + ', "z": 1}'
+    return wire
+
+
+@st.composite
+def _memo_ledgers(draw) -> list[str]:
+    """Revisions, then records drawn from a few bodies at drawn revisions, so
+    most record prefixes repeat; some lines are exact repeats of the last."""
+    ids = draw(st.lists(_MEMO_IDS, min_size=1, max_size=3, unique=True))
+    lines = [json.dumps({"kind": "revision", "id": rid, "timestamp": i},
+                        ensure_ascii=draw(st.booleans())) for i, rid in enumerate(ids)]
+    if draw(st.booleans()):  # a revision record that ends in a revision member
+        lines.append(json.dumps({"id": "extra", "kind": "revision", "timestamp": 9,
+                                 "revision": ids[0]}))
+    bodies = draw(st.lists(st.sampled_from(_MEMO_BODIES), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 14))):
+        if len(lines) > len(ids) and draw(st.integers(0, 4)) == 0:
+            lines.append(lines[-1])
+            continue
+        rev = draw(st.sampled_from(ids) | _MEMO_IDS)
+        lines.append(draw(_memo_line(draw(st.sampled_from(bodies)), rev, draw(_MEMO_IDS))))
+    return lines
+
+
+# A good prefix, then the same prefix with data after its revision string.
+_PLAIN_THEN_TRAILING = [
+    json.dumps({"kind": "revision", "id": "r1", "timestamp": 0}),
+    json.dumps({**_MEMO_BODIES[0], "revision": "r1"}, sort_keys=True),
+    json.dumps({**_MEMO_BODIES[0], "revision": "r1"}, sort_keys=True) + " x",
+]
+
+
+@given(_memo_ledgers())
+@example(_PLAIN_THEN_TRAILING)
+@example(_PLAIN_THEN_TRAILING[:2] + [_PLAIN_THEN_TRAILING[1][:-1] + " }"] * 2)
+@settings(max_examples=400, deadline=None)
+def test_memo_matches_reference(lines):
+    """Ledgers full of repeated record prefixes parse to the reference's
+    history, or fail with its error class on its line, and ingest logs the
+    collapse count of identical warning lines that the reference implies."""
+    with patch("warnlab.history.log") as log:
+        got = _outcome(ingest_ledger, lines)
+    want = _outcome(reference_ingest, lines)
+    assert got == want
+    if isinstance(want[0], ProjectHistory):
+        warning_lines = sum(json.loads(ln)["kind"] == "warning" for ln in lines)
+        duplicates = warning_lines - len(want[0].observations)
+        calls = [c.args for c in log.warning.call_args_list]
+        assert calls == ([("collapsed %d duplicate warning line(s) during ingestion",
+                           duplicates)] if duplicates else [])
+
+
+# ---------------------------------------------------------------------------
 # Emission: the template emitter against the json.dumps reference
 # ---------------------------------------------------------------------------
 
@@ -324,21 +444,20 @@ def _histories(draw) -> ProjectHistory:
         for i, (rid, stamp) in enumerate(zip(ids, stamps))
     ]
     rev = st.sampled_from(ids)
-    entity = st.builds(Entity, text, text, st.none() | st.just("") | text)
+    method = st.none() | st.just("") | text
     categories = {}
     observations = []
     for _ in range(draw(st.integers(0, 8))):
         pattern = draw(text)
+        key = WarningKey(pattern, draw(nonempty), draw(text), draw(text), draw(method))
         observations.append(WarningObservation(
-            draw(rev), draw(nonempty), pattern,
-            categories.setdefault(pattern, draw(text)),
-            draw(st.integers(1, 3)), draw(entity), draw(st.integers(1, 3))))
+            draw(rev), key, categories.setdefault(pattern, draw(text)),
+            draw(st.integers(1, 3)), draw(st.integers(1, 3))))
     changes = []
     for _ in range(draw(st.integers(0, 8))):
         path, kind = draw(text), draw(st.sampled_from(CHANGE_KINDS))
         renamed_from = [t for t in pool if t and t != path] or [path + "~"]
-        old_path = draw(st.sampled_from(renamed_from) if kind == "Rename"
-                        else st.none() | st.just("") | text)
+        old_path = draw(st.sampled_from(renamed_from)) if kind == "Rename" else None
         changes.append(FileChangeRecord(draw(rev), path, kind, draw(st.integers(0, 3)),
                                         draw(st.sampled_from([0, 1, 2**40])), draw(text),
                                         old_path))
@@ -346,8 +465,7 @@ def _histories(draw) -> ProjectHistory:
         min_value=0, allow_nan=False, allow_infinity=False)
     attributes = {}
     for _ in range(draw(st.integers(0, 6))):
-        e = draw(entity)
-        key = WarningKey(draw(text), draw(text), e.package, e.class_name, e.method)
+        key = WarningKey(draw(text), draw(text), draw(text), draw(text), draw(method))
         attributes[(draw(rev), key)] = StaticAttributes(
             draw(ratio), *(draw(st.integers(0, 2**40)) for _ in range(4)), draw(text),
             draw(st.sampled_from(VISIBILITIES)))
@@ -358,14 +476,13 @@ def _histories(draw) -> ProjectHistory:
 def _tied_history() -> ProjectHistory:
     """Records that differ only in the last fields of their sort keys."""
     revs = (RevisionMeta("r0", 0),)
-    entities = [Entity("p", "C", method) for method in (None, "")]
-    observations = [WarningObservation("r0", "F.java", "P", "X", priority, entity, 7)
-                    for priority in (1, 2, 3) for entity in entities]
-    changes = [FileChangeRecord("r0", "F.java", "Modify", added, 0, "", old_path)
-               for added in (1, 2) for old_path in (None, "")]
+    keys = [WarningKey("P", "F.java", "p", "C", method) for method in (None, "")]
+    observations = [WarningObservation("r0", key, "X", priority, 7)
+                    for priority in (1, 2, 3) for key in keys]
+    changes = [FileChangeRecord("r0", "F.java", "Modify", added, 0, author)
+               for added in (1, 2) for author in ("", "a")]
     attrs = StaticAttributes(0.5, 0, 0, 0, 0, "()V", "public")
-    attributes = {("r0", WarningKey("P", "F.java", "p", "C", e.method)): attrs
-                  for e in entities}
+    attributes = {("r0", key): attrs for key in keys}
     return ProjectHistory(revs, frozenset(observations), frozenset(changes), attributes)
 
 
