@@ -19,7 +19,6 @@ from .features import (
     FeatureVector,
     LeakMode,
     MatrixRow,
-    build_universe,
     extract_golden,
     read_feature_matrix,
     write_feature_matrix,
@@ -151,21 +150,17 @@ def build_dataset(
     if dedup:
         # A test key survives iff its warning, the universe entry of its
         # live range, was first observed strictly after the training revision.
-        base = truncate_history(history, test_rev)
-        universe = build_universe(base, test_idx)
-        keep_test = {
-            key
-            for key in base.present_keys[test_idx]
-            if universe[(key, None)].first_seen_idx > train_idx
-        }
+        # The test cut and its universe are the ones the test extraction reads.
+        universe = truncate_history(history, test_rev).universe
+        test_keys = history.present_keys[test_idx]
+        keep_test = {key for key in test_keys if universe[(key, None)].first_seen_idx > train_idx}
+        dedup_removed = len(test_keys) - len(keep_test)
 
     test_instances, dropped_test = _labeled_split(
         history, test_rev, ref_rev, mode, ref_for_features, keep=keep_test,
     )
-    if dedup:
-        dedup_removed = len(history.keys_at(test_rev)) - len(keep_test or ())
-        if not test_instances:
-            notices.append("test split is empty after deduplication")
+    if dedup and not test_instances:
+        notices.append("test split is empty after deduplication")
 
     meta = DatasetMeta(
         train_rev=train_rev,

@@ -74,14 +74,13 @@ def read_json(path: str | os.PathLike[str]):
 
 
 def typed_reader(data: dict, what: str):
-    """``typed(name, kind, default=None)``: ``data[name]`` (or ``default``)
-    checked against ``kind``; a mistyped field, or a missing one without a
-    default, raises ``ValidationError`` naming ``what``."""
+    """``typed(name, kind)``: ``data[name]`` checked against ``kind``; a
+    missing or mistyped field raises ``ValidationError`` naming ``what``."""
 
-    def typed(name, kind, default=None):
-        if default is None and name not in data:
+    def typed(name, kind):
+        if name not in data:
             raise ValidationError(f"{what} field {name!r} is missing")
-        value = data.get(name, default)
+        value = data[name]
         # bool is an int subclass: a count must not be true or false.
         if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
             raise ValidationError(f"{what} field {name!r} is {value!r}")

@@ -84,26 +84,29 @@ def auc(scored: Sequence[tuple[float, Label]]) -> float:
     pairs with half credit for score ties. Returns 0.5 when either class is
     absent (no ranking is defined).
     """
-    positives = [s for s, lab in scored if lab is Label.ACTIONABLE]
-    negatives = [s for s, lab in scored if lab is not Label.ACTIONABLE]
-    n_pos, n_neg = len(positives), len(negatives)
+    n_pos = sum(1 for _, lab in scored if lab is Label.ACTIONABLE)
+    n_neg = len(scored) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    ordered = sorted(scored, key=lambda t: t[0])
-    ranks: dict[int, float] = {}
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j][0] == ordered[i][0]:
-            j += 1
-        avg_rank = (i + 1 + j) / 2.0  # mean of ranks i+1 .. j
-        for pos in range(i, j):
-            ranks[pos] = avg_rank
-        i = j
-    rank_sum_pos = sum(
-        ranks[pos] for pos, (_, lab) in enumerate(ordered) if lab is Label.ACTIONABLE
-    )
+    ranks = _average_ranks([s for s, _ in scored])
+    rank_sum_pos = sum(r for r, (_, lab) in zip(ranks, scored) if lab is Label.ACTIONABLE)
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _average_ranks(values: Sequence[float]) -> list[float]:
+    """1-based rank of each value in ascending order, tied values sharing
+    the mean of their ranks. Every rank is a half-integer, exact in float."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and values[order[j]] == values[order[i]]:
+            j += 1
+        for pos in range(i, j):
+            ranks[order[pos]] = (i + 1 + j) / 2.0  # mean of ranks i+1 .. j
+        i = j
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +142,7 @@ def wilcoxon_exact(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
         raise ValidationError(
             f"exact enumeration supports at most {MAX_EXACT_N} nonzero pairs, got {n}"
         )
-    order = sorted(range(n), key=lambda i: abs(nonzero[i]))
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j < n and abs(nonzero[order[j]]) == abs(nonzero[order[i]]):
-            j += 1
-        avg = (i + 1 + j) / 2.0
-        for pos in range(i, j):
-            ranks[order[pos]] = avg
-        i = j
+    ranks = _average_ranks([abs(d) for d in nonzero])
     w_plus = sum(r for r, d in zip(ranks, nonzero) if d > 0)
     w_minus = sum(r for r, d in zip(ranks, nonzero) if d < 0)
 

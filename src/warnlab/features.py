@@ -2,12 +2,12 @@
 
 Five of the features summarize how often warnings in a population (same
 method, same file, same warning type, same bug pattern) were closed. A
-warning is one entry of the warning universe (``build_universe``): its
-observations within one live range of its file, as the ``history`` module
-docstring defines it, bridged across renames. It is closed at the first
-revision of that range that does not report it; a Delete ends the range
-without closing it. The same universe gives each warning its lifetime and
-the mean closed lifetime per type, and deduplication its first sighting. In
+warning is one entry of the warning universe of the ``history`` module
+(``build_universe``): its observations within one live range of its file,
+bridged across renames. It is closed at the first revision of that range
+that does not report it; a Delete ends the range without closing it. The
+same universe gives each warning its lifetime and the mean closed lifetime
+per type, and deduplication its first sighting. In
 leaky mode the population is the warnings observed at the extraction
 revision, and each member's closure flag is the ground-truth heuristic's own
 label against the reference revision (``oracle.heuristic_label``):
@@ -18,15 +18,15 @@ trailing window (default 365 days) and a member counts as closed exactly
 when it is no longer reported at the extraction revision itself.
 
 Both modes compute all 23 features from the history cut at the extraction
-revision (``truncate_history``): the cut is the only time boundary. Leaky
-mode makes one read past it, the heuristic labels for the closure flags.
+revision (``truncate_history``) and its universe: the cut is the only time
+boundary. Leaky mode makes one read past it, the heuristic labels for the
+closure flags.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import IO, Iterable, Mapping, Sequence
@@ -35,9 +35,12 @@ from .errors import ExtractionError, ValidationError
 from .history import (
     KEY_COLUMNS,
     SECONDS_PER_DAY,
+    CanonicalWarning,
     ProjectHistory,
+    WarningId,
     WarningKey,
     WarningObservation,
+    build_universe,  # re-exported: the universe lives in history
     key_from_row,
     key_row,
     truncate_history,
@@ -197,73 +200,8 @@ FEATURE_FIELDS = tuple(CANONICAL_NAMES)
 assert len(FEATURE_FIELDS) == 23
 
 
-# ---------------------------------------------------------------------------
-# Warning universe: one entry per warning, under the live-range rule
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CanonicalWarning:
-    """One physical warning: the observations of one live range, merged
-    across the file's rename chain.
-
-    Pattern, path, package and method are read off ``member_key``. A
-    warning is closed only by an absence inside its live range.
-    """
-
-    member_key: WarningKey  # representative key carrying the resolved path
-    category: str
-    presence: frozenset[int]
-    first_seen_idx: int
-    closed_idx: int | None  # first index absent while the file was alive
-
-
-# A warning's identity: its canonical key and the index of the Delete that
-# ended its live range, None while it lives.
-WarningId = tuple[WarningKey, int | None]
-
-
-def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningId, CanonicalWarning]:
-    """Every warning of ``base`` as of ``at_idx``, under the live-range rule
-    of the ``history`` module docstring.
-
-    Each key's presence is split where a Delete of its path or a Rename away
-    from it ends a live range, and each part is resolved forward from its
-    last observation (``resolve_path``), so parts of one file's rename chain
-    merge. A warning alive at ``at_idx`` is ``universe[(key, None)]``, with
-    ``key`` its own key there. A warning whose file was deleted is keyed by
-    that Delete's index: the Delete does not close it, and it never merges
-    with a warning of a later file at the same path.
-    """
-    presence_of: dict[WarningId, set[int]] = defaultdict(set)
-    for key, presence in base.key_presence.items():
-        path = key.file_path
-        ends = [idx for idx, rec in base.path_events.get(path, ())
-                if rec.kind == "Delete" or (rec.kind == "Rename" and rec.old_path == path)]
-        lo = 0
-        for end in (*ends, len(base.revisions)):
-            hi = bisect_left(presence, end, lo)
-            if hi > lo:  # presence[lo:hi]: one live range of the key
-                resolved, deleted_idx = base.resolve_path(path, presence[hi - 1], at_idx)
-                presence_of[(key.with_path(resolved), deleted_idx)].update(presence[lo:hi])
-            lo = hi
-    out: dict[WarningId, CanonicalWarning] = {}
-    for (canon, deleted_idx), presence in presence_of.items():
-        first_idx = min(presence)
-        last_alive = at_idx if deleted_idx is None else deleted_idx - 1
-        closed_idx = next(
-            (idx for idx in range(first_idx + 1, last_alive + 1) if idx not in presence), None)
-        out[(canon, deleted_idx)] = CanonicalWarning(
-            member_key=canon,
-            category=base.pattern_categories[canon.bug_pattern],
-            presence=frozenset(presence),
-            first_seen_idx=first_idx,
-            closed_idx=closed_idx,
-        )
-    return out
-
-
 def _type_lifetimes(base: ProjectHistory,
-                    universe: dict[WarningKey, CanonicalWarning]) -> dict[str, float]:
+                    universe: dict[WarningId, CanonicalWarning]) -> dict[str, float]:
     """Category -> mean lifetime in days of its closed warnings.
 
     Durations are summed exactly (``math.fsum``), so the means depend
@@ -318,7 +256,7 @@ def extract_golden(
     elif ref_rev is not None:
         raise ValidationError("leak-free extraction forbids a reference revision")
     base = truncate_history(history, at_rev)
-    universe = build_universe(base, at_idx)
+    universe = base.universe
     at_time = base.rev_at(at_idx).timestamp
 
     # Population membership and each member's closed flag, per mode.
@@ -407,12 +345,11 @@ def extract_golden(
         if type_lifetime is None:
             flags.add(FLAG_NO_CLOSED_LIFETIME)
 
-        chain = base.file_chain(key.file_path, at_idx)
-        if chain.birth_idx is not None:
-            birth_time = base.rev_at(chain.birth_idx).timestamp
-        else:
-            birth_time = _earliest_mention(base, canon, chain)
+        birth_idx, chain = base.file_chain(key.file_path, at_idx)
+        if birth_idx is None:  # no Add: its earliest mention (indexes run in time order)
+            birth_idx = min([canon.first_seen_idx, *(idx for idx, _ in chain)])
             flags.add(FLAG_FILE_CREATION_INFERRED)
+        birth_time = base.rev_at(birth_idx).timestamp
 
         out[key] = FeatureVector(
             warning_context_in_method=warning_context(*method_count),
@@ -432,7 +369,7 @@ def extract_golden(
             package=obs.key.package,
             file_age_days=(at_time - birth_time) / SECONDS_PER_DAY,
             file_creation_timestamp=float(birth_time),
-            developers=len(chain.authors()),
+            developers=len({rec.author for _, rec in chain if rec.author}),
             parameter_signature=attrs.parameter_signature,
             method_visibility=attrs.method_visibility,
             loc_added_in_file_last_25_revisions=_loc_last_n_revisions(chain, n=25),
@@ -445,16 +382,9 @@ def extract_golden(
     return out
 
 
-def _earliest_mention(base: ProjectHistory, canon: CanonicalWarning, chain) -> int:
-    """Fallback creation time when no Add record exists for the file chain."""
-    candidates = [base.rev_at(canon.first_seen_idx).timestamp]
-    candidates.extend(base.rev_at(idx).timestamp for idx, _ in chain.records)
-    return min(candidates)
-
-
 def _loc_last_n_revisions(chain, n: int) -> int:
     per_rev: dict[int, int] = defaultdict(int)
-    for idx, rec in chain.records:
+    for idx, rec in chain:
         per_rev[idx] += rec.lines_added
     recent = sorted(per_rev)[-n:]
     return sum(per_rev[idx] for idx in recent)
@@ -496,7 +426,8 @@ def audit_time_travel(history: ProjectHistory, at_rev: str, mode: LeakMode) -> T
 
     Recomputes the feature map on the explicitly truncated history and
     compares bit-exactly against what ``extract_golden`` produces on the
-    full one. Any mismatch names the offending warnings.
+    full one. Both sides read the one shared cut at ``at_rev`` and its
+    universe. Any mismatch names the offending warnings.
     """
     if mode.is_leaky:
         raise ValidationError("time-travel audit applies to leak-free extraction only")

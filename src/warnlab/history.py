@@ -6,13 +6,20 @@ in the ledger is treated as an analysis snapshot of the whole project, so a
 warning is "present" at a revision exactly when the ledger carries an
 observation for it there, and "absent" otherwise. File identity survives
 renames: change records of kind Rename connect the old path to the new one,
-and ``features.build_universe`` bridges warnings across that chain.
+and :func:`build_universe` bridges warnings across that chain.
 
 The live-range rule: a Delete of a path, or a Rename away from it, ends the
-live range of the file at that path. A later Add of the path, or a later
-observation at it, starts a new, unrelated file. A warning whose range ends
-at a Delete is not closed by it, and it never merges with a warning of a
-later file at the same path.
+live range of the file at that path (``ProjectHistory.range_ends``). A later
+Add of the path, or a later observation at it, starts a new, unrelated file.
+The other records at a range end's index (an Add, or a Rename into the path)
+belong to that new file. A warning whose range ends at a Delete is not
+closed by it, and it never merges with a warning of a later file at the same
+path.
+
+The warning universe (:func:`build_universe`) holds one entry per warning:
+the observations of one live range, merged across the rename chain. The
+history holds each cut (:func:`truncate_history`) and each cut its universe
+(``ProjectHistory.universe``), so all readers of a cut share both.
 
 Record schema, as :func:`ingest_ledger` checks it and :func:`emit_ledger`
 writes it. "string" is a JSON string; "integer" is a JSON integer, never
@@ -125,6 +132,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -202,7 +210,7 @@ class WarningKey:
     Identity is (bug pattern, file path, entity signature); the line number
     is deliberately excluded so that a warning keeps its key while code moves
     around inside a file. Keys do change across file renames;
-    ``features.build_universe`` bridges those via the rename chain.
+    :func:`build_universe` bridges those via the rename chain.
     """
 
     bug_pattern: str
@@ -228,9 +236,9 @@ class ProjectHistory:
     """Immutable timeline of revisions, warnings, changes, and attributes.
 
     Treat instances as frozen after construction: all operations are pure
-    reads and may be shared freely across parallel workers. Derived indexes
-    are cached lazily and never participate in equality. File identity
-    (``resolve_path``, ``file_chain``) reads one index, ``path_events``.
+    reads and may be shared freely across parallel workers. Derived indexes,
+    the universe and the cuts are cached lazily and never participate in
+    equality. File identity reads ``path_events`` and ``range_ends``.
     """
 
     revisions: tuple[RevisionMeta, ...]  # sorted by (timestamp, id)
@@ -312,6 +320,15 @@ class ProjectHistory:
             for path, events in acc.items()
         }
 
+    @cached_property
+    def range_ends(self) -> dict[str, tuple[tuple[int, FileChangeRecord], ...]]:
+        """Path -> the ``path_events`` that end a live range of the file at it
+        (module docstring): each Delete of the path and each Rename away from
+        it. Paths whose file never ends are left out."""
+        return {path: ends for path, events in self.path_events.items()
+                if (ends := tuple((idx, rec) for idx, rec in events if rec.kind == "Delete"
+                                  or rec.kind == "Rename" and rec.old_path == path))}
+
     def resolve_path(self, path: str, start_idx: int, end_idx: int) -> tuple[str, int | None]:
         """Follow a file forward from start to end revision index.
 
@@ -322,31 +339,33 @@ class ProjectHistory:
         """
         cur, lo = path, start_idx
         while True:
-            for idx, rec in self.path_events.get(cur, ()):
+            for idx, rec in self.range_ends.get(cur, ()):
                 if idx <= lo:
                     continue
                 if idx > end_idx:
                     return cur, None
                 if rec.kind == "Delete":
                     return cur, idx
-                if rec.kind == "Rename" and rec.old_path == cur:
-                    cur, lo = rec.file_path, idx
-                    break
+                cur, lo = rec.file_path, idx
+                break
             else:
                 return cur, None
 
-    def file_chain(self, path: str, at_idx: int) -> "FileChain":
-        """Backward walk of a file's identity up to ``at_idx``.
+    def file_chain(self, path: str, at_idx: int
+                   ) -> tuple[int | None, tuple[tuple[int, FileChangeRecord], ...]]:
+        """Backward walk of a file's live range up to ``at_idx``, following
+        Rename records back through earlier paths, as ``(birth_idx, records)``.
 
-        Collects the Add that started the live range (if recorded) and every
-        change record belonging to the chain, following Rename records back
-        through earlier paths.
+        On each path the walk stops at the latest range end at or before its
+        bound, and at the Add that started the range (``birth_idx``, else None).
         """
         records: list[tuple[int, FileChangeRecord]] = []
         cur, hi = path, at_idx  # hi: inclusive upper bound of the current segment
         while True:
+            start = max((idx for idx, _ in self.range_ends.get(cur, ()) if idx <= hi), default=-1)
+            # Records at the range end's index, but for the ending one, are the new file's.
             segment = [(idx, rec) for idx, rec in self.path_events.get(cur, ())
-                       if idx <= hi and rec.file_path == cur]
+                       if start <= idx <= hi and rec.file_path == cur and rec.kind != "Delete"]
             add_idx = rename_in = None
             for idx, rec in segment:
                 if rec.kind == "Add":
@@ -366,16 +385,18 @@ class ProjectHistory:
                 break
             cur, hi = rename_in[1], lo - 1
         records.sort(key=lambda t: (t[0], t[1].file_path, t[1].kind, t[1].author))
-        return FileChain(birth_idx=birth_idx, records=tuple(records))
+        return birth_idx, tuple(records)
 
+    @cached_property
+    def universe(self) -> dict[WarningId, CanonicalWarning]:
+        """Every warning as of the horizon (``build_universe``)."""
+        return build_universe(self, len(self.revisions) - 1)
 
-@dataclass(frozen=True)
-class FileChain:
-    birth_idx: int | None
-    records: tuple[tuple[int, FileChangeRecord], ...]
-
-    def authors(self) -> frozenset[str]:
-        return frozenset(rec.author for _, rec in self.records if rec.author)
+    @cached_property
+    def _cuts(self) -> dict[int, ProjectHistory]:
+        """Cut index -> the cut there (``truncate_history``), which holds no
+        reference back to this history."""
+        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -784,24 +805,87 @@ def emit_ledger(history: ProjectHistory) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 def truncate_history(history: ProjectHistory, rev_id: str) -> ProjectHistory:
-    """Drop every record after ``rev_id``, which becomes the horizon.
+    """The history up to ``rev_id``, which becomes the horizon.
 
-    This is the time-travel guard handed to leak-free feature extraction:
-    nothing chronologically after the cut survives. A cut at the last
-    revision returns ``history`` itself, so applying the same cut twice
-    shares the first cut's cached indexes.
+    This is the time guard of feature extraction: nothing chronologically
+    after the cut survives. ``history`` builds each cut once and holds it,
+    so every caller that cuts at one revision shares one cut, with its
+    cached indexes and its universe. A cut at the last revision is
+    ``history`` itself.
     """
     cut = history.rev_index(rev_id)
     if cut == len(history.revisions) - 1:
         return history
-    keep = {rev.id for rev in history.revisions[: cut + 1]}
-    return ProjectHistory(
-        revisions=history.revisions[: cut + 1],
-        observations=frozenset(o for o in history.observations if o.revision in keep),
-        changes=frozenset(c for c in history.changes if c.revision in keep),
-        attributes={
-            (rev, key): attrs
-            for (rev, key), attrs in history.attributes.items()
-            if rev in keep
-        },
-    )
+    if cut not in history._cuts:
+        keep = {rev.id for rev in history.revisions[: cut + 1]}
+        history._cuts[cut] = ProjectHistory(
+            revisions=history.revisions[: cut + 1],
+            observations=frozenset(o for o in history.observations if o.revision in keep),
+            changes=frozenset(c for c in history.changes if c.revision in keep),
+            attributes={
+                (rev, key): attrs
+                for (rev, key), attrs in history.attributes.items()
+                if rev in keep
+            },
+        )
+    return history._cuts[cut]
+
+
+# ---------------------------------------------------------------------------
+# Warning universe: one entry per warning, under the live-range rule
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CanonicalWarning:
+    """One physical warning: the observations of one live range, merged
+    across the file's rename chain.
+
+    Pattern, path, package and method are read off ``member_key``. A
+    warning is closed only by an absence inside its live range.
+    """
+
+    member_key: WarningKey  # representative key carrying the resolved path
+    category: str
+    presence: frozenset[int]
+    first_seen_idx: int
+    closed_idx: int | None  # first index absent while the file was alive
+
+
+# A warning's identity: its canonical key and the index of the Delete that
+# ended its live range, None while it lives.
+WarningId = tuple[WarningKey, int | None]
+
+
+def build_universe(base: ProjectHistory, at_idx: int) -> dict[WarningId, CanonicalWarning]:
+    """Every warning of ``base`` as of ``at_idx``, under the live-range rule.
+
+    Each key's presence is split at the ``range_ends`` of its path, and each
+    part is resolved forward from its last observation (``resolve_path``),
+    so parts of one rename chain merge. A warning alive at ``at_idx`` is
+    ``universe[(key, None)]``, with ``key`` its own key there; one whose
+    file was deleted is keyed by that Delete's index.
+    """
+    presence_of: dict[WarningId, set[int]] = defaultdict(set)
+    for key, presence in base.key_presence.items():
+        path = key.file_path
+        lo = 0
+        for end in (*(idx for idx, _ in base.range_ends.get(path, ())), len(base.revisions)):
+            hi = bisect_left(presence, end, lo)
+            if hi > lo:  # presence[lo:hi]: one live range of the key
+                resolved, deleted_idx = base.resolve_path(path, presence[hi - 1], at_idx)
+                presence_of[(key.with_path(resolved), deleted_idx)].update(presence[lo:hi])
+            lo = hi
+    out: dict[WarningId, CanonicalWarning] = {}
+    for (canon, deleted_idx), presence in presence_of.items():
+        first_idx = min(presence)
+        last_alive = at_idx if deleted_idx is None else deleted_idx - 1
+        closed_idx = next(
+            (idx for idx in range(first_idx + 1, last_alive + 1) if idx not in presence), None)
+        out[(canon, deleted_idx)] = CanonicalWarning(
+            member_key=canon,
+            category=base.pattern_categories[canon.bug_pattern],
+            presence=frozenset(presence),
+            first_seen_idx=first_idx,
+            closed_idx=closed_idx,
+        )
+    return out

@@ -86,8 +86,6 @@ class EncodedMatrix:
     X: np.ndarray
     manifest: ColumnManifest
     keys: tuple[WarningKey, ...]
-    class_names: tuple[str, ...]
-    bug_patterns: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -133,8 +131,6 @@ def encode_with(manifest: ColumnManifest, instances: Sequence[LabeledInstance]) 
         X=X,
         manifest=manifest,
         keys=tuple(inst.key for inst in instances),
-        class_names=tuple(inst.key.class_name for inst in instances),
-        bug_patterns=tuple(inst.key.bug_pattern for inst in instances),
     )
 
 
@@ -175,8 +171,8 @@ def fit(
         buckets: dict[tuple[str, str], list] = {}
         order = sorted(range(len(train)), key=lambda i: train.keys[i].sort_key())
         for i in order:
-            bucket = buckets.setdefault((train.class_names[i], train.bug_patterns[i]), [])
-            bucket.append(labels[i].value)
+            key = train.keys[i]
+            buckets.setdefault((key.class_name, key.bug_pattern), []).append(labels[i].value)
         params = {"buckets": [[cls, pat, vals] for (cls, pat), vals in sorted(buckets.items())]}
     elif kind == "knn":
         if not 1 <= k <= len(train):
@@ -285,13 +281,14 @@ def _repeat_scores(model: Model, encoded: EncodedMatrix) -> np.ndarray:
     }
     out = np.zeros(len(encoded))  # no identity match: majority class
     for i in range(len(encoded)):
-        candidates = buckets.get((encoded.class_names[i], encoded.bug_patterns[i]))
+        key = encoded.keys[i]
+        candidates = buckets.get((key.class_name, key.bug_pattern))
         if not candidates:
             continue
         if len(candidates) == 1:
             picked = candidates[0]
         else:
-            rng = random.Random(_stable_seed(model.seed, encoded.keys[i]))
+            rng = random.Random(_stable_seed(model.seed, key))
             picked = rng.choice(candidates)
         out[i] = 1.0 if picked == Label.ACTIONABLE.value else 0.0
     return out

@@ -1,7 +1,7 @@
 """Brute-force oracle for file identity: one revision at a time.
 
 ``ProjectHistory.resolve_path`` and ``file_chain`` must agree with these
-walkers for every path, start and end, and ``features.build_universe`` with
+walkers for every path, start and end, and ``history.build_universe`` with
 ``walk_warnings`` at every cut. The walkers read the raw change and
 observation sets at each revision and share no index with the code under
 test.
@@ -36,19 +36,25 @@ def walk_forward(history, path, start_idx, end_idx):
 
 def walk_backward(history, path, at_idx):
     """``file_chain`` as ``(birth_idx, sorted records)``: step back from
-    ``at_idx`` collecting the current path's records. An Add there is the
-    file's birth and ends the walk; else a Rename into the path contributes
-    only its Rename records and moves the walk to the old path (the last
-    old path in sort order when several compete)."""
+    ``at_idx`` collecting the current path's records but its Deletes. An Add
+    there is the file's birth and ends the walk; else a Rename into the path
+    contributes only its Rename records and moves the walk to the old path
+    (the last old path in sort order when several compete); else a Delete of
+    the path or a Rename away from it ends the walk, since the file there
+    started after it."""
     cur, records = path, []
     for idx in range(at_idx, -1, -1):
-        here = [rec for rec in _changes_at(history, idx, cur) if rec.file_path == cur]
+        changes = _changes_at(history, idx, cur)
+        here = [rec for rec in changes if rec.file_path == cur and rec.kind != "Delete"]
         if any(rec.kind == "Add" for rec in here):
             return idx, _ordered(records + [(idx, rec) for rec in here])
         renames = [rec for rec in here if rec.kind == "Rename"]
         records += [(idx, rec) for rec in (renames or here)]
         if renames:
             cur = max(rec.old_path for rec in renames)
+        elif any(rec.kind == "Delete" and rec.file_path == cur
+                 or rec.kind == "Rename" and rec.old_path == cur for rec in changes):
+            break
     return None, _ordered(records)
 
 

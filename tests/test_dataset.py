@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from warnlab import dataset, features, history
 from warnlab.dataset import (
     DatasetMeta,
     audit_duplication,
@@ -10,7 +13,8 @@ from warnlab.dataset import (
     save_dataset,
 )
 from warnlab.errors import OrderingError, ValidationError
-from warnlab.features import LeakMode
+from warnlab.features import LeakMode, audit_time_travel
+from warnlab.history import ProjectHistory
 from warnlab.oracle import Label
 from warnlab.synth import SynthConfig, generate
 
@@ -162,3 +166,45 @@ class TestPersistence:
         del meta[field]
         with pytest.raises(ValidationError, match=repr(field)):
             DatasetMeta.from_json(meta)
+
+
+@pytest.fixture
+def counted_synth(monkeypatch):
+    """A synth result, and per horizon revision id the ``ProjectHistory``
+    objects constructed and the universes built after it."""
+    result = generate(SynthConfig(seed=5, n_files=8, n_revisions=20, warnings_per_revision=5))
+    made = {"histories": Counter(), "universes": Counter()}
+    init, build = ProjectHistory.__init__, features.build_universe
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made["histories"][self.horizon] += 1
+
+    def counted_build(base, at_idx):
+        made["universes"][base.revisions[at_idx].id] += 1
+        return build(base, at_idx)
+
+    monkeypatch.setattr(ProjectHistory, "__init__", counted_init)
+    for module in (history, features, dataset):  # wherever a caller may look the name up
+        monkeypatch.setattr(module, "build_universe", counted_build, raising=False)
+    return result, made
+
+
+class TestOneCutPerRevision:
+    """Each command cuts the history once per revision it reads, and builds
+    that cut's universe once: every reader of a cut shares both."""
+
+    @pytest.mark.parametrize("run", [
+        lambda h, a: build_dataset(h, a.train, a.test, a.reference, LeakMode.leakfree(),
+                                   dedup=True),
+        lambda h, a: build_dataset(h, a.train, a.test, a.reference, LeakMode.leaky(),
+                                   dedup=False),
+        lambda h, a: [audit_time_travel(h, rev, LeakMode.leakfree())
+                      for rev in (a.train, a.test)],
+    ], ids=["leakfree-dedup-build", "leaky-build", "audit"])
+    def test_one_cut_and_one_universe_per_revision(self, run, counted_synth):
+        result, counts = counted_synth
+        run(result.history, result.anchors)
+        revisions = {result.anchors.train, result.anchors.test}
+        for kind, made in counts.items():
+            assert set(made) == revisions and max(made.values()) == 1, (kind, made)

@@ -12,12 +12,14 @@ from warnlab import features
 from warnlab.errors import ExtractionError, ValidationError
 from warnlab.features import (
     FLAG_EMPTY_FILE_POPULATION,
+    FLAG_FILE_CREATION_INFERRED,
     FLAG_METHOD_FILE_FALLBACK,
     FLAG_NO_CLOSED_LIFETIME,
     FLAG_SINGLE_PATTERN_CATEGORY,
     LeakMode,
     MatrixRow,
     audit_time_travel,
+    build_universe,
     defect_likelihood,
     discretized_defect_likelihood,
     extract_golden,
@@ -292,6 +294,26 @@ class TestExtractGolden:
         assert vec.warning_lifetime_revisions == 2
         assert vec.warning_context_in_file == 0.0
         assert FLAG_NO_CLOSED_LIFETIME in vec.flags
+
+    @pytest.mark.parametrize("ending", [
+        change_line("r2", "src/a/Foo.java", "Delete"),
+        change_line("r2", "src/a/Bar.java", "Rename", old_path="src/a/Foo.java"),
+    ], ids=["delete", "rename-away"])
+    def test_file_history_starts_after_a_range_end(self, ending):
+        """Foo.java, added at r0 with 40 lines, ends at r2 and is warned
+        again at r3 with no Add: a new file whose creation is inferred. Its
+        history once crossed r2 and read the ended file's 120 days, author
+        and 40 lines."""
+        lines = [rev_line(f"r{i}", day=30 * i) for i in range(5)]
+        lines += [change_line("r0", "src/a/Foo.java", "Add", lines_added=40), ending]
+        for rid in ("r0", "r1", "r3", "r4"):
+            lines += [warn_line(rid), attrs_line(rid)]
+        h = make_history(lines)
+        ((key, vec),) = extract_golden(h, "r4", LeakMode.leakfree()).items()
+        assert build_universe(truncate_history(h, "r4"), 4)[(key, None)].first_seen_idx == 3
+        assert (vec.file_age_days, vec.developers, vec.loc_added_in_file_last_25_revisions,
+                vec.file_creation_timestamp) == (30.0, 0, 0, float(h.rev_at(3).timestamp))
+        assert FLAG_FILE_CREATION_INFERRED in vec.flags
 
     def test_output_sorted_by_key(self):
         result = generate(SynthConfig(seed=2, n_files=6, n_revisions=16,

@@ -21,9 +21,9 @@ from warnlab.history import (
     key_json,
     key_row,
     WarningObservation,
+    build_universe,
     truncate_history,
 )
-from warnlab.features import build_universe
 from warnlab.synth import SynthConfig, generate
 
 from conftest import DAY, EPOCH, attrs_line, change_line, make_history, rev_line, warn_line
@@ -240,10 +240,9 @@ def _assert_identity_matches_walkers(history):
                 expected = walk_forward(history, path, start, end)
                 assert history.resolve_path(path, start, end) == expected
             if start >= 0:
-                chain = history.file_chain(path, start)
-                birth, records = walk_backward(history, path, start)
-                assert chain.birth_idx == birth
-                assert sorted(chain.records, key=lambda t: (t[0], repr(t[1]))) == records
+                birth, records = history.file_chain(path, start)
+                assert (birth, sorted(records, key=lambda t: (t[0], repr(t[1])))) == \
+                    walk_backward(history, path, start)
 
 
 _PATHS = ("A.java", "B.java", "C.java")
@@ -267,7 +266,7 @@ class TestFileIdentity:
                           ("r2", "A.java", "Rename", "B.java"), ("r3", "A.java", "Modify"))
         assert h.resolve_path("A.java", 0, 5) == ("A.java", None)
         assert h.resolve_path("A.java", 0, 1) == ("B.java", None)
-        assert h.file_chain("A.java", 5).birth_idx == 0
+        assert h.file_chain("A.java", 5)[0] == 0
         _assert_identity_matches_walkers(h)
 
     def test_delete_then_re_add(self):
@@ -275,7 +274,7 @@ class TestFileIdentity:
                           ("r3", "A.java", "Add"), ("r4", "A.java", "Modify"))
         assert h.resolve_path("A.java", 0, 5) == ("A.java", 2)
         assert h.resolve_path("A.java", 3, 5) == ("A.java", None)
-        assert h.file_chain("A.java", 4).birth_idx == 3
+        assert h.file_chain("A.java", 4)[0] == 3
         _assert_identity_matches_walkers(h)
 
     def test_delete_and_rename_at_one_revision(self):
@@ -305,7 +304,7 @@ class TestFileIdentity:
                              FileChangeRecord("r1", "X.java", "Delete", old_path="A.java")])
         h = ProjectHistory(tuple(RevisionMeta(f"r{i}", i) for i in range(3)), frozenset(), changes)
         assert h.resolve_path("A.java", 0, 2) == ("A.java", None)
-        assert h.file_chain("A.java", 2).records == ((0, FileChangeRecord("r0", "A.java", "Add")),)
+        assert h.file_chain("A.java", 2) == (0, ((0, FileChangeRecord("r0", "A.java", "Add")),))
 
     @given(st.lists(_CHANGE, max_size=14))
     @settings(max_examples=150, deadline=None)

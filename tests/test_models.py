@@ -425,11 +425,7 @@ class TestBlockedKnnScorer:
         ])
         keys = tuple(WarningKey("P1", f"src/T{i}.java", "com.a", f"T{i}", None)
                      for i in range(n_test))
-        encoded = EncodedMatrix(
-            X=Xte, manifest=manifest, keys=keys,
-            class_names=tuple(key.class_name for key in keys),
-            bug_patterns=tuple(key.bug_pattern for key in keys),
-        )
+        encoded = EncodedMatrix(X=Xte, manifest=manifest, keys=keys)
         expected = knn_scores_per_row(model, encoded)
         assert np.array_equal(score(model, encoded), expected)
         assert predict(model, encoded) == [
