@@ -24,10 +24,12 @@ import os
 import sys
 from pathlib import Path
 
-# Each handler imports the layers it runs: ingest and synth load history alone,
-# and only fit, eval and report import numpy (through models and evaluation).
+# Each handler imports the layers it runs. Ingest and synth load history
+# alone; fit and eval load dataset, models and evaluation over schema, and no
+# ledger layer (history, oracle, features); only fit, eval and report import
+# numpy.
 from .errors import MODEL_KINDS, ValidationError, WarnlabError, read_json, typed_reader
-from .history import KEY_COLUMNS, emit_ledger, ingest_ledger, key_row
+from .schema import KEY_COLUMNS, LeakMode, MatrixRow, key_row, write_feature_matrix
 
 ENV_OUT = "WARNLAB_OUT"
 
@@ -40,8 +42,22 @@ class UsageError(WarnlabError):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # A command builds one graph it keeps until it exits, with no reference
+    # cycles to reclaim: the cyclic collector stays off while it runs, and the
+    # heap is frozen on the way out, so the interpreter's final collection
+    # skips it. An in-process caller gets its collector back as it was.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except UsageError as exc:
@@ -153,12 +169,11 @@ def _out_dir(args) -> Path:
 
 
 def _load_history(path: str):
+    # Only the ledger commands load history (see the imports above); ``main``
+    # keeps the collector off, so no collection walks the ledger's objects.
+    from .history import ingest_ledger
     with open(path, encoding="utf-8") as fp:
-        history = ingest_ledger(fp)
-    # A command keeps the history until it exits: freezing the heap here
-    # spares every later full collection a walk over the ledger's objects.
-    gc.freeze()
-    return history
+        return ingest_ledger(fp)
 
 
 def parse_duration_days(text: str) -> float:
@@ -288,8 +303,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _mode_from_args(args):
-    from .features import LeakMode
+def _mode_from_args(args) -> LeakMode:
     if args.mode == "leaky":
         return LeakMode.leaky()
     return LeakMode.leakfree(parse_duration_days(args.window))
@@ -305,11 +319,11 @@ def cmd_features(args) -> int:
     vectors = ft.extract_golden(history, args.at, _mode_from_args(args), args.ref)
     out = _out_dir(args)
     rows = [
-        ft.MatrixRow(key=key, origin_rev=args.at, label="", mode=args.mode, vector=vec)
+        MatrixRow(key=key, origin_rev=args.at, label="", mode=args.mode, vector=vec)
         for key, vec in vectors.items()
     ]
     with open(out / "features.csv", "w", encoding="utf-8", newline="") as fp:
-        ft.write_feature_matrix(fp, rows)
+        write_feature_matrix(fp, rows)
     print(f"extracted {len(rows)} feature vector(s) -> {out / 'features.csv'}")
     return 0
 
@@ -406,6 +420,7 @@ def cmd_audit(args) -> int:
 
 def cmd_synth(args) -> int:
     from . import synth as sy
+    from .history import emit_ledger
     if args.config:
         settings = read_json(args.config)
         if args.seed is not None and isinstance(settings, dict):

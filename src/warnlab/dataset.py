@@ -13,18 +13,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import OrderingError, ValidationError, read_json, typed_reader
-from .features import (
+from .schema import (
     FeatureVector,
+    Label,
     LeakMode,
     MatrixRow,
-    extract_golden,
+    WarningKey,
     read_feature_matrix,
     write_feature_matrix,
 )
-from .history import ProjectHistory, WarningKey, truncate_history
-from .oracle import Label, heuristic_label
+
+# The ledger layers (history, oracle, features) are imported inside the
+# functions that build a dataset, so loading a saved one (``fit``, ``eval``)
+# loads none of them.
+if TYPE_CHECKING:
+    from .history import ProjectHistory
 
 # The label values a dataset holds, and so a model learns: Unknown-labeled
 # warnings are dropped when a dataset is built.
@@ -129,6 +135,8 @@ def build_dataset(
     does not slip back in). Unknown-labeled warnings are dropped from both
     splits and counted in the metadata.
     """
+    from .history import truncate_history
+
     train_idx = history.rev_index(train_rev)
     test_idx = history.rev_index(test_rev)
     ref_idx = history.rev_index(ref_rev)
@@ -191,6 +199,8 @@ def _labeled_split(
     ref_for_features: str | None,
     keep: set[WarningKey] | None = None,
 ) -> tuple[list[LabeledInstance], int]:
+    from .features import extract_golden
+    from .oracle import heuristic_label
     labels = {
         lw.key: lw.label for lw in heuristic_label(history, at_rev, ref_rev)
     }

@@ -16,7 +16,7 @@ from typing import Sequence
 from .dataset import Dataset
 from .errors import ValidationError, typed_reader
 from .models import Model, encode_with, labels_of, predict_from_scores, score
-from .oracle import Label
+from .schema import Label
 
 FLAG_NO_PREDICTED_POSITIVES = "precision_undefined"
 FLAG_NO_ACTUAL_POSITIVES = "recall_undefined"

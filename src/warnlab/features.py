@@ -25,27 +25,23 @@ closure flags.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, fields
-from typing import IO, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .errors import ExtractionError, ValidationError
 from .history import (
-    KEY_COLUMNS,
     SECONDS_PER_DAY,
     CanonicalWarning,
     ProjectHistory,
     WarningId,
-    WarningKey,
     WarningObservation,
     build_universe,  # re-exported: the universe lives in history
-    key_from_row,
-    key_row,
     truncate_history,
 )
-from .oracle import Label, heuristic_label
+from .oracle import heuristic_label
+from .schema import NUMERIC_FIELDS, FeatureVector, Label, LeakMode, WarningKey
 
 # Population scopes for the warning-combination features.
 SCOPE_METHOD = "method"
@@ -62,33 +58,6 @@ FLAG_SINGLE_PATTERN_CATEGORY = "single_pattern_category"
 FLAG_EMPTY_CATEGORY = "empty_category"
 FLAG_NO_CLOSED_LIFETIME = "no_closed_lifetime_for_type"
 FLAG_FILE_CREATION_INFERRED = "file_creation_inferred"
-
-
-@dataclass(frozen=True)
-class LeakMode:
-    """Extraction mode: leaky (needs a reference revision) or leak-free."""
-
-    mode: str  # "leaky" | "leakfree"
-    window_days: float = 365.0
-
-    def __post_init__(self):
-        if self.mode not in ("leaky", "leakfree"):
-            raise ValidationError(f"mode must be 'leaky' or 'leakfree', got {self.mode!r}")
-        if not 0 < self.window_days < math.inf:
-            raise ValidationError(f"window_days must be finite and positive, "
-                                  f"got {self.window_days!r}")
-
-    @property
-    def is_leaky(self) -> bool:
-        return self.mode == "leaky"
-
-    @classmethod
-    def leaky(cls) -> "LeakMode":
-        return cls("leaky")
-
-    @classmethod
-    def leakfree(cls, window_days: float = 365.0) -> "LeakMode":
-        return cls("leakfree", window_days)
 
 
 # The formulas take a population as its (closed, total) counts, which is all
@@ -123,81 +92,6 @@ def discretized_defect_likelihood(counts: Mapping[str, Sequence[int]]) -> float:
     for pattern in sorted(populated):
         acc += (defect_likelihood(*populated[pattern]) - pooled) ** 2
     return acc / (n_patterns - 1)
-
-
-# ---------------------------------------------------------------------------
-# Feature vector
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FeatureVector:
-    # warning combination
-    warning_context_in_method: float
-    warning_context_in_file: float
-    warning_context_for_warning_type: float
-    defect_likelihood_for_warning_pattern: float
-    discretization_of_defect_likelihood: float
-    average_lifetime_for_warning_type: float
-    # code characteristics
-    comment_code_ratio: float
-    method_depth: int
-    file_depth: int
-    methods_in_file: int
-    classes_in_package: int
-    # warning characteristics
-    warning_pattern: str
-    warning_type: str
-    warning_priority: int
-    package: str
-    # file history
-    file_age_days: float
-    file_creation_timestamp: float
-    developers: int
-    # code analysis
-    parameter_signature: str
-    method_visibility: str
-    # code history
-    loc_added_in_file_last_25_revisions: int
-    loc_added_in_package_past_3_months: int
-    # warning history
-    warning_lifetime_revisions: int
-    flags: frozenset[str] = field(default_factory=frozenset)
-
-
-# The model schema, read off the annotations in declaration order: int and
-# float fields are numeric, str fields categorical.
-NUMERIC_FIELDS = tuple(f.name for f in fields(FeatureVector) if f.type in ("int", "float"))
-CATEGORICAL_FIELDS = tuple(f.name for f in fields(FeatureVector) if f.type == "str")
-
-# Canonical export names for the 23 features.
-CANONICAL_NAMES: dict[str, str] = {
-    "warning_context_in_method": "warning context in method",
-    "warning_context_in_file": "warning context in file",
-    "warning_context_for_warning_type": "warning context for warning type",
-    "defect_likelihood_for_warning_pattern": "defect likelihood for warning pattern",
-    "discretization_of_defect_likelihood": "discretization of defect likelihood",
-    "average_lifetime_for_warning_type": "average lifetime for warning type",
-    "comment_code_ratio": "comment-code ratio",
-    "method_depth": "method depth",
-    "file_depth": "file depth",
-    "methods_in_file": "# methods in file",
-    "classes_in_package": "# classes in package",
-    "warning_pattern": "warning pattern",
-    "warning_type": "warning type",
-    "warning_priority": "warning priority",
-    "package": "package",
-    "file_age_days": "file age",
-    "file_creation_timestamp": "file creation",
-    "developers": "developers",
-    "parameter_signature": "parameter signature",
-    "method_visibility": "method visibility",
-    "loc_added_in_file_last_25_revisions": "LOC added in file (last 25 revisions)",
-    "loc_added_in_package_past_3_months": "LOC added in package (past 3 month)",
-    "warning_lifetime_revisions": "warning lifetime by revision",
-}
-
-FEATURE_FIELDS = tuple(CANONICAL_NAMES)
-assert len(FEATURE_FIELDS) == 23
 
 
 def _type_lifetimes(base: ProjectHistory,
@@ -439,81 +333,3 @@ def audit_time_travel(history: ProjectHistory, at_rev: str, mode: LeakMode) -> T
         key=WarningKey.sort_key,
     )
     return TimeTravelAudit(ok=not mismatched, checked=len(expected), mismatched_keys=tuple(mismatched))
-
-
-# ---------------------------------------------------------------------------
-# Feature-matrix export / import
-# ---------------------------------------------------------------------------
-
-META_COLUMNS = ("origin_rev", "label", "mode")
-MATRIX_HEADER = KEY_COLUMNS + META_COLUMNS + tuple(CANONICAL_NAMES[f] for f in FEATURE_FIELDS) + ("flags",)
-
-
-@dataclass(frozen=True)
-class MatrixRow:
-    key: WarningKey
-    origin_rev: str
-    label: str  # "" when unlabeled
-    mode: str
-    vector: FeatureVector
-
-
-def write_feature_matrix(fp: IO[str], rows: Iterable[MatrixRow]) -> None:
-    """Write rows as CSV, one warning per line, with canonical headers."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(MATRIX_HEADER)
-    for row in rows:
-        record = [*key_row(row.key), row.origin_rev, row.label, row.mode]
-        for name in FEATURE_FIELDS:
-            value = getattr(row.vector, name)
-            record.append(repr(value) if isinstance(value, float) else str(value))
-        record.append(";".join(sorted(row.vector.flags)))
-        writer.writerow(record)
-
-
-def read_feature_matrix(fp: IO[str]) -> list[MatrixRow]:
-    """Read rows written by ``write_feature_matrix``.
-
-    Any undecodable, short, long or non-numeric record, and any non-finite
-    numeric feature, raises ``ValidationError`` naming its line.
-    """
-    reader = csv.reader(fp)
-    try:
-        header = next(reader, None)
-        if header is None or tuple(header) != MATRIX_HEADER:
-            raise ValidationError("unrecognized feature-matrix header")
-        return [_matrix_row(record, reader.line_num) for record in reader]
-    except (csv.Error, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-        raise ValidationError(f"feature matrix line {reader.line_num}: {exc}") from None
-
-
-def _matrix_row(record: list[str], line_no: int) -> MatrixRow:
-    if len(record) != len(MATRIX_HEADER):
-        raise ValidationError(
-            f"feature matrix line {line_no}: {len(record)} field(s), "
-            f"expected {len(MATRIX_HEADER)}"
-        )
-    values = dict(zip(MATRIX_HEADER, record))
-    kwargs = {}
-    for name in FEATURE_FIELDS:
-        raw = values[CANONICAL_NAMES[name]]
-        target = FeatureVector.__dataclass_fields__[name].type
-        if name in CATEGORICAL_FIELDS:
-            kwargs[name] = raw
-        elif target == "int":
-            kwargs[name] = int(raw)
-        else:
-            kwargs[name] = float(raw)
-            if not math.isfinite(kwargs[name]):
-                raise ValidationError(
-                    f"feature matrix line {line_no}: {CANONICAL_NAMES[name]!r} is {raw!r}"
-                )
-    flags = frozenset(f for f in values["flags"].split(";") if f)
-    return MatrixRow(
-        key=key_from_row(values),
-        origin_rev=values["origin_rev"],
-        label=values["label"],
-        mode=values["mode"],
-        vector=FeatureVector(flags=flags, **kwargs),
-    )
-

@@ -117,14 +117,14 @@ member after the revision, a suffix that is not a valid string) takes the
 full decode, and a prefix whose decode fails never enters the memo, so
 errors and their line numbers are those of a line-by-line decode.
 
-A ``WarningKey`` travels in two shapes, and this module holds the one codec
-for both. As a JSON object (ledger warning and attrs records, annotation
-files, ``truth.json``) it is ``bug_pattern``, ``file_path`` and an
-``entity`` object: :func:`key_json` writes it (``emit_ledger``'s templates
-in the ledger) and :func:`decode_key` reads it with the checks above. As a
-CSV row (``labels.csv`` and the feature matrices) it is the five
-:data:`KEY_COLUMNS`: :func:`key_row` writes them and :func:`key_from_row`
-reads them.
+A ``WarningKey`` travels in two shapes. As a JSON object (ledger warning
+and attrs records, annotation files, ``truth.json``) it is ``bug_pattern``,
+``file_path`` and an ``entity`` object: :func:`key_json` writes it
+(``emit_ledger``'s templates in the ledger) and :func:`decode_key` reads it
+with the checks above. As a CSV row (``labels.csv`` and the feature
+matrices) it is the five ``schema.KEY_COLUMNS``, which ``schema.key_row``
+writes and ``schema.key_from_row`` reads; ``schema`` also holds the key
+itself, so the CSV readers load none of this module.
 """
 
 from __future__ import annotations
@@ -139,9 +139,10 @@ from functools import cached_property
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import make_scanner
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator
 
 from .errors import IntegrityError, LedgerParseError
+from .schema import WarningKey
 
 log = logging.getLogger(__name__)
 
@@ -201,34 +202,6 @@ class StaticAttributes:
     classes_in_package: int
     parameter_signature: str
     method_visibility: str
-
-
-@dataclass(frozen=True)
-class WarningKey:
-    """Cross-revision identity of a warning.
-
-    Identity is (bug pattern, file path, entity signature); the line number
-    is deliberately excluded so that a warning keeps its key while code moves
-    around inside a file. Keys do change across file renames;
-    :func:`build_universe` bridges those via the rename chain.
-    """
-
-    bug_pattern: str
-    file_path: str
-    package: str
-    class_name: str
-    method: str | None = None
-
-    def sort_key(self) -> tuple[str, str, str, str, str]:
-        return (self.bug_pattern, self.file_path, self.package,
-                self.class_name, self.method or "")
-
-    def __lt__(self, other: "WarningKey") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def with_path(self, path: str) -> "WarningKey":
-        return WarningKey(self.bug_pattern, path, self.package,
-                          self.class_name, self.method)
 
 
 @dataclass
@@ -695,11 +668,8 @@ def _decode_attrs(
 
 
 # ---------------------------------------------------------------------------
-# Warning-key codec (the two shapes named in the module docstring)
+# Warning-key JSON codec (the CSV codec is in schema)
 # ---------------------------------------------------------------------------
-
-KEY_COLUMNS = ("bug_pattern", "file_path", "entity_package", "entity_class", "entity_method")
-
 
 def key_json(key: WarningKey) -> dict:
     """The JSON object of a key; ledger records add their own fields to it."""
@@ -731,21 +701,6 @@ def decode_key(value: dict, keys: dict[tuple, WarningKey]) -> WarningKey:
             package, class_name, method,
         )
     return key
-
-
-# A CSV cell cannot hold null, so a class-level key's method is written as
-# "" and read back as None: a key whose method is the empty string is the one
-# key that does not survive the CSV round trip.
-
-def key_row(key: WarningKey) -> list[str]:
-    """The ``KEY_COLUMNS`` cells of a key."""
-    return [key.bug_pattern, key.file_path, key.package, key.class_name, key.method or ""]
-
-
-def key_from_row(row: Mapping[str, str]) -> WarningKey:
-    """The key held in a CSV row's ``KEY_COLUMNS`` cells."""
-    return WarningKey(row["bug_pattern"], row["file_path"], row["entity_package"],
-                      row["entity_class"], row["entity_method"] or None)
 
 
 # ---------------------------------------------------------------------------

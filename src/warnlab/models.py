@@ -31,9 +31,7 @@ import numpy as np
 
 from .dataset import DATASET_LABELS, LabeledInstance
 from .errors import MODEL_KINDS, ModelError
-from .features import CATEGORICAL_FIELDS, NUMERIC_FIELDS
-from .history import WarningKey
-from .oracle import Label
+from .schema import CATEGORICAL_FIELDS, NUMERIC_FIELDS, Label, WarningKey
 
 MODEL_FORMAT = "warnlab.model/1"
 
@@ -208,22 +206,26 @@ def _fit_linear_margin(
     Step size 1/(REGULARIZATION * t) with one pass over a seeded permutation
     per epoch; the bias is updated on margin violations but not regularized.
     """
-    y = np.array([1.0 if lab is Label.ACTIONABLE else -1.0 for lab in labels])
-    n, d = X.shape
-    w = np.zeros(d)
+    # The arithmetic and its order are those of ``X[i] @ w`` on arrays, with
+    # each scalar a Python float: np.dot on a row is the same BLAS ddot call,
+    # so the weights are bit-identical and each step skips numpy indexing.
+    y = [1.0 if lab is Label.ACTIONABLE else -1.0 for lab in labels]
+    rows = list(X)
+    w = np.zeros(X.shape[1])
     b = 0.0
     rng = np.random.default_rng(seed)
     t = 0
     for _ in range(EPOCHS):
-        for i in rng.permutation(n):
+        for i in rng.permutation(len(rows)).tolist():
             t += 1
             eta = 1.0 / (REGULARIZATION * t)
-            margin = y[i] * (X[i] @ w + b)
+            yi, row = y[i], rows[i]
+            margin = yi * (np.dot(row, w) + b)
             w *= 1.0 - eta * REGULARIZATION
             if margin < 1.0:
-                w += eta * y[i] * X[i]
-                b += eta * y[i]
-    return w, float(b)
+                w += eta * yi * row
+                b += eta * yi
+    return w, b
 
 
 def _check_manifest(model: Model, encoded: EncodedMatrix) -> None:
@@ -311,9 +313,11 @@ def save_model(model: Model, path: str | Path) -> None:
         "manifest": model.manifest.to_json(),
         "params": model.params,
     }
+    # json.dumps takes the C encoder (json.dump never does): the same
+    # float.__repr__ and key order, so the same bytes.
+    text = json.dumps(payload, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, sort_keys=True)
-        fp.write("\n")
+        fp.write(text)
 
 
 def load_model(path: str | Path) -> Model:

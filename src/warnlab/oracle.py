@@ -16,13 +16,8 @@ from dataclasses import dataclass, replace
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import OrderingError, ValidationError
-from .history import SECONDS_PER_DAY, ProjectHistory, WarningKey, decode_key
-
-
-class Label(str, enum.Enum):
-    ACTIONABLE = "Actionable"
-    FALSE_ALARM = "FalseAlarm"
-    UNKNOWN = "Unknown"
+from .history import SECONDS_PER_DAY, ProjectHistory, decode_key
+from .schema import Label, WarningKey
 
 
 class Reason(str, enum.Enum):

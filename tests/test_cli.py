@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -498,6 +499,37 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout.splitlines()[-1]))
         assert sorted(loaded & set(absent)) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--dataset", "{dir}/ds", "--model-kind", "linear", "--out", "{tmp}/fit"],
+        ["eval", "--dataset", "{dir}/ds", "--model", "{dir}/model/model.json",
+         "--out", "{tmp}/eval"],
+    ], ids=["fit", "eval"])
+    def test_model_commands_load_no_ledger_layer(self, fitted_dir, tmp_path, argv):
+        argv = [arg.format(dir=fitted_dir, tmp=tmp_path) for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_SCRIPT, json.dumps(argv)],
+            env=_env_with_src(os.environ), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert "warnlab.models" in loaded
+        assert sorted(loaded & {"warnlab.history", "warnlab.oracle", "warnlab.features"}) == []
+
+    @pytest.mark.parametrize("argv,code", [
+        (["synth", "--seed", "3", "--out", "{tmp}/synth"], 0),
+        (["ingest", "--ledger", "{tmp}/missing.jsonl"], 1),  # error[io]
+        (["synth", "--out", "{tmp}/synth"], 2),  # error[usage]
+    ], ids=["ok", "error", "usage"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_gives_the_collector_back(self, tmp_path, argv, code, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("preset,expected", [(None, "1"), ("3", "3")])
     def test_cli_defaults_to_one_blas_thread(self, preset, expected):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import io
 import math
 import random
@@ -17,18 +18,16 @@ from warnlab.features import (
     FLAG_NO_CLOSED_LIFETIME,
     FLAG_SINGLE_PATTERN_CATEGORY,
     LeakMode,
-    MatrixRow,
     audit_time_travel,
     build_universe,
     defect_likelihood,
     discretized_defect_likelihood,
     extract_golden,
-    read_feature_matrix,
     warning_context,
-    write_feature_matrix,
 )
 from warnlab.history import WarningKey, truncate_history
 from warnlab.oracle import Label, heuristic_label
+from warnlab.schema import MatrixRow, read_feature_matrix, write_feature_matrix
 from warnlab.synth import SynthConfig, generate
 
 from conftest import attrs_line, change_line, make_history, rev_line, warn_line
@@ -459,3 +458,37 @@ class TestMatrixRoundTrip:
         write_feature_matrix(buffer, rows)
         buffer.seek(0)
         assert read_feature_matrix(buffer) == rows
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("file age", "nan", "'file age' is 'nan'"),
+        ("file creation", "-inf", "'file creation' is '-inf'"),
+        ("file age", "abc", "could not convert string to float: 'abc'"),
+        ("developers", "2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("warning priority", "", "invalid literal for int() with base 10: ''"),
+        ("flags", None, "31 field(s), expected 32"),  # None: drop the cell
+        (None, "extra", "33 field(s), expected 32"),  # column None: append a cell
+    ])
+    def test_corrupt_cell_names_its_line(self, column, value, message):
+        result = generate(SynthConfig(seed=6, n_files=6, n_revisions=16,
+                                      warnings_per_revision=4))
+        vectors = extract_golden(result.history, result.anchors.train, LeakMode.leakfree())
+        buffer = io.StringIO()
+        write_feature_matrix(buffer, [
+            MatrixRow(key=key, origin_rev="r1", label="", mode="leakfree", vector=vec)
+            for key, vec in vectors.items()
+        ])
+        records = list(csv.reader(io.StringIO(buffer.getvalue())))
+        assert len(records) > 3
+        target = records[2]  # the second data row, on line 3
+        if column is None:
+            target.append(value)
+        elif value is None:
+            del target[records[0].index(column)]
+        else:
+            target[records[0].index(column)] = value
+        corrupt = io.StringIO()
+        csv.writer(corrupt, lineterminator="\n").writerows(records)
+        corrupt.seek(0)
+        with pytest.raises(ValidationError) as info:
+            read_feature_matrix(corrupt)
+        assert str(info.value) == f"feature matrix line 3: {message}"

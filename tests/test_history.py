@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from warnlab.cli import main
 from warnlab.errors import IntegrityError, LedgerParseError
 from warnlab.history import (
-    KEY_COLUMNS,
     FileChangeRecord,
     ProjectHistory,
     RevisionMeta,
@@ -17,13 +16,12 @@ from warnlab.history import (
     decode_key,
     emit_ledger,
     ingest_ledger,
-    key_from_row,
     key_json,
-    key_row,
     WarningObservation,
     build_universe,
     truncate_history,
 )
+from warnlab.schema import key_from_row, key_row
 from warnlab.synth import SynthConfig, generate
 
 from conftest import DAY, EPOCH, attrs_line, change_line, make_history, rev_line, warn_line
@@ -182,7 +180,7 @@ class TestKeyCodec:
     @given(_keys)
     @settings(max_examples=200, deadline=None)
     def test_round_trips(self, key):
-        assert key_from_row(dict(zip(KEY_COLUMNS, key_row(key)))) == key
+        assert key_from_row(key_row(key)) == key
         assert decode_key(key_json(key), {}) == key
 
     def test_interned_per_table(self):

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from warnlab import models
 from warnlab.dataset import Dataset, DatasetMeta, LabeledInstance
@@ -15,6 +21,8 @@ from warnlab.features import FeatureVector, LeakMode
 from warnlab.history import WarningKey
 from warnlab.models import (
     KNN_BLOCK_ELEMENTS,
+    MODEL_FORMAT,
+    ColumnManifest,
     EncodedMatrix,
     Model,
     encode_with,
@@ -27,6 +35,8 @@ from warnlab.models import (
     score,
 )
 from warnlab.oracle import Label
+
+from linear_reference import fit_linear_margin
 
 
 def encode(train, test):
@@ -171,6 +181,25 @@ class TestFit:
         m2 = fit("linear", encoded, labels_of(train), seed=42)
         assert m1.params["weights"] == m2.params["weights"]
         assert m1.params["bias"] == m2.params["bias"]
+
+    @given(data=st.data(), seed=st.integers(0, 2**63 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_linear_weights_match_array_reference(self, data, seed):
+        n = data.draw(st.integers(2, 12), label="rows")
+        d = data.draw(st.integers(1, 6), label="columns")
+        # Mostly encoder-scale values, so that margins fall near 1 and a
+        # reordered step changes which rows update the weights.
+        elements = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0, 5e-324]),
+                             st.floats(-1e6, 1e6))
+        X = data.draw(arrays(np.float64, (n, d), elements=elements), label="X")
+        labels = data.draw(st.lists(st.sampled_from([Label.ACTIONABLE, Label.FALSE_ALARM]),
+                                    min_size=n, max_size=n).filter(lambda ls: len(set(ls)) == 2),
+                           label="labels")
+        keys = tuple(WarningKey("P", f"src/F{i}.java", "com.a", f"F{i}") for i in range(n))
+        model = fit("linear", EncodedMatrix(X, ColumnManifest((), ()), keys), labels, seed=seed)
+        w, b = fit_linear_margin(X, labels, seed)
+        assert np.array(model.params["weights"]).tobytes() == w.tobytes()
+        assert struct.pack("<d", model.params["bias"]) == struct.pack("<d", b)
 
     def test_single_class_linear_rejected(self):
         train = [make_instance(i, Label.FALSE_ALARM) for i in range(5)]
@@ -337,6 +366,29 @@ class TestPersistence:
         loaded = load_model(path)
         assert predict(loaded, encoded) == predict(model, encoded)
         assert np.allclose(score(loaded, encoded), score(model, encoded))
+
+    @pytest.mark.parametrize("kind", ["knn", "linear"])
+    def test_saved_bytes_match_json_dump(self, tmp_path, kind):
+        train = two_cluster_split(n_per_class=6)
+        model = fit(kind, encode_with(fit_manifest(train), train), labels_of(train),
+                    seed=11, k=3)
+        special = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+        params = dict(model.params)
+        if kind == "knn":
+            params["X"] = [special + row[len(special):] for row in params["X"]]
+        else:
+            params["weights"] = special + params["weights"][len(special):]
+            params["bias"] = 0.1 + 0.2
+        model = replace(model, params=params)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        expected = io.StringIO()
+        json.dump({"format": MODEL_FORMAT, "kind": model.kind, "seed": model.seed,
+                   "manifest": model.manifest.to_json(), "params": params},
+                  expected, sort_keys=True)
+        expected.write("\n")
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert all(repr(v) in expected.getvalue() for v in special)
 
     @pytest.mark.parametrize("kind,corrupt", [
         ("knn", lambda p: p.pop("kind")),
