@@ -23,13 +23,18 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-# Each handler imports the layers it runs. Ingest and synth load history
-# alone; fit and eval load dataset, models and evaluation over schema, and no
-# ledger layer (history, oracle, features); only fit, eval and report import
-# numpy.
+# Each handler imports the layers it runs. Ingest loads history over keys,
+# label and sweep add oracle, and synth adds synth: none of them loads the
+# feature schema. fit and eval load dataset, models and evaluation over
+# schema, and no ledger layer (history, oracle, features); only fit, eval and
+# report import numpy.
 from .errors import MODEL_KINDS, ValidationError, WarnlabError, read_json, typed_reader
-from .schema import KEY_COLUMNS, LeakMode, MatrixRow, key_row, write_feature_matrix
+from .keys import KEY_COLUMNS, key_row
+
+if TYPE_CHECKING:
+    from .schema import LeakMode
 
 ENV_OUT = "WARNLAB_OUT"
 
@@ -304,6 +309,7 @@ def cmd_sweep(args) -> int:
 
 
 def _mode_from_args(args) -> LeakMode:
+    from .schema import LeakMode
     if args.mode == "leaky":
         return LeakMode.leaky()
     return LeakMode.leakfree(parse_duration_days(args.window))
@@ -315,6 +321,7 @@ def cmd_features(args) -> int:
     if args.mode == "leaky" and not args.ref:
         raise UsageError("--mode leaky requires --ref")
     from . import features as ft
+    from .schema import MatrixRow, write_feature_matrix
     history = _load_history(args.ledger)
     vectors = ft.extract_golden(history, args.at, _mode_from_args(args), args.ref)
     out = _out_dir(args)
@@ -433,8 +440,7 @@ def cmd_synth(args) -> int:
     result = sy.generate(config)
     out = _out_dir(args)
     with open(out / "ledger.jsonl", "w", encoding="utf-8") as fp:
-        for line in emit_ledger(result.history):
-            fp.write(line + "\n")
+        fp.writelines(line + "\n" for line in emit_ledger(result.history))
     with open(out / "truth.json", "w", encoding="utf-8") as fp:
         sy.write_truth(result, fp)
     print(

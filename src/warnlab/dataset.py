@@ -16,15 +16,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import OrderingError, ValidationError, read_json, typed_reader
-from .schema import (
-    FeatureVector,
-    Label,
-    LeakMode,
-    MatrixRow,
-    WarningKey,
-    read_feature_matrix,
-    write_feature_matrix,
-)
+from .keys import Label, WarningKey
+from .schema import FeatureVector, LeakMode, MatrixRow, read_feature_matrix, write_feature_matrix
 
 # The ledger layers (history, oracle, features) are imported inside the
 # functions that build a dataset, so loading a saved one (``fit``, ``eval``)

@@ -40,8 +40,9 @@ from .history import (
     build_universe,  # re-exported: the universe lives in history
     truncate_history,
 )
+from .keys import Label, WarningKey
 from .oracle import heuristic_label
-from .schema import NUMERIC_FIELDS, FeatureVector, Label, LeakMode, WarningKey
+from .schema import NUMERIC_FIELDS, FeatureVector, LeakMode
 
 # Population scopes for the warning-combination features.
 SCOPE_METHOD = "method"

@@ -108,29 +108,34 @@ the bytes depend on the history alone, not on the hash seed:
 
 So every warning, change and attrs line ends in ``, "revision": "<id>"}``,
 and most lines repeat an earlier line up to that suffix: the same warning,
-change or attrs payload at another revision. :func:`ingest_ledger` decodes
-each distinct record prefix once. A line whose prefix it has seen, and whose
-suffix is one valid JSON string followed by the closing ``}`` and nothing
-else, reuses that prefix's decoded and validated fields and decodes only its
-revision string. Any other line (revision records, whitespace or another
-member after the revision, a suffix that is not a valid string) takes the
-full decode, and a prefix whose decode fails never enters the memo, so
-errors and their line numbers are those of a line-by-line decode.
+change or attrs payload at another revision. Both directions of the codec
+pay per distinct record, not per line. :func:`emit_ledger` formats each
+distinct warning body (key, category, priority, line) once, and each
+distinct attrs payload of a key once; each line is then that body plus the
+quoted revision id and ``}``. :func:`ingest_ledger` decodes each distinct
+record prefix once. A line whose prefix it has seen, and whose suffix is
+one valid JSON string followed by the closing ``}`` and nothing else,
+reuses that prefix's decoded and validated fields and decodes only its
+revision string (a plain one, with no quote, backslash or unprintable
+character, by string tests alone). Any other line (revision records,
+whitespace or another member after the revision, a suffix that is not a
+valid string) takes the full decode, and a prefix whose decode fails never
+enters the memo, so errors and their line numbers are those of a
+line-by-line decode.
 
 A ``WarningKey`` travels in two shapes. As a JSON object (ledger warning
 and attrs records, annotation files, ``truth.json``) it is ``bug_pattern``,
 ``file_path`` and an ``entity`` object: :func:`key_json` writes it
 (``emit_ledger``'s templates in the ledger) and :func:`decode_key` reads it
 with the checks above. As a CSV row (``labels.csv`` and the feature
-matrices) it is the five ``schema.KEY_COLUMNS``, which ``schema.key_row``
-writes and ``schema.key_from_row`` reads; ``schema`` also holds the key
-itself, so the CSV readers load none of this module.
+matrices) it is the five ``keys.KEY_COLUMNS``, which ``keys.key_row``
+writes and ``keys.key_from_row`` reads; ``keys`` also holds the key itself,
+so the CSV readers load none of this module.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 from bisect import bisect_left
 from collections import defaultdict
@@ -139,12 +144,11 @@ from functools import cached_property
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import make_scanner
-from typing import IO, Iterable, Iterator
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import IntegrityError, LedgerParseError
-from .schema import WarningKey
-
-log = logging.getLogger(__name__)
+from .keys import WarningKey
 
 CHANGE_KINDS = ("Add", "Modify", "Delete", "Rename")
 VISIBILITIES = ("public", "protected", "package", "private")
@@ -163,14 +167,14 @@ class RevisionMeta:
         return (self.timestamp, self.id)
 
 
-@dataclass(frozen=True)
-class WarningObservation:
+class WarningObservation(NamedTuple):
     """One warning seen at one revision.
 
     ``key`` is the warning's line-insensitive identity: its bug pattern, file
     path and entity (package, class, optional method). Ingest hands every
     observation of one key the same ``WarningKey`` object, the one that attrs
-    records of that key carry too.
+    records of that key carry too. As a tuple, an observation compares and
+    hashes like its five fields in order.
     """
 
     revision: str
@@ -401,7 +405,8 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     ``WarningKey`` per distinct key, shared by observations and attrs
     records, and one ``StaticAttributes`` per distinct attrs payload, each
     validated once, on first sight; one hash per observation, taken when it
-    is collected and reused by the frozen set.
+    is collected and reused by the frozen set, and one per key. The checks
+    of revision references and pattern categories read distinct values.
     """
     revisions: list[RevisionMeta] = []
     observations: dict[WarningObservation, None] = {}  # a set in line order
@@ -409,6 +414,7 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     attributes: dict[tuple[str, WarningKey], StaticAttributes] = {}
     keys: dict[tuple, WarningKey] = {}
     payloads: dict[tuple, StaticAttributes] = {}
+    categories: dict[tuple[str, str], None] = {}  # (bug_pattern, bug_category) pairs
     memo: dict[str, tuple[str, tuple]] = {}  # prefix -> (kind, fields but the revision)
     warning_lines = 0
 
@@ -433,6 +439,8 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
                     continue
                 if kind == "warning":
                     rev, fields = _decode_warning(rec, keys)
+                    # A memo hit repeats a decoded line, so every pair is seen here first.
+                    categories[(fields[0].bug_pattern, fields[1])] = None
                 elif kind == "attrs":
                     rev, fields = _decode_attrs(rec, keys, payloads)
                 elif kind == "change":
@@ -448,7 +456,7 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
             if tail == rev:  # the line ends in its own revision member
                 memo[prefix] = (kind, fields)
         if kind == "warning":
-            observations[WarningObservation(rev, *fields)] = None
+            observations[WarningObservation._make((rev, *fields))] = None
             warning_lines += 1
         elif kind == "attrs":
             attributes[(rev, fields[0])] = fields[1]
@@ -457,7 +465,9 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
 
     duplicate_obs = warning_lines - len(observations)
     if duplicate_obs:
-        log.warning("collapsed %d duplicate warning line(s) during ingestion", duplicate_obs)
+        import logging  # the one log call: a ledger without duplicates never loads logging
+        logging.getLogger(__name__).warning(
+            "collapsed %d duplicate warning line(s) during ingestion", duplicate_obs)
 
     ids = [r.id for r in revisions]
     if len(set(ids)) != len(ids):
@@ -477,27 +487,17 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
                 f"revision {rev.id!r} predates its parent {rev.parent!r}"
             )
 
-    known = set(by_id)
-    for obs in observations:
-        if obs.revision not in known:
+    # Each check reads distinct values in order of first sight, so it raises
+    # where a check of every record in line order would.
+    _check_known(by_id, map(_first, observations), "warning observation")
+    _check_known(by_id, (rec.revision for rec in changes), "change record")
+    _check_known(by_id, map(_first, attributes), "attrs record")
+    category_of: dict[str, str] = {}
+    for pattern, category in categories:
+        prev = category_of.setdefault(pattern, category)
+        if prev != category:
             raise IntegrityError(
-                f"warning observation references unknown revision {obs.revision!r}"
-            )
-    for rec in changes:
-        if rec.revision not in known:
-            raise IntegrityError(f"change record references unknown revision {rec.revision!r}")
-    for rev_id, _key in attributes:
-        if rev_id not in known:
-            raise IntegrityError(f"attrs record references unknown revision {rev_id!r}")
-
-    categories: dict[str, str] = {}
-    for obs in observations:
-        prev = categories.setdefault(obs.key.bug_pattern, obs.bug_category)
-        if prev != obs.bug_category:
-            raise IntegrityError(
-                f"bug pattern {obs.key.bug_pattern!r} mapped to both "
-                f"{prev!r} and {obs.bug_category!r}"
-            )
+                f"bug pattern {pattern!r} mapped to both {prev!r} and {category!r}")
 
     return ProjectHistory(
         revisions=tuple(sorted(revisions, key=lambda r: r.order_key)),
@@ -505,6 +505,15 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
         changes=frozenset(changes),
         attributes=attributes,
     )
+
+
+_first = itemgetter(0)
+
+
+def _check_known(revisions: dict, revision_ids: Iterable[str], what: str) -> None:
+    for rev_id in dict.fromkeys(revision_ids):
+        if rev_id not in revisions:
+            raise IntegrityError(f"{what} references unknown revision {rev_id!r}")
 
 
 # The decoders below read each field by indexing; a missing one raises
@@ -537,8 +546,15 @@ def _revision_suffix(line: str, cut: int) -> str | None:
     """The revision id of a line whose ``_REVISION_MEMBER`` starts at ``cut``,
     if that member's value is a valid JSON string followed by the closing
     ``}`` and nothing else; None otherwise."""
+    start = cut + len(_REVISION_MEMBER)
+    rev = line[start:-2]
+    # A plain id (no quote, backslash or control character) is its own JSON
+    # text; anything else goes through the decoder's string scanner.
+    if (line.find('"', start) == len(line) - 2 and line[-1] == "}"
+            and "\\" not in rev and rev.isprintable()):
+        return rev
     try:
-        rev, end = scanstring(line, cut + len(_REVISION_MEMBER))
+        rev, end = scanstring(line, start)
     except ValueError:  # json.JSONDecodeError: a bad escape or no closing quote
         return None
     return rev if line[end:] == "}" else None
@@ -719,20 +735,34 @@ def _entity(e: WarningKey) -> str:
 def emit_ledger(history: ProjectHistory) -> Iterator[str]:
     """Serialize a history back to ledger lines, in the wire form and the
     total order stated in the module docstring: one f-string per record
-    kind, with its keys in sorted order. Sorting reads raw fields, so no
-    ``WarningKey`` is built for an observation."""
+    kind, with its keys in sorted order, formatted once per distinct
+    warning body and attrs payload (module docstring). The distinct bodies
+    are sorted once, and their lines fill one bucket per revision index in
+    body rank order: the order of a sort of the lines.
+    """
     order = history._order
+    ends = [f"{_quote(r.id)}}}" for r in history.revisions]  # quoted id and "}", by index
     for r in history.revisions:
         yield (f'{{"branch": {_quote(r.branch)}, "id": {_quote(r.id)}, "kind": "revision", '
                f'"parent": {_optional(r.parent)}, "timestamp": {r.timestamp}}}')
-    for o in sorted(history.observations, key=lambda o: (
-            order[o.revision], *o.key.sort_key(), o.line, o.priority, o.bug_category,
-            o.key.method is not None)):
-        k = o.key
-        yield (f'{{"bug_category": {_quote(o.bug_category)}, '
-               f'"bug_pattern": {_quote(k.bug_pattern)}, "entity": {_entity(k)}, '
-               f'"file_path": {_quote(k.file_path)}, "kind": "warning", "line": {o.line}, '
-               f'"priority": {o.priority}, "revision": {_quote(o.revision)}}}')
+
+    at: dict[tuple, list[int]] = defaultdict(list)  # body -> its revision indexes
+    for o in history.observations:
+        at[o[1:]].append(order[o.revision])  # the body: (key, category, priority, line)
+    buckets: list[list[str]] = [[] for _ in ends]
+    for body in sorted(at, key=lambda b: (*b[0].sort_key(), b[3], b[2], b[1],
+                                          b[0].method is not None)):
+        k, category, priority, line = body
+        text = (f'{{"bug_category": {_quote(category)}, '
+                f'"bug_pattern": {_quote(k.bug_pattern)}, "entity": {_entity(k)}, '
+                f'"file_path": {_quote(k.file_path)}, "kind": "warning", "line": {line}, '
+                f'"priority": {priority}, "revision": ')
+        for idx in at[body]:
+            buckets[idx].append(text)
+    for texts, end in zip(buckets, ends):
+        for text in texts:
+            yield text + end
+
     for c in sorted(history.changes, key=lambda c: (
             order[c.revision], c.file_path, c.kind, c.author, c.lines_added, c.lines_deleted,
             c.old_path or "")):
@@ -740,19 +770,34 @@ def emit_ledger(history: ProjectHistory) -> Iterator[str]:
         yield (f'{{"author": {_quote(c.author)}, "change_kind": {_quote(c.kind)}, '
                f'"file_path": {_quote(c.file_path)}, "kind": "change", '
                f'"lines_added": {c.lines_added}, "lines_deleted": {c.lines_deleted}, '
-               f'{old_path}"revision": {_quote(c.revision)}}}')
-    for (rev_id, k), a in sorted(history.attributes.items(), key=lambda item: (
-            order[item[0][0]], *item[0][1].sort_key(), item[0][1].method is not None)):
-        yield (f'{{"bug_pattern": {_quote(k.bug_pattern)}, '
-               f'"classes_in_package": {a.classes_in_package}, '
-               f'"comment_code_ratio": {a.comment_code_ratio!r}, '
-               f'"entity": {_entity(k)}, '
-               f'"file_depth": {a.file_depth}, "file_path": {_quote(k.file_path)}, '
-               f'"kind": "attrs", "method_depth": {a.method_depth}, '
-               f'"method_visibility": {_quote(a.method_visibility)}, '
-               f'"methods_in_file": {a.methods_in_file}, '
-               f'"parameter_signature": {_quote(a.parameter_signature)}, '
-               f'"revision": {_quote(rev_id)}}}')
+               f'{old_path}"revision": {ends[order[c.revision]]}')
+
+    of_key: dict[WarningKey, list[tuple[int, StaticAttributes]]] = defaultdict(list)
+    for (rev_id, k), a in history.attributes.items():
+        of_key[k].append((order[rev_id], a))
+    buckets = [[] for _ in ends]
+    for k in sorted(of_key, key=lambda k: (*k.sort_key(), k.method is not None)):
+        formatted: dict = {}  # payload -> text
+        for idx, a in of_key[k]:
+            # 0.0 and -0.0 are equal payloads but emit differently: key a zero by its text.
+            ratio = a.comment_code_ratio
+            payload = a if ratio else (repr(ratio), a)
+            text = formatted.get(payload)
+            if text is None:
+                text = formatted[payload] = (
+                    f'{{"bug_pattern": {_quote(k.bug_pattern)}, '
+                    f'"classes_in_package": {a.classes_in_package}, '
+                    f'"comment_code_ratio": {ratio!r}, "entity": {_entity(k)}, '
+                    f'"file_depth": {a.file_depth}, "file_path": {_quote(k.file_path)}, '
+                    f'"kind": "attrs", "method_depth": {a.method_depth}, '
+                    f'"method_visibility": {_quote(a.method_visibility)}, '
+                    f'"methods_in_file": {a.methods_in_file}, '
+                    f'"parameter_signature": {_quote(a.parameter_signature)}, '
+                    f'"revision": ')
+            buckets[idx].append(text)
+    for texts, end in zip(buckets, ends):
+        for text in texts:
+            yield text + end
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ import numpy as np
 
 from .dataset import DATASET_LABELS, LabeledInstance
 from .errors import MODEL_KINDS, ModelError
-from .schema import CATEGORICAL_FIELDS, NUMERIC_FIELDS, Label, WarningKey
+from .keys import Label, WarningKey
+from .schema import CATEGORICAL_FIELDS, NUMERIC_FIELDS
 
 MODEL_FORMAT = "warnlab.model/1"
 

@@ -17,7 +17,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import OrderingError, ValidationError
 from .history import SECONDS_PER_DAY, ProjectHistory, decode_key
-from .schema import Label, WarningKey
+from .keys import Label, WarningKey
 
 
 class Reason(str, enum.Enum):

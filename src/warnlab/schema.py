@@ -1,73 +1,22 @@
-"""The shapes every layer shares: warning keys, labels, feature vectors,
-extraction modes, and the feature-matrix CSV that carries them.
+"""The feature schema: extraction modes, feature vectors, and the
+feature-matrix CSV that carries them.
 
-This is the bottom module of the package: it imports only ``errors`` and the
-standard library. ``history``, ``oracle`` and ``features`` build on these
-names, and ``dataset``, ``models`` and ``evaluation`` need nothing else at
-import, so ``fit`` and ``eval`` load no ledger, labeling or extraction code.
+It imports only ``errors``, ``keys`` and the standard library. ``features``
+builds on these names, and ``dataset``, ``models`` and ``evaluation`` need
+nothing else at import, so ``fit`` and ``eval`` load no ledger, labeling or
+extraction code. The ledger layers (``history``, ``oracle``) need only
+``keys``, so the ledger commands never load this module.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import math
 from dataclasses import dataclass, field, fields
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class WarningKey:
-    """Cross-revision identity of a warning.
-
-    Identity is (bug pattern, file path, entity signature); the line number
-    is deliberately excluded so that a warning keeps its key while code moves
-    around inside a file. Keys do change across file renames;
-    ``history.build_universe`` bridges those via the rename chain.
-    """
-
-    bug_pattern: str
-    file_path: str
-    package: str
-    class_name: str
-    method: str | None = None
-
-    def sort_key(self) -> tuple[str, str, str, str, str]:
-        return (self.bug_pattern, self.file_path, self.package,
-                self.class_name, self.method or "")
-
-    def __lt__(self, other: "WarningKey") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def with_path(self, path: str) -> "WarningKey":
-        return WarningKey(self.bug_pattern, path, self.package,
-                          self.class_name, self.method)
-
-
-# A key as CSV cells (``labels.csv`` and the feature matrices): the first five
-# columns of a row. A CSV cell cannot hold null, so a class-level key's method
-# is written as "" and read back as None: a key whose method is the empty
-# string is the one key that does not survive the round trip.
-
-KEY_COLUMNS = ("bug_pattern", "file_path", "entity_package", "entity_class", "entity_method")
-
-
-def key_row(key: WarningKey) -> list[str]:
-    """The ``KEY_COLUMNS`` cells of a key."""
-    return [key.bug_pattern, key.file_path, key.package, key.class_name, key.method or ""]
-
-
-def key_from_row(cells: Sequence[str]) -> WarningKey:
-    """The key held in a row's first five cells, in ``KEY_COLUMNS`` order."""
-    return WarningKey(cells[0], cells[1], cells[2], cells[3], cells[4] or None)
-
-
-class Label(str, enum.Enum):
-    ACTIONABLE = "Actionable"
-    FALSE_ALARM = "FalseAlarm"
-    UNKNOWN = "Unknown"
+from .keys import KEY_COLUMNS, WarningKey, key_from_row, key_row
 
 
 @dataclass(frozen=True)

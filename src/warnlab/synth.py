@@ -382,5 +382,4 @@ def generate(config: SynthConfig) -> SynthResult:
 
 
 def write_truth(result: SynthResult, fp) -> None:
-    json.dump(result.truth_json(), fp, indent=2, sort_keys=True)
-    fp.write("\n")
+    fp.write(json.dumps(result.truth_json(), indent=2, sort_keys=True) + "\n")

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from warnlab.models import EPOCHS, REGULARIZATION
-from warnlab.schema import Label
+from warnlab.keys import Label
 
 
 def fit_linear_margin(X: np.ndarray, labels: Sequence[Label], seed: int) -> tuple[np.ndarray, float]:

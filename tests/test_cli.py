@@ -454,6 +454,16 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+def _loaded_by(argv: list[str]) -> set[str]:
+    """The modules a fresh interpreter holds once ``warnlab argv`` has run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCRIPT, json.dumps(argv)],
+        env=_env_with_src(os.environ), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
 class TestImports:
     def test_ledger_commands_never_import_numpy(self, synth_dir, tmp_path):
         ledger = str(synth_dir / "ledger.jsonl")
@@ -492,13 +502,22 @@ class TestImports:
     def test_commands_load_only_the_layers_they_run(self, synth_dir, tmp_path, argv, absent):
         (tmp_path / "synth.json").write_text('{"seed": 3, "n_files": 4}', encoding="utf-8")
         argv = [arg.format(dir=tmp_path, **_anchors(synth_dir)) for arg in argv]
-        proc = subprocess.run(
-            [sys.executable, "-c", _LOADED_SCRIPT, json.dumps(argv)],
-            env=_env_with_src(os.environ), capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
-        assert sorted(loaded & set(absent)) == []
+        assert sorted(_loaded_by(argv) & set(absent)) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--ledger", "{dir}/synth/ledger.jsonl"],
+        ["label", "--ledger", "{dir}/synth/ledger.jsonl", "--at", "{test}", "--ref",
+         "{reference}", "--out", "{dir}/label"],
+        ["sweep", "--ledger", "{dir}/synth/ledger.jsonl", "--at", "{train}",
+         "--intervals", "90d", "--out", "{dir}/sweep"],
+        ["synth", "--seed", "3", "--out", "{dir}/out"],
+    ], ids=["ingest", "label", "sweep", "synth"])
+    def test_ledger_commands_load_no_feature_schema_or_logging(self, synth_dir, tmp_path,
+                                                               argv):
+        """The ledger layers need only the key module, and ingest logs only
+        when it collapses duplicate lines, which these ledgers never hold."""
+        argv = [arg.format(dir=tmp_path, **_anchors(synth_dir)) for arg in argv]
+        assert sorted(_loaded_by(argv) & {"warnlab.schema", "logging"}) == []
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--dataset", "{dir}/ds", "--model-kind", "linear", "--out", "{tmp}/fit"],
@@ -506,13 +525,7 @@ class TestImports:
          "--out", "{tmp}/eval"],
     ], ids=["fit", "eval"])
     def test_model_commands_load_no_ledger_layer(self, fitted_dir, tmp_path, argv):
-        argv = [arg.format(dir=fitted_dir, tmp=tmp_path) for arg in argv]
-        proc = subprocess.run(
-            [sys.executable, "-c", _LOADED_SCRIPT, json.dumps(argv)],
-            env=_env_with_src(os.environ), capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        loaded = _loaded_by([arg.format(dir=fitted_dir, tmp=tmp_path) for arg in argv])
         assert "warnlab.models" in loaded
         assert sorted(loaded & {"warnlab.history", "warnlab.oracle", "warnlab.features"}) == []
 

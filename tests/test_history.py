@@ -21,7 +21,7 @@ from warnlab.history import (
     build_universe,
     truncate_history,
 )
-from warnlab.schema import key_from_row, key_row
+from warnlab.keys import key_from_row, key_row
 from warnlab.synth import SynthConfig, generate
 
 from conftest import DAY, EPOCH, attrs_line, change_line, make_history, rev_line, warn_line
@@ -191,6 +191,23 @@ class TestKeyCodec:
 
 
 class TestWarningKey:
+    @given(_keys)
+    @settings(max_examples=100, deadline=None)
+    def test_hash_is_the_hash_of_its_fields(self, key):
+        fields = (key.bug_pattern, key.file_path, key.package, key.class_name, key.method)
+        assert hash(key) == hash(fields)
+        assert hash(key) == hash(fields)  # the second read comes from the cache
+
+    @given(_keys, st.text(max_size=3), st.text(max_size=3), st.integers(1, 3),
+           st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_observation_is_its_field_tuple(self, key, rev, category, priority, line):
+        fields = (rev, key, category, priority, line)
+        obs = WarningObservation(*fields)
+        assert obs == fields and hash(obs) == hash(fields)
+        later = WarningObservation(rev, key, category, priority, line + 1)
+        assert (obs < later) == (fields < tuple(later)) and obs != later
+
     def test_line_insensitive(self):
         h = make_history([rev_line("r1", 0), warn_line("r1", line=10), warn_line("r1", line=14)])
         keys = {o.key for o in h.observations}

@@ -4,6 +4,7 @@ with the straightforward per-record parse and emit in ``ledger_reference``."""
 from __future__ import annotations
 
 import json
+import logging
 import math
 from collections import defaultdict
 from dataclasses import replace
@@ -389,14 +390,14 @@ def test_memo_matches_reference(lines):
     """Ledgers full of repeated record prefixes parse to the reference's
     history, or fail with its error class on its line, and ingest logs the
     collapse count of identical warning lines that the reference implies."""
-    with patch("warnlab.history.log") as log:
+    with patch.object(logging.getLogger("warnlab.history"), "warning") as warning:
         got = _outcome(ingest_ledger, lines)
     want = _outcome(reference_ingest, lines)
     assert got == want
     if isinstance(want[0], ProjectHistory):
         warning_lines = sum(json.loads(ln)["kind"] == "warning" for ln in lines)
         duplicates = warning_lines - len(want[0].observations)
-        calls = [c.args for c in log.warning.call_args_list]
+        calls = [c.args for c in warning.call_args_list]
         assert calls == ([("collapsed %d duplicate warning line(s) during ingestion",
                            duplicates)] if duplicates else [])
 
@@ -431,11 +432,14 @@ _TEXT = st.text(st.one_of(_TRICKY, st.characters()), max_size=4)
 @st.composite
 def _histories(draw) -> ProjectHistory:
     """A valid history whose every string field draws from one small pool of
-    tricky texts, so equal fields (and sort ties) are common."""
+    tricky texts, so equal fields (and sort ties) are common. Each warning
+    body and attrs payload recurs at a drawn set of revisions, and one key
+    carries a 0.0 and a -0.0 ratio at two revisions, payloads that are equal
+    but emit differently."""
     pool = draw(st.lists(_TEXT, min_size=2, max_size=4, unique=True))
     text = st.sampled_from(pool)
     nonempty = st.sampled_from([t for t in pool if t] or ["x"])
-    ids = draw(st.lists(text, min_size=1, max_size=3, unique=True))
+    ids = draw(st.lists(text, min_size=2, max_size=3, unique=True))
     stamps = sorted(draw(st.lists(st.integers(0, 2**40), min_size=len(ids),
                                   max_size=len(ids))))
     revisions = [
@@ -444,15 +448,16 @@ def _histories(draw) -> ProjectHistory:
         for i, (rid, stamp) in enumerate(zip(ids, stamps))
     ]
     rev = st.sampled_from(ids)
+    revs = st.lists(rev, min_size=1, unique=True)
     method = st.none() | st.just("") | text
     categories = {}
     observations = []
     for _ in range(draw(st.integers(0, 8))):
         pattern = draw(text)
         key = WarningKey(pattern, draw(nonempty), draw(text), draw(text), draw(method))
-        observations.append(WarningObservation(
-            draw(rev), key, categories.setdefault(pattern, draw(text)),
-            draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+        body = (key, categories.setdefault(pattern, draw(text)),
+                draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        observations += [WarningObservation(r, *body) for r in draw(revs)]
     changes = []
     for _ in range(draw(st.integers(0, 8))):
         path, kind = draw(text), draw(st.sampled_from(CHANGE_KINDS))
@@ -464,11 +469,21 @@ def _histories(draw) -> ProjectHistory:
     ratio = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 0.1]) | st.floats(
         min_value=0, allow_nan=False, allow_infinity=False)
     attributes = {}
+
+    def payload(comment_code_ratio):
+        return StaticAttributes(comment_code_ratio,
+                                *(draw(st.integers(0, 2**40)) for _ in range(4)),
+                                draw(text), draw(st.sampled_from(VISIBILITIES)))
+
     for _ in range(draw(st.integers(0, 6))):
         key = WarningKey(draw(text), draw(text), draw(text), draw(text), draw(method))
-        attributes[(draw(rev), key)] = StaticAttributes(
-            draw(ratio), *(draw(st.integers(0, 2**40)) for _ in range(4)), draw(text),
-            draw(st.sampled_from(VISIBILITIES)))
+        attrs = payload(draw(ratio))
+        attributes.update(((r, key), attrs) for r in draw(revs))
+    key = WarningKey(draw(text), draw(text), draw(text), draw(text), draw(method))
+    zero = payload(0.0)
+    first, second = draw(st.permutations(ids))[:2]
+    attributes[(first, key)] = zero
+    attributes[(second, key)] = replace(zero, comment_code_ratio=-0.0)
     ordered = tuple(sorted(revisions, key=lambda r: r.order_key))
     return ProjectHistory(ordered, frozenset(observations), frozenset(changes), attributes)
 
@@ -491,8 +506,10 @@ def _tied_history() -> ProjectHistory:
 @settings(max_examples=200, deadline=None)
 def test_emit_matches_reference_and_round_trips(history):
     """Byte equality with the json.dumps reference on hand-built histories,
-    the same bytes whatever order the records were collected in, and every
-    emitted ledger ingests back to an equal history."""
+    so emit's memo formats each recurring body and payload right and its
+    rank order is the total order; the same bytes whatever order the records
+    were collected in; and every emitted ledger ingests back to an equal
+    history."""
     lines = list(emit_ledger(history))
     assert lines == list(reference_emit(history))
     # Records handed over in the reverse order (tuples, which keep it) sort
