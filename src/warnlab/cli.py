@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", required=True)
     p.add_argument("--mode", choices=("leaky", "leakfree"), required=True)
     p.add_argument("--ref", help="reference revision (leaky mode only)")
-    p.add_argument("--window", default="365d", help="leak-free population window")
+    p.add_argument("--window", help="leak-free population window")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_features)
 
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--mode", choices=("leaky", "leakfree"), required=True)
-    p.add_argument("--window", default="365d")
+    p.add_argument("--window")
     p.add_argument("--dedup", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_build)
@@ -209,14 +209,16 @@ def cmd_ingest(args) -> int:
     history = _load_history(args.ledger)
     print(
         f"ok: {len(history.revisions)} revision(s), "
-        f"{len(history.observations)} observation(s), "
-        f"{len(history.changes)} change(s), "
-        f"{len(history.attributes)} attrs record(s), horizon={history.horizon}"
+        f"{sum(map(len, history.warnings_at))} observation(s), "
+        f"{sum(map(len, history.changes_at))} change(s), "
+        f"{sum(map(len, history.attrs_at))} attrs record(s), horizon={history.horizon}"
     )
     return 0
 
 
 def cmd_label(args) -> int:
+    if args.annotator is not None and not args.annotations:
+        raise UsageError("--annotator requires --annotations")
     from . import oracle as oc
     history = _load_history(args.ledger)
     labels = oc.heuristic_label(history, args.at, args.ref)
@@ -309,9 +311,15 @@ def cmd_sweep(args) -> int:
 
 
 def _mode_from_args(args) -> LeakMode:
+    """The ``--mode`` and ``--window`` of features and build; a window
+    defaults to 365 days and belongs to leak-free mode only."""
     from .schema import LeakMode
     if args.mode == "leaky":
+        if args.window is not None:
+            raise UsageError("--window conflicts with --mode leaky")
         return LeakMode.leaky()
+    if args.window is None:
+        return LeakMode.leakfree()
     return LeakMode.leakfree(parse_duration_days(args.window))
 
 
@@ -320,10 +328,11 @@ def cmd_features(args) -> int:
         raise UsageError("--ref conflicts with --mode leakfree")
     if args.mode == "leaky" and not args.ref:
         raise UsageError("--mode leaky requires --ref")
+    mode = _mode_from_args(args)
     from . import features as ft
     from .schema import MatrixRow, write_feature_matrix
     history = _load_history(args.ledger)
-    vectors = ft.extract_golden(history, args.at, _mode_from_args(args), args.ref)
+    vectors = ft.extract_golden(history, args.at, mode, args.ref)
     out = _out_dir(args)
     rows = [
         MatrixRow(key=key, origin_rev=args.at, label="", mode=args.mode, vector=vec)
@@ -336,12 +345,10 @@ def cmd_features(args) -> int:
 
 
 def cmd_build(args) -> int:
+    mode = _mode_from_args(args)
     from . import dataset as ds
     history = _load_history(args.ledger)
-    built = ds.build_dataset(
-        history, args.train, args.test, args.ref,
-        _mode_from_args(args), dedup=args.dedup,
-    )
+    built = ds.build_dataset(history, args.train, args.test, args.ref, mode, dedup=args.dedup)
     out = _out_dir(args)
     ds.save_dataset(built, out)
     meta = built.meta

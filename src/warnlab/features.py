@@ -185,9 +185,10 @@ def extract_golden(
     }
 
     targets = base.keys_at(at_rev)
+    attrs_at = base.attrs_at[at_idx]
     missing: dict[WarningKey, str] = {}
     for key in targets:
-        if (at_rev, key) not in base.attributes:
+        if key not in attrs_at:
             missing[key] = "static attributes record"
     if missing:
         listing = "; ".join(f"{k}: {why}" for k, why in list(missing.items())[:5])
@@ -200,16 +201,15 @@ def extract_golden(
 
     # Per key, its observation at the target with the lowest (line, priority).
     obs_by_key: dict[WarningKey, WarningObservation] = {}
-    for obs in base.observations:
-        if obs.revision == at_rev:
-            kept = obs_by_key.setdefault(obs.key, obs)
-            if (obs.line, obs.priority) < (kept.line, kept.priority):
-                obs_by_key[obs.key] = obs
+    for obs in base.warnings_at[at_idx]:
+        kept = obs_by_key.setdefault(obs.key, obs)
+        if (obs.line, obs.priority) < (kept.line, kept.priority):
+            obs_by_key[obs.key] = obs
 
     out: dict[WarningKey, FeatureVector] = {}
     for key in targets:
         obs = obs_by_key[key]
-        attrs = base.attributes[(at_rev, key)]
+        attrs = attrs_at[key]
         canon = universe[(key, None)]
         flags: set[str] = set()
 
@@ -289,9 +289,10 @@ def _loc_by_package(base: ProjectHistory, at_time: int, days: float) -> dict[str
     """Package -> lines added to its files in the ``days`` up to ``at_time``."""
     floor = at_time - days * SECONDS_PER_DAY
     by_path: dict[str, int] = defaultdict(int)
-    for rec in base.changes:
-        if base.rev_at(base.rev_index(rec.revision)).timestamp > floor:
-            by_path[rec.file_path] += rec.lines_added
+    for rev, group in zip(base.revisions, base.changes_at):
+        if rev.timestamp > floor:
+            for rec in group:
+                by_path[rec.file_path] += rec.lines_added
     return {
         package: sum(by_path.get(path, 0) for path in paths)
         for package, paths in base.package_paths.items()
@@ -321,8 +322,11 @@ def audit_time_travel(history: ProjectHistory, at_rev: str, mode: LeakMode) -> T
 
     Recomputes the feature map on the explicitly truncated history and
     compares bit-exactly against what ``extract_golden`` produces on the
-    full one. Both sides read the one shared cut at ``at_rev`` and its
-    universe. Any mismatch names the offending warnings.
+    full one. Any mismatch names the offending warnings. Both sides read
+    the one shared cut at ``at_rev`` and its universe, so the audit catches
+    an extraction that reads its uncut ``history`` argument, but not a fault
+    inside the cut itself: a cut that kept a later record would feed both
+    sides the same leak.
     """
     if mode.is_leaky:
         raise ValidationError("time-travel audit applies to leak-free extraction only")

@@ -16,10 +16,18 @@ belong to that new file. A warning whose range ends at a Delete is not
 closed by it, and it never merges with a warning of a later file at the same
 path.
 
+A ``ProjectHistory`` holds its records by revision index: next to the
+sorted ``revisions`` it keeps, per index, the set of warning observations
+(``warnings_at``), the set of change records (``changes_at``) and the attrs
+of each key (``attrs_at``). Ingest decides once which revision holds a
+record, and every derived index reads the groups by their index. A cut
+(:func:`truncate_history`) is a prefix of those four tuples, so it shares
+every record, group and attrs dict with its parent.
+
 The warning universe (:func:`build_universe`) holds one entry per warning:
 the observations of one live range, merged across the rename chain. The
-history holds each cut (:func:`truncate_history`) and each cut its universe
-(``ProjectHistory.universe``), so all readers of a cut share both.
+history holds each cut and each cut its universe (``ProjectHistory.universe``),
+so all readers of a cut share both.
 
 Record schema, as :func:`ingest_ledger` checks it and :func:`emit_ledger`
 writes it. "string" is a JSON string; "integer" is a JSON integer, never
@@ -139,12 +147,11 @@ import json
 import math
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import make_scanner
-from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import IntegrityError, LedgerParseError
@@ -210,18 +217,26 @@ class StaticAttributes:
 
 @dataclass
 class ProjectHistory:
-    """Immutable timeline of revisions, warnings, changes, and attributes.
+    """Timeline of revisions, with the records of each revision grouped by
+    its index (module docstring).
 
-    Treat instances as frozen after construction: all operations are pure
-    reads and may be shared freely across parallel workers. Derived indexes,
-    the universe and the cuts are cached lazily and never participate in
-    equality. File identity reads ``path_events`` and ``range_ends``.
+    ``warnings_at``, ``changes_at`` and ``attrs_at`` run parallel to
+    ``revisions``: group ``i`` holds the records whose revision is
+    ``revisions[i]``. Treat instances as frozen after construction. Derived
+    indexes, the universe and the cuts are cached lazily on first read,
+    without locking, and never participate in equality. File identity reads
+    ``path_events`` and ``range_ends``.
     """
 
     revisions: tuple[RevisionMeta, ...]  # sorted by (timestamp, id)
-    observations: frozenset[WarningObservation]
-    changes: frozenset[FileChangeRecord]
-    attributes: dict[tuple[str, WarningKey], StaticAttributes] = field(default_factory=dict)
+    warnings_at: tuple[frozenset[WarningObservation], ...]
+    changes_at: tuple[frozenset[FileChangeRecord], ...]
+    attrs_at: tuple[dict[WarningKey, StaticAttributes], ...]
+
+    @property
+    def observations(self) -> frozenset[WarningObservation]:
+        """Every observation in one flat set, built anew on each read."""
+        return frozenset().union(*self.warnings_at)
 
     @property
     def horizon(self) -> str | None:
@@ -248,18 +263,16 @@ class ProjectHistory:
     @cached_property
     def present_keys(self) -> tuple[frozenset[WarningKey], ...]:
         """Per revision index, the set of warning keys observed there."""
-        per_rev: list[set[WarningKey]] = [set() for _ in self.revisions]
-        for obs in self.observations:
-            per_rev[self.rev_index(obs.revision)].add(obs.key)
-        return tuple(frozenset(s) for s in per_rev)
+        return tuple(frozenset([o.key for o in group]) for group in self.warnings_at)
 
     @cached_property
     def key_presence(self) -> dict[WarningKey, tuple[int, ...]]:
         """Key -> sorted revision indexes where the exact key is observed."""
-        acc: dict[WarningKey, set[int]] = defaultdict(set)
-        for obs in self.observations:
-            acc[obs.key].add(self.rev_index(obs.revision))
-        return {k: tuple(sorted(v)) for k, v in acc.items()}
+        acc: dict[WarningKey, list[int]] = defaultdict(list)
+        for idx, keys in enumerate(self.present_keys):
+            for key in keys:
+                acc[key].append(idx)
+        return {k: tuple(v) for k, v in acc.items()}
 
     def keys_at(self, rev_id: str) -> tuple[WarningKey, ...]:
         """Distinct warning keys observed at a revision, in sort order."""
@@ -268,14 +281,15 @@ class ProjectHistory:
     @cached_property
     def pattern_categories(self) -> dict[str, str]:
         """Bug pattern -> its category (one per pattern, validated at ingest)."""
-        return {obs.key.bug_pattern: obs.bug_category for obs in self.observations}
+        return {o.key.bug_pattern: o.bug_category for group in self.warnings_at for o in group}
 
     @cached_property
     def package_paths(self) -> dict[str, frozenset[str]]:
         """Package -> file paths, attributed through warning observations."""
         acc: dict[str, set[str]] = defaultdict(set)
-        for obs in self.observations:
-            acc[obs.key.package].add(obs.key.file_path)
+        for group in self.warnings_at:
+            for o in group:
+                acc[o.key.package].add(o.key.file_path)
         return {pkg: frozenset(paths) for pkg, paths in acc.items()}
 
     # -- file identity --------------------------------------------------
@@ -286,11 +300,12 @@ class ProjectHistory:
         or as a Rename's ``old_path``, sorted by (index, kind, file_path,
         old_path, author): at one index a Delete precedes a Rename."""
         acc: dict[str, list[tuple[int, FileChangeRecord]]] = defaultdict(list)
-        for rec in self.changes:
-            event = (self.rev_index(rec.revision), rec)
-            acc[rec.file_path].append(event)
-            if rec.kind == "Rename":
-                acc[rec.old_path].append(event)
+        for idx, group in enumerate(self.changes_at):
+            for rec in group:
+                event = (idx, rec)
+                acc[rec.file_path].append(event)
+                if rec.kind == "Rename":
+                    acc[rec.old_path].append(event)
         return {
             path: tuple(sorted(events, key=lambda e: (
                 e[0], e[1].kind, e[1].file_path, e[1].old_path or "", e[1].author)))
@@ -409,9 +424,11 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     of revision references and pattern categories read distinct values.
     """
     revisions: list[RevisionMeta] = []
-    observations: dict[WarningObservation, None] = {}  # a set in line order
-    changes: list[FileChangeRecord] = []
-    attributes: dict[tuple[str, WarningKey], StaticAttributes] = {}
+    # Records grouped by revision id, each group in line order (observations
+    # as the keys of a dict: a set in line order).
+    warnings: dict[str, dict[WarningObservation, None]] = defaultdict(dict)
+    changes: dict[str, list[FileChangeRecord]] = defaultdict(list)
+    attributes: dict[str, dict[WarningKey, StaticAttributes]] = defaultdict(dict)
     keys: dict[tuple, WarningKey] = {}
     payloads: dict[tuple, StaticAttributes] = {}
     categories: dict[tuple[str, str], None] = {}  # (bug_pattern, bug_category) pairs
@@ -456,14 +473,14 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
             if tail == rev:  # the line ends in its own revision member
                 memo[prefix] = (kind, fields)
         if kind == "warning":
-            observations[WarningObservation._make((rev, *fields))] = None
+            warnings[rev][WarningObservation._make((rev, *fields))] = None
             warning_lines += 1
         elif kind == "attrs":
-            attributes[(rev, fields[0])] = fields[1]
+            attributes[rev][fields[0]] = fields[1]
         else:
-            changes.append(FileChangeRecord(rev, *fields))
+            changes[rev].append(FileChangeRecord(rev, *fields))
 
-    duplicate_obs = warning_lines - len(observations)
+    duplicate_obs = warning_lines - sum(map(len, warnings.values()))
     if duplicate_obs:
         import logging  # the one log call: a ledger without duplicates never loads logging
         logging.getLogger(__name__).warning(
@@ -487,11 +504,11 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
                 f"revision {rev.id!r} predates its parent {rev.parent!r}"
             )
 
-    # Each check reads distinct values in order of first sight, so it raises
-    # where a check of every record in line order would.
-    _check_known(by_id, map(_first, observations), "warning observation")
-    _check_known(by_id, (rec.revision for rec in changes), "change record")
-    _check_known(by_id, map(_first, attributes), "attrs record")
+    # Each check reads the group keys, distinct revision ids in order of first
+    # sight, so it raises where a check of every record in line order would.
+    _check_known(by_id, warnings, "warning observation")
+    _check_known(by_id, changes, "change record")
+    _check_known(by_id, attributes, "attrs record")
     category_of: dict[str, str] = {}
     for pattern, category in categories:
         prev = category_of.setdefault(pattern, category)
@@ -499,19 +516,17 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
             raise IntegrityError(
                 f"bug pattern {pattern!r} mapped to both {prev!r} and {category!r}")
 
+    revisions.sort(key=lambda r: r.order_key)
     return ProjectHistory(
-        revisions=tuple(sorted(revisions, key=lambda r: r.order_key)),
-        observations=frozenset(observations),
-        changes=frozenset(changes),
-        attributes=attributes,
+        revisions=tuple(revisions),
+        warnings_at=tuple(frozenset(warnings.get(r.id, ())) for r in revisions),
+        changes_at=tuple(frozenset(changes.get(r.id, ())) for r in revisions),
+        attrs_at=tuple(attributes.get(r.id, {}) for r in revisions),
     )
 
 
-_first = itemgetter(0)
-
-
 def _check_known(revisions: dict, revision_ids: Iterable[str], what: str) -> None:
-    for rev_id in dict.fromkeys(revision_ids):
+    for rev_id in revision_ids:
         if rev_id not in revisions:
             raise IntegrityError(f"{what} references unknown revision {rev_id!r}")
 
@@ -740,15 +755,15 @@ def emit_ledger(history: ProjectHistory) -> Iterator[str]:
     are sorted once, and their lines fill one bucket per revision index in
     body rank order: the order of a sort of the lines.
     """
-    order = history._order
     ends = [f"{_quote(r.id)}}}" for r in history.revisions]  # quoted id and "}", by index
     for r in history.revisions:
         yield (f'{{"branch": {_quote(r.branch)}, "id": {_quote(r.id)}, "kind": "revision", '
                f'"parent": {_optional(r.parent)}, "timestamp": {r.timestamp}}}')
 
     at: dict[tuple, list[int]] = defaultdict(list)  # body -> its revision indexes
-    for o in history.observations:
-        at[o[1:]].append(order[o.revision])  # the body: (key, category, priority, line)
+    for idx, group in enumerate(history.warnings_at):
+        for o in group:
+            at[o[1:]].append(idx)  # the body: (key, category, priority, line)
     buckets: list[list[str]] = [[] for _ in ends]
     for body in sorted(at, key=lambda b: (*b[0].sort_key(), b[3], b[2], b[1],
                                           b[0].method is not None)):
@@ -763,18 +778,19 @@ def emit_ledger(history: ProjectHistory) -> Iterator[str]:
         for text in texts:
             yield text + end
 
-    for c in sorted(history.changes, key=lambda c: (
-            order[c.revision], c.file_path, c.kind, c.author, c.lines_added, c.lines_deleted,
-            c.old_path or "")):
-        old_path = "" if c.old_path is None else f'"old_path": {_quote(c.old_path)}, '
-        yield (f'{{"author": {_quote(c.author)}, "change_kind": {_quote(c.kind)}, '
-               f'"file_path": {_quote(c.file_path)}, "kind": "change", '
-               f'"lines_added": {c.lines_added}, "lines_deleted": {c.lines_deleted}, '
-               f'{old_path}"revision": {ends[order[c.revision]]}')
+    for group, end in zip(history.changes_at, ends):
+        for c in sorted(group, key=lambda c: (c.file_path, c.kind, c.author, c.lines_added,
+                                              c.lines_deleted, c.old_path or "")):
+            old_path = "" if c.old_path is None else f'"old_path": {_quote(c.old_path)}, '
+            yield (f'{{"author": {_quote(c.author)}, "change_kind": {_quote(c.kind)}, '
+                   f'"file_path": {_quote(c.file_path)}, "kind": "change", '
+                   f'"lines_added": {c.lines_added}, "lines_deleted": {c.lines_deleted}, '
+                   f'{old_path}"revision": {end}')
 
     of_key: dict[WarningKey, list[tuple[int, StaticAttributes]]] = defaultdict(list)
-    for (rev_id, k), a in history.attributes.items():
-        of_key[k].append((order[rev_id], a))
+    for idx, attrs in enumerate(history.attrs_at):
+        for k, a in attrs.items():
+            of_key[k].append((idx, a))
     buckets = [[] for _ in ends]
     for k in sorted(of_key, key=lambda k: (*k.sort_key(), k.method is not None)):
         formatted: dict = {}  # payload -> text
@@ -808,26 +824,21 @@ def truncate_history(history: ProjectHistory, rev_id: str) -> ProjectHistory:
     """The history up to ``rev_id``, which becomes the horizon.
 
     This is the time guard of feature extraction: nothing chronologically
-    after the cut survives. ``history`` builds each cut once and holds it,
-    so every caller that cuts at one revision shares one cut, with its
-    cached indexes and its universe. A cut at the last revision is
-    ``history`` itself.
+    after the cut survives. The cut is a prefix of the history's four
+    per-revision tuples, so it shares every record, group and attrs dict
+    with ``history`` and costs no work per record. ``history`` builds each
+    cut once and holds it, so every caller that cuts at one revision shares
+    one cut, with its cached indexes and its universe. A cut at the last
+    revision is ``history`` itself.
     """
     cut = history.rev_index(rev_id)
     if cut == len(history.revisions) - 1:
         return history
     if cut not in history._cuts:
-        keep = {rev.id for rev in history.revisions[: cut + 1]}
+        end = cut + 1
         history._cuts[cut] = ProjectHistory(
-            revisions=history.revisions[: cut + 1],
-            observations=frozenset(o for o in history.observations if o.revision in keep),
-            changes=frozenset(c for c in history.changes if c.revision in keep),
-            attributes={
-                (rev, key): attrs
-                for (rev, key), attrs in history.attributes.items()
-                if rev in keep
-            },
-        )
+            history.revisions[:end], history.warnings_at[:end],
+            history.changes_at[:end], history.attrs_at[:end])
     return history._cuts[cut]
 
 

@@ -270,8 +270,10 @@ def generate(config: SynthConfig) -> SynthResult:
         if earliest <= n - 1 and rng.random() < config.file_delete_rate:
             file.deleted_idx = rng.randint(earliest, n - 1)
 
-    observations: list[WarningObservation] = []
-    attributes: dict[tuple[str, WarningKey], StaticAttributes] = {}
+    # The history's records, grouped by revision index.
+    warnings_at: list[list[WarningObservation]] = [[] for _ in revisions]
+    changes_at: list[list[FileChangeRecord]] = [[] for _ in revisions]
+    attrs_at: list[dict[WarningKey, StaticAttributes]] = [{} for _ in revisions]
     truth: dict[WarningKey, TruthRecord] = {}
     change_marks: dict[tuple[int, int], None] = {}  # (file index, revision idx)
 
@@ -307,14 +309,9 @@ def generate(config: SynthConfig) -> SynthResult:
         key = WarningKey(bug_pattern=pattern, file_path=file.path, package=file.package,
                          class_name=file.class_name, method=method)
         for idx in range(born_idx, last_idx):
-            rev_id = revisions[idx].id
-            observations.append(
-                WarningObservation(
-                    revision=rev_id, key=key, bug_category=category, priority=priority,
-                    line=line,
-                )
-            )
-            attributes[(rev_id, key)] = attrs
+            warnings_at[idx].append(
+                WarningObservation(revisions[idx].id, key, category, priority, line))
+            attrs_at[idx][key] = attrs
         change_marks.setdefault((file.index, born_idx), None)
         if close_idx < n and kind != CLOSURE_FILE_DELETED:
             change_marks.setdefault((file.index, close_idx), None)
@@ -325,53 +322,30 @@ def generate(config: SynthConfig) -> SynthResult:
             closed_day=recorded_close,
         )
 
-    changes: list[FileChangeRecord] = []
+    def change(file: _File, idx: int, kind: str, lines_added: int, lines_deleted: int) -> None:
+        # The author is drawn after both line counts.
+        changes_at[idx].append(FileChangeRecord(revisions[idx].id, file.path, kind, lines_added,
+                                                lines_deleted, rng.choice(file.authors)))
+
     for file in files:
         if file.created_idx is None:
             continue
-        changes.append(
-            FileChangeRecord(
-                revision=revisions[file.created_idx].id,
-                file_path=file.path,
-                kind="Add",
-                lines_added=rng.randint(50, 500),
-                lines_deleted=0,
-                author=rng.choice(file.authors),
-            )
-        )
+        change(file, file.created_idx, "Add", rng.randint(50, 500), 0)
         if file.deleted_idx is not None:
-            changes.append(
-                FileChangeRecord(
-                    revision=revisions[file.deleted_idx].id,
-                    file_path=file.path,
-                    kind="Delete",
-                    lines_added=0,
-                    lines_deleted=rng.randint(50, 500),
-                    author=rng.choice(file.authors),
-                )
-            )
+            change(file, file.deleted_idx, "Delete", 0, rng.randint(50, 500))
     for (file_idx, rev_idx) in sorted(change_marks):
         file = files[file_idx]
         if rev_idx == file.created_idx or rev_idx == file.deleted_idx:
             continue
         if file.deleted_idx is not None and rev_idx > file.deleted_idx:
             continue
-        changes.append(
-            FileChangeRecord(
-                revision=revisions[rev_idx].id,
-                file_path=file.path,
-                kind="Modify",
-                lines_added=rng.randint(1, 200),
-                lines_deleted=rng.randint(0, 100),
-                author=rng.choice(file.authors),
-            )
-        )
+        change(file, rev_idx, "Modify", rng.randint(1, 200), rng.randint(0, 100))
 
     history = ProjectHistory(
         revisions=revisions,
-        observations=frozenset(observations),
-        changes=frozenset(changes),
-        attributes=attributes,
+        warnings_at=tuple(map(frozenset, warnings_at)),
+        changes_at=tuple(map(frozenset, changes_at)),
+        attrs_at=tuple(attrs_at),
     )
     anchors = Anchors(
         train=revisions[train_idx].id,

@@ -14,11 +14,14 @@ from warnlab import features as ft
 from warnlab.history import SECONDS_PER_DAY as DAY
 from warnlab.history import truncate_history
 
+from history_reference import FlatHistory
+
 
 def reference_golden(history, at_rev, mode, ref_rev, vectors):
     """``vectors`` with every population-derived field and flag recomputed."""
     at_idx = history.rev_index(at_rev)
     base = truncate_history(history, at_rev)
+    flat = FlatHistory.of(base)
     universe = ft.build_universe(base, at_idx)
     at_time = base.rev_at(at_idx).timestamp
     members = []
@@ -55,8 +58,8 @@ def reference_golden(history, at_rev, mode, ref_rev, vectors):
             if o.category == canon.category and o.closed_idx is not None and o.closed_idx <= at_idx:
                 span = base.rev_at(o.closed_idx).timestamp - base.rev_at(o.first_seen_idx).timestamp
                 durations.append(span / DAY)
-        paths = {o.key.file_path for o in base.observations if o.key.package == k.package}
-        loc_pkg = sum(rec.lines_added for rec in base.changes
+        paths = {o.key.file_path for o in flat.observations if o.key.package == k.package}
+        loc_pkg = sum(rec.lines_added for rec in flat.changes
                       if rec.file_path in paths and base.rev_index(rec.revision) <= at_idx
                       and base.rev_at(base.rev_index(rec.revision)).timestamp > at_time - 90 * DAY)
 

@@ -27,6 +27,8 @@ from warnlab.history import (
     WarningObservation,
 )
 
+from history_reference import FlatHistory, grouped
+
 
 def reference_ingest(lines) -> ProjectHistory:
     revisions, observations, changes, attributes = [], [], [], {}
@@ -87,12 +89,8 @@ def reference_ingest(lines) -> ProjectHistory:
         if categories.setdefault(pattern, obs.bug_category) != obs.bug_category:
             raise IntegrityError(f"bug pattern {pattern!r} mapped to two categories")
 
-    return ProjectHistory(
-        revisions=tuple(sorted(revisions, key=lambda r: r.order_key)),
-        observations=frozenset(observations),
-        changes=frozenset(changes),
-        attributes=attributes,
-    )
+    return grouped(tuple(sorted(revisions, key=lambda r: r.order_key)),
+                   observations, changes, attributes)
 
 
 def _require(rec: dict, name: str):
@@ -214,6 +212,7 @@ def reference_emit(history: ProjectHistory):
     """Ledger lines as a dict per record through ``json.dumps(sort_keys=True)``,
     in the emitter's total order, kept as the reference for ``emit_ledger``."""
     order = {rev.id: i for i, rev in enumerate(history.revisions)}
+    history = FlatHistory.of(history)
 
     def key_fields(key: WarningKey) -> dict:
         return {"bug_pattern": key.bug_pattern, "file_path": key.file_path,

@@ -13,9 +13,7 @@ from warnlab.history import WarningKey
 
 
 def _changes_at(history, idx, path):
-    rev = history.revisions[idx].id
-    return [rec for rec in history.changes
-            if rec.revision == rev and path in (rec.file_path, rec.old_path)]
+    return [rec for rec in history.changes_at[idx] if path in (rec.file_path, rec.old_path)]
 
 
 def walk_forward(history, path, start_idx, end_idx):
@@ -91,12 +89,10 @@ def walk_warnings(history, cut):
                 mine[0].update(presence)
                 mine[1].update(alive)
         files = moved
-        rev = history.revisions[idx].id
-        for obs in history.observations:
-            if obs.revision == rev:
-                k = obs.key
-                ident = (k.bug_pattern, k.package, k.class_name, k.method)
-                files.setdefault(k.file_path, {}).setdefault(ident, (set(), set()))[0].add(idx)
+        for obs in history.warnings_at[idx]:
+            k = obs.key
+            ident = (k.bug_pattern, k.package, k.class_name, k.method)
+            files.setdefault(k.file_path, {}).setdefault(ident, (set(), set()))[0].add(idx)
         for table in files.values():
             for _presence, alive in table.values():
                 alive.add(idx)

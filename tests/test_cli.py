@@ -214,6 +214,33 @@ class TestContracts:
                    "--mode", "leaky", "--out", str(tmp_path / "f"))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["features", "build"])
+    def test_leaky_with_window_is_usage_error(self, synth_dir, tmp_path, capsys, command):
+        """A window shapes leak-free populations only; leaky mode used to
+        accept one, exit 0 and write its default 365 days into meta.json."""
+        anchors = _anchors(synth_dir)
+        revisions = {"features": ["--at", anchors["test"]],
+                     "build": ["--train", anchors["train"], "--test", anchors["test"]]}
+        code = run(command, "--ledger", str(synth_dir / "ledger.jsonl"), *revisions[command],
+                   "--ref", anchors["reference"], "--mode", "leaky", "--window", "30d",
+                   "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == "error[usage]: --window conflicts with --mode leaky\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_leakfree_window_defaults_to_a_year(self, fitted_dir):
+        meta = json.loads((fitted_dir / "ds" / "meta.json").read_text(encoding="utf-8"))
+        assert (meta["mode"], meta["window_days"]) == ("leakfree", 365.0)
+
+    def test_annotator_without_annotations_is_usage_error(self, synth_dir, tmp_path, capsys):
+        anchors = _anchors(synth_dir)
+        code = run("label", "--ledger", str(synth_dir / "ledger.jsonl"), "--at", anchors["test"],
+                   "--ref", anchors["reference"], "--annotator", "rev1",
+                   "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == "error[usage]: --annotator requires --annotations\n"
+        assert not (tmp_path / "out").exists()
+
     def test_parse_error_categorized(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n", encoding="utf-8")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from warnlab.cli import main
 from warnlab.errors import IntegrityError, LedgerParseError
 from warnlab.history import (
     FileChangeRecord,
-    ProjectHistory,
     RevisionMeta,
     WarningKey,
     decode_key,
@@ -25,6 +26,7 @@ from warnlab.keys import key_from_row, key_row
 from warnlab.synth import SynthConfig, generate
 
 from conftest import DAY, EPOCH, attrs_line, change_line, make_history, rev_line, warn_line
+from history_reference import INDEXES, FlatHistory, grouped
 from path_walker import walk_backward, walk_forward, walk_warnings
 
 
@@ -38,7 +40,7 @@ class TestIngest:
         h = make_history(lines)
         assert len(h.revisions) == 3
         assert len(h.observations) == 2
-        assert len(h.changes) == 1
+        assert len(FlatHistory.of(h).changes) == 1
         assert h.horizon == "r3"
 
     def test_empty_stream(self):
@@ -148,14 +150,14 @@ class TestTruncate:
         h = self._ten_rev_history()
         cut_time = EPOCH + 50 * DAY  # r05
         t = truncate_history(h, "r05")
-        expected = ProjectHistory(
+        expected = grouped(
             revisions=tuple(r for r in h.revisions if r.timestamp <= cut_time),
             observations=frozenset(
                 o for o in h.observations
                 if h.revisions[h.rev_index(o.revision)].timestamp <= cut_time
             ),
             changes=frozenset(
-                c for c in h.changes
+                c for c in FlatHistory.of(h).changes
                 if h.revisions[h.rev_index(c.revision)].timestamp <= cut_time
             ),
             attributes={},
@@ -247,8 +249,9 @@ class TestWarningKey:
 
 def _assert_identity_matches_walkers(history):
     n = len(history.revisions)
-    paths = {rec.file_path for rec in history.changes}
-    paths |= {rec.old_path for rec in history.changes if rec.old_path} | {"never/named.java"}
+    changes = FlatHistory.of(history).changes
+    paths = {rec.file_path for rec in changes}
+    paths |= {rec.old_path for rec in changes if rec.old_path} | {"never/named.java"}
     for path in sorted(paths):
         for start in range(-1, n):
             for end in range(-1, n):
@@ -317,7 +320,7 @@ class TestFileIdentity:
         # A history built in code files a Delete under its own path only.
         changes = frozenset([FileChangeRecord("r0", "A.java", "Add"),
                              FileChangeRecord("r1", "X.java", "Delete", old_path="A.java")])
-        h = ProjectHistory(tuple(RevisionMeta(f"r{i}", i) for i in range(3)), frozenset(), changes)
+        h = grouped(tuple(RevisionMeta(f"r{i}", i) for i in range(3)), changes=changes)
         assert h.resolve_path("A.java", 0, 2) == ("A.java", None)
         assert h.file_chain("A.java", 2) == (0, ((0, FileChangeRecord("r0", "A.java", "Add")),))
 
@@ -331,7 +334,7 @@ class TestFileIdentity:
             if kind != "Rename" or old != path
         )
         revisions = tuple(RevisionMeta(f"r{i}", i) for i in range(6))
-        _assert_identity_matches_walkers(ProjectHistory(revisions, frozenset(), changes))
+        _assert_identity_matches_walkers(grouped(revisions, changes=changes))
 
 
 class TestUniverse:
@@ -386,6 +389,24 @@ _OBSERVATION = st.tuples(st.integers(0, 5), st.sampled_from(("A.java", "A.java",
                          st.sampled_from(("P", "Q")), st.sampled_from((None, "m()")))
 
 
+def _drawn_history(drawn_changes, drawn_observations):
+    # Two paths carry most records, so Renames, Deletes and re-adds of one
+    # path meet in most draws.
+    changes = frozenset(
+        FileChangeRecord(f"r{rev}", path, kind, lines, 0, author,
+                         old if kind == "Rename" else None)
+        for rev, path, kind, old, lines, author in drawn_changes
+        if kind != "Rename" or old != path
+    )
+    observations = frozenset(
+        WarningObservation(f"r{rev}", WarningKey(pattern, path, "com.a", "A", method),
+                           "CORRECTNESS", 2, 10)
+        for rev, path, pattern, method in drawn_observations
+    )
+    revisions = tuple(RevisionMeta(f"r{i}", i) for i in range(6))
+    return grouped(revisions, observations, changes)
+
+
 def _assert_universe_matches_walker(history):
     for cut in range(len(history.revisions)):
         universe = build_universe(truncate_history(history, history.revisions[cut].id), cut)
@@ -405,21 +426,72 @@ class TestUniverseAgainstWalker:
     @given(st.lists(_CHANGE, max_size=10), st.lists(_OBSERVATION, max_size=16))
     @settings(max_examples=200, deadline=None)
     def test_drawn_histories(self, drawn_changes, drawn_observations):
-        # Two paths carry most records, so Renames, Deletes and re-adds of
-        # one path meet in most draws.
-        changes = frozenset(
-            FileChangeRecord(f"r{rev}", path, kind, lines, 0, author,
-                             old if kind == "Rename" else None)
-            for rev, path, kind, old, lines, author in drawn_changes
-            if kind != "Rename" or old != path
-        )
-        observations = frozenset(
-            WarningObservation(f"r{rev}", WarningKey(pattern, path, "com.a", "A", method),
-                               "CORRECTNESS", 2, 10)
-            for rev, path, pattern, method in drawn_observations
-        )
-        revisions = tuple(RevisionMeta(f"r{i}", i) for i in range(6))
-        _assert_universe_matches_walker(ProjectHistory(revisions, observations, changes))
+        _assert_universe_matches_walker(_drawn_history(drawn_changes, drawn_observations))
+
+
+def _normalized(events_by_path):
+    """``path_events`` or ``range_ends`` with ties in their sort broken by
+    record: the order of tied records comes from set iteration."""
+    return {path: sorted(events, key=lambda e: (e[0], repr(e[1])))
+            for path, events in events_by_path.items()}
+
+
+def _assert_cuts_match_flat_reference(history):
+    """At every cut index, the grouped cut holds the records of the flat
+    set-filter cut, and its indexes and universe equal the reference's."""
+    flat = FlatHistory.of(history)
+    for rev in history.revisions:
+        cut, want = truncate_history(history, rev.id), flat.cut(rev.id)
+        assert FlatHistory.of(cut) == want
+        for name in INDEXES:
+            got, expected = getattr(cut, name), getattr(want, name)
+            if name == "path_events":
+                got, expected = _normalized(got), _normalized(expected)
+            assert got == expected, name
+        assert _normalized(cut.range_ends) == _normalized(want.range_ends)
+        assert cut.universe == want.universe
+
+
+class TestGroupedLayout:
+    """The per-revision layout against the flat-set builders it replaced
+    (``history_reference``)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_synth(self, seed):
+        history = generate(SynthConfig(seed=seed, n_files=8, n_revisions=14,
+                                       warnings_per_revision=4, incidental_close_rate=0.2,
+                                       file_delete_rate=0.3)).history
+        _assert_cuts_match_flat_reference(history)
+        _assert_cuts_match_flat_reference(ingest_ledger(emit_ledger(history)))
+
+    @given(st.lists(_CHANGE, max_size=10), st.lists(_OBSERVATION, max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_histories(self, drawn_changes, drawn_observations):
+        _assert_cuts_match_flat_reference(_drawn_history(drawn_changes, drawn_observations))
+
+    def test_cuts_share_the_parent_records(self):
+        """Cutting the paper-audit seed-1 history at every revision adds no
+        copy of its records: each cut is four tuple slices of its parent."""
+        result = generate(SynthConfig(seed=1, n_files=48, n_revisions=48,
+                                      warnings_per_revision=12, incidental_close_rate=0.2,
+                                      file_delete_rate=0.1))
+        h = ingest_ledger(emit_ledger(result.history))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cuts = [truncate_history(h, rev.id) for rev in h.revisions]
+            gc.collect()
+            added = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(h.revisions) == 48
+        assert added < 5 * 2**20, f"{added / 2**20:.2f} MB"
+        for cut in cuts:
+            for i in range(len(cut.revisions)):
+                assert cut.warnings_at[i] is h.warnings_at[i]
+                assert cut.changes_at[i] is h.changes_at[i]
+                assert cut.attrs_at[i] is h.attrs_at[i]
 
 
 class TestAttrsParsing:
@@ -431,6 +503,6 @@ class TestAttrsParsing:
 
     def test_attrs_keyed_by_revision_and_warning(self):
         h = make_history([rev_line("r1", 0), warn_line("r1"), attrs_line("r1")])
-        ((rev, key),) = h.attributes.keys()
+        ((rev, key),) = FlatHistory.of(h).attributes.keys()
         assert rev == "r1"
         assert key == next(iter(h.observations)).key

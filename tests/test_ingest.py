@@ -31,6 +31,7 @@ from warnlab.history import (
 from warnlab.synth import SynthConfig, generate
 
 from conftest import attrs_line, change_line, rev_line, warn_line
+from history_reference import FlatHistory, grouped
 from ledger_reference import reference_emit, reference_ingest
 
 
@@ -87,7 +88,7 @@ def _synth_lines(seed: int) -> list[str]:
 def _assert_same_history(lines) -> None:
     got, want = ingest_ledger(lines), reference_ingest(lines)
     assert got == want
-    assert got.attributes == want.attributes
+    assert got.attrs_at == want.attrs_at
     assert list(emit_ledger(got)) == list(emit_ledger(want))
 
 
@@ -135,7 +136,7 @@ class TestStrictFields:
     def test_integral_json_numbers_stay_accepted(self):
         h = ingest_ledger([rev_line("r1", 0), warn_line("r1", priority=3),
                            _edit(attrs_line("r1"), comment_code_ratio=2, method_depth=0)])
-        (attrs,) = h.attributes.values()
+        (attrs,) = h.attrs_at[0].values()
         assert attrs.comment_code_ratio == 2.0 and type(attrs.comment_code_ratio) is float
         assert attrs.method_depth == 0
 
@@ -205,7 +206,8 @@ class TestAgainstReference:
         _assert_same_history(lines)
         history = ingest_ledger(lines)
         assert len(history.observations) == len([ln for ln in lines if '"warning"' in ln]) - 1
-        assert {c.kind for c in history.changes} == {"Add", "Modify", "Rename", "Delete"}
+        assert {c.kind for c in FlatHistory.of(history).changes} == {
+            "Add", "Modify", "Rename", "Delete"}
         assert any(o.key.method is None for o in history.observations)
 
     def test_one_object_per_identity(self):
@@ -214,7 +216,7 @@ class TestAgainstReference:
         by_value = defaultdict(set)
         for obs in history.observations:
             by_value[obs.key].add(id(obs.key))
-        for (_rev, key), attrs in history.attributes.items():
+        for (_rev, key), attrs in FlatHistory.of(history).attributes.items():
             by_value[key].add(id(key))
             by_value[attrs].add(id(attrs))
         assert len(by_value) > 10
@@ -485,7 +487,7 @@ def _histories(draw) -> ProjectHistory:
     attributes[(first, key)] = zero
     attributes[(second, key)] = replace(zero, comment_code_ratio=-0.0)
     ordered = tuple(sorted(revisions, key=lambda r: r.order_key))
-    return ProjectHistory(ordered, frozenset(observations), frozenset(changes), attributes)
+    return grouped(ordered, observations, changes, attributes)
 
 
 def _tied_history() -> ProjectHistory:
@@ -498,7 +500,7 @@ def _tied_history() -> ProjectHistory:
                for added in (1, 2) for author in ("", "a")]
     attrs = StaticAttributes(0.5, 0, 0, 0, 0, "()V", "public")
     attributes = {("r0", key): attrs for key in keys}
-    return ProjectHistory(revs, frozenset(observations), frozenset(changes), attributes)
+    return grouped(revs, observations, changes, attributes)
 
 
 @given(_histories())
@@ -512,13 +514,15 @@ def test_emit_matches_reference_and_round_trips(history):
     history."""
     lines = list(emit_ledger(history))
     assert lines == list(reference_emit(history))
-    # Records handed over in the reverse order (tuples, which keep it) sort
-    # to the same lines only if no two records tie on the whole sort key.
+    # Each group's records handed over in the reverse order (tuples, which
+    # keep it) sort to the same lines only if no two records tie on the
+    # whole sort key.
     backwards = replace(
-        history, observations=tuple(reversed(list(history.observations))),
-        changes=tuple(reversed(list(history.changes))),
-        attributes=dict(reversed(history.attributes.items())))
+        history,
+        warnings_at=tuple(tuple(reversed(list(group))) for group in history.warnings_at),
+        changes_at=tuple(tuple(reversed(list(group))) for group in history.changes_at),
+        attrs_at=tuple(dict(reversed(group.items())) for group in history.attrs_at))
     assert list(emit_ledger(backwards)) == lines
     again = ingest_ledger(lines)
     assert again == history
-    assert again.attributes == history.attributes
+    assert again.attrs_at == history.attrs_at
