@@ -217,13 +217,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_label(args) -> int:
-    if args.annotator is not None and not args.annotations:
+    if args.annotator is not None and args.annotations is None:
         raise UsageError("--annotator requires --annotations")
     from . import oracle as oc
     history = _load_history(args.ledger)
     labels = oc.heuristic_label(history, args.at, args.ref)
     filter_stats = None
-    if args.filter_file:
+    if args.filter_file is not None:
         with open(args.filter_file, encoding="utf-8") as fp:
             rules = oc.parse_filter_file(fp)
         confirmation = oc.confirm_false_alarms(labels, rules)
@@ -233,13 +233,13 @@ def cmd_label(args) -> int:
             "filtered": confirmation.matched_count,
             "filtered_share": confirmation.matched_share,
         }
-    if args.annotations:
+    if args.annotations is not None:
         with open(args.annotations, encoding="utf-8") as fp:
             sets = oc.read_annotations(fp)
         if not sets:
             raise ValidationError("annotation file holds no annotations")
         chosen = sets[0]
-        if args.annotator:
+        if args.annotator is not None:
             by_id = {s.annotator: s for s in sets}
             if args.annotator not in by_id:
                 raise ValidationError(f"annotator {args.annotator!r} not in file")
@@ -251,8 +251,8 @@ def cmd_label(args) -> int:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow([*KEY_COLUMNS, "at_revision", "reference_revision", "label", "reason"])
         for lw in sorted(labels, key=lambda w: w.key.sort_key()):
-            writer.writerow([*key_row(lw.key), lw.at_revision, lw.reference_revision,
-                             lw.label.value, lw.reason.value])
+            writer.writerow([*key_row(lw.key), args.at, args.ref, lw.label.value,
+                             lw.reason.value])
     summary = {
         "at": args.at,
         "ref": args.ref,

@@ -32,10 +32,11 @@ DATASET_LABELS = frozenset((Label.ACTIONABLE.value, Label.FALSE_ALARM.value))
 
 @dataclass(frozen=True)
 class LabeledInstance:
+    """One labeled warning; its split's ``DatasetMeta`` revision is its own."""
+
     key: WarningKey
     features: FeatureVector
     label: Label
-    origin_rev: str
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def _labeled_split(
         if label is Label.UNKNOWN:
             dropped_unknown += 1
             continue
-        instances.append(LabeledInstance(key, vectors[key], label, at_rev))
+        instances.append(LabeledInstance(key, vectors[key], label))
     return instances, dropped_unknown
 
 
@@ -246,11 +247,12 @@ def _bridged_duplicates(dataset: Dataset, train_keys: set[WarningKey]) -> int:
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for split_name, instances in (("train", dataset.train), ("test", dataset.test)):
+    for split_name, instances, origin in (("train", dataset.train, dataset.meta.train_rev),
+                                          ("test", dataset.test, dataset.meta.test_rev)):
         rows = [
             MatrixRow(
                 key=inst.key,
-                origin_rev=inst.origin_rev,
+                origin_rev=origin,
                 label=inst.label.value,
                 mode=dataset.meta.mode.mode,
                 vector=inst.features,
@@ -289,7 +291,6 @@ def load_dataset(in_dir: str | Path) -> Dataset:
                 key=row.key,
                 features=row.vector,
                 label=Label(row.label),
-                origin_rev=row.origin_rev,
             ))
         splits[split_name] = tuple(instances)
     return Dataset(train=splits["train"], test=splits["test"], meta=meta)

@@ -106,8 +106,8 @@ def _type_lifetimes(base: ProjectHistory,
     for other in universe.values():
         if other.closed_idx is None:
             continue
-        start = base.rev_at(other.first_seen_idx).timestamp
-        end = base.rev_at(other.closed_idx).timestamp
+        start = base.revisions[other.first_seen_idx].timestamp
+        end = base.revisions[other.closed_idx].timestamp
         durations[other.category].append((end - start) / SECONDS_PER_DAY)
     return {category: math.fsum(ds) / len(ds) for category, ds in durations.items()}
 
@@ -152,7 +152,7 @@ def extract_golden(
         raise ValidationError("leak-free extraction forbids a reference revision")
     base = truncate_history(history, at_rev)
     universe = base.universe
-    at_time = base.rev_at(at_idx).timestamp
+    at_time = base.revisions[at_idx].timestamp
 
     # Population membership and each member's closed flag, per mode.
     if mode.is_leaky:
@@ -161,7 +161,7 @@ def extract_golden(
     else:
         window_start = at_time - mode.window_days * SECONDS_PER_DAY
         members = [(canon, at_idx not in canon.presence) for canon in universe.values()
-                   if base.rev_at(canon.first_seen_idx).timestamp >= window_start]
+                   if base.revisions[canon.first_seen_idx].timestamp >= window_start]
 
     # [closed, total] per population, keyed by (scope, path[, method]) or
     # (scope, category | pattern).
@@ -244,7 +244,7 @@ def extract_golden(
         if birth_idx is None:  # no Add: its earliest mention (indexes run in time order)
             birth_idx = min([canon.first_seen_idx, *(idx for idx, _ in chain)])
             flags.add(FLAG_FILE_CREATION_INFERRED)
-        birth_time = base.rev_at(birth_idx).timestamp
+        birth_time = base.revisions[birth_idx].timestamp
 
         out[key] = FeatureVector(
             warning_context_in_method=warning_context(*method_count),

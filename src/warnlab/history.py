@@ -19,8 +19,10 @@ path.
 A ``ProjectHistory`` holds its records by revision index: next to the
 sorted ``revisions`` it keeps, per index, the set of warning observations
 (``warnings_at``), the set of change records (``changes_at``) and the attrs
-of each key (``attrs_at``). Ingest decides once which revision holds a
-record, and every derived index reads the groups by their index. A cut
+of each key (``attrs_at``). A record says what was seen, never when: it
+carries no revision. Ingest builds one record per distinct record prefix,
+and synth one observation per planted warning, shared by every group that
+holds it. Every derived index reads the groups by their index. A cut
 (:func:`truncate_history`) is a prefix of those four tuples, so it shares
 every record, group and attrs dict with its parent.
 
@@ -115,15 +117,14 @@ the bytes depend on the history alone, not on the hash seed:
   method or "", method is not null).
 
 So every warning, change and attrs line ends in ``, "revision": "<id>"}``,
-and most lines repeat an earlier line up to that suffix: the same warning,
-change or attrs payload at another revision. Both directions of the codec
-pay per distinct record, not per line. :func:`emit_ledger` formats each
-distinct warning body (key, category, priority, line) once, and each
-distinct attrs payload of a key once; each line is then that body plus the
-quoted revision id and ``}``. :func:`ingest_ledger` decodes each distinct
-record prefix once. A line whose prefix it has seen, and whose suffix is
-one valid JSON string followed by the closing ``}`` and nothing else,
-reuses that prefix's decoded and validated fields and decodes only its
+and most lines repeat an earlier line up to that suffix: the same record at
+another revision. Both directions of the codec pay per distinct record, not
+per line. :func:`emit_ledger` formats each distinct observation, and each
+distinct attrs payload of a key, once; a line is that text plus the quoted
+revision id and ``}``. :func:`ingest_ledger` decodes each distinct record
+prefix once, into one record. A line whose prefix it has seen, and whose
+suffix is one valid JSON string followed by the closing ``}`` and nothing
+else, adds that record object to its revision's group and decodes only its
 revision string (a plain one, with no quote, backslash or unprintable
 character, by string tests alone). Any other line (revision records,
 whitespace or another member after the revision, a suffix that is not a
@@ -175,16 +176,16 @@ class RevisionMeta:
 
 
 class WarningObservation(NamedTuple):
-    """One warning seen at one revision.
+    """One warning as seen: the revision that saw it is the index of the
+    ``warnings_at`` group that holds it.
 
     ``key`` is the warning's line-insensitive identity: its bug pattern, file
     path and entity (package, class, optional method). Ingest hands every
     observation of one key the same ``WarningKey`` object, the one that attrs
     records of that key carry too. As a tuple, an observation compares and
-    hashes like its five fields in order.
+    hashes like its four fields in order.
     """
 
-    revision: str
     key: WarningKey
     bug_category: str
     priority: int
@@ -193,7 +194,6 @@ class WarningObservation(NamedTuple):
 
 @dataclass(frozen=True)
 class FileChangeRecord:
-    revision: str
     file_path: str
     kind: str  # Add | Modify | Delete | Rename
     lines_added: int = 0
@@ -234,9 +234,9 @@ class ProjectHistory:
     attrs_at: tuple[dict[WarningKey, StaticAttributes], ...]
 
     @property
-    def observations(self) -> frozenset[WarningObservation]:
-        """Every observation in one flat set, built anew on each read."""
-        return frozenset().union(*self.warnings_at)
+    def observations(self) -> tuple[WarningObservation, ...]:
+        """Each group's observations in one flat tuple, built anew on each read."""
+        return tuple(o for group in self.warnings_at for o in group)
 
     @property
     def horizon(self) -> str | None:
@@ -254,9 +254,6 @@ class ProjectHistory:
             return self._order[rev_id]
         except KeyError:
             raise IntegrityError(f"unknown revision {rev_id!r}") from None
-
-    def rev_at(self, index: int) -> RevisionMeta:
-        return self.revisions[index]
 
     # -- presence indexes -------------------------------------------------
 
@@ -414,14 +411,15 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     or contradict each other. Duplicate identical warning lines are
     collapsed with a logged warning.
 
-    Cost contract: one full JSON decode per distinct record prefix; a
-    repeated prefix decodes only its revision string; a prefix whose decode
-    fails never enters the memo (the rule is in the module docstring). One
-    ``WarningKey`` per distinct key, shared by observations and attrs
-    records, and one ``StaticAttributes`` per distinct attrs payload, each
-    validated once, on first sight; one hash per observation, taken when it
-    is collected and reused by the frozen set, and one per key. The checks
-    of revision references and pattern categories read distinct values.
+    Cost contract: one full JSON decode and one record per distinct record
+    prefix, shared by every group that repeats the prefix, which decodes
+    only its revision string; a prefix whose decode fails never enters the
+    memo (the rule is in the module docstring). One ``WarningKey`` per
+    distinct key, shared by observations and attrs records, and one
+    ``StaticAttributes`` per distinct attrs payload, each validated once, on
+    first sight; one hash per warning line, reused by the frozen set, and
+    one per key. The checks of revision references and pattern categories
+    read distinct values.
     """
     revisions: list[RevisionMeta] = []
     # Records grouped by revision id, each group in line order (observations
@@ -432,7 +430,7 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     keys: dict[tuple, WarningKey] = {}
     payloads: dict[tuple, StaticAttributes] = {}
     categories: dict[tuple[str, str], None] = {}  # (bug_pattern, bug_category) pairs
-    memo: dict[str, tuple[str, tuple]] = {}  # prefix -> (kind, fields but the revision)
+    memo: dict[str, tuple[str, object]] = {}  # prefix -> (kind, its revision-free record)
     warning_lines = 0
 
     for line_no, raw in enumerate(stream, start=1):
@@ -445,7 +443,7 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
         prefix = None if tail is None else line[:cut]
         hit = None if prefix is None else memo.get(prefix)
         if hit is not None:
-            kind, fields = hit
+            kind, record = hit
             rev = tail
         else:
             rec = _decode_json(line, line_no)
@@ -455,13 +453,13 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
                     revisions.append(_decode_revision(rec))
                     continue
                 if kind == "warning":
-                    rev, fields = _decode_warning(rec, keys)
+                    rev, record = _decode_warning(rec, keys)
                     # A memo hit repeats a decoded line, so every pair is seen here first.
-                    categories[(fields[0].bug_pattern, fields[1])] = None
+                    categories[(record.key.bug_pattern, record.bug_category)] = None
                 elif kind == "attrs":
-                    rev, fields = _decode_attrs(rec, keys, payloads)
+                    rev, record = _decode_attrs(rec, keys, payloads)
                 elif kind == "change":
-                    rev, fields = _decode_change(rec)
+                    rev, record = _decode_change(rec)
                 else:
                     raise LedgerParseError(f"unknown record kind {kind!r}", line_no)
             except KeyError as exc:
@@ -471,14 +469,14 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
             except (TypeError, ValueError) as exc:
                 raise LedgerParseError(f"bad {kind} record: {exc}", line_no) from None
             if tail == rev:  # the line ends in its own revision member
-                memo[prefix] = (kind, fields)
+                memo[prefix] = (kind, record)
         if kind == "warning":
-            warnings[rev][WarningObservation._make((rev, *fields))] = None
+            warnings[rev][record] = None
             warning_lines += 1
         elif kind == "attrs":
-            attributes[rev][fields[0]] = fields[1]
+            attributes[rev][record[0]] = record[1]
         else:
-            changes[rev].append(FileChangeRecord(rev, *fields))
+            changes[rev].append(record)
 
     duplicate_obs = warning_lines - sum(map(len, warnings.values()))
     if duplicate_obs:
@@ -535,8 +533,8 @@ def _check_known(revisions: dict, revision_ids: Iterable[str], what: str) -> Non
 # KeyError(field name), which ingest_ledger reports as a missing field. Types
 # are checked exactly: a JSON string, a JSON integer (never true, false or a
 # number written with a fraction or exponent), or a JSON number. The warning,
-# change and attrs decoders return the revision apart from the record's other
-# fields, which ingest_ledger's memo reuses for a repeated record prefix.
+# change and attrs decoders return the line's revision and its record apart,
+# so ingest_ledger's memo shares the record among lines that repeat its prefix.
 
 def _decode_json(line: str, line_no: int) -> dict:
     """The JSON object on a stripped line, with json.loads' error messages."""
@@ -626,8 +624,8 @@ def _decode_revision(rec: dict) -> RevisionMeta:
     )
 
 
-def _decode_warning(rec: dict, keys: dict[tuple, WarningKey]) -> tuple[str, tuple]:
-    """A warning's revision, and the other ``WarningObservation`` fields in order."""
+def _decode_warning(rec: dict, keys: dict[tuple, WarningKey]) -> tuple[str, WarningObservation]:
+    """A warning line's revision, and its observation."""
     priority = _integer(rec["priority"], "priority")
     if not 1 <= priority <= 3:
         raise ValueError(f"priority must be in 1..3, got {priority}")
@@ -640,11 +638,11 @@ def _decode_warning(rec: dict, keys: dict[tuple, WarningKey]) -> tuple[str, tupl
     revision = _string(rec["revision"], "revision")
     _string(rec["bug_pattern"], "bug_pattern")  # before bug_category, as errors name them
     bug_category = _string(rec["bug_category"], "bug_category")
-    return revision, (decode_key(rec, keys), bug_category, priority, line)
+    return revision, WarningObservation(decode_key(rec, keys), bug_category, priority, line)
 
 
-def _decode_change(rec: dict) -> tuple[str, tuple]:
-    """A change's revision, and the other ``FileChangeRecord`` fields in order."""
+def _decode_change(rec: dict) -> tuple[str, FileChangeRecord]:
+    """A change line's revision, and its change record."""
     # The record tag already uses "kind", so the change kind rides in
     # "change_kind" on the wire (emit_ledger writes it back the same way).
     change_kind = rec["change_kind"]
@@ -663,8 +661,8 @@ def _decode_change(rec: dict) -> tuple[str, tuple]:
     file_path = _string(rec["file_path"], "file_path")
     if change_kind == "Rename" and old_path == file_path:
         raise ValueError(f"Rename old_path equals file_path {file_path!r}")
-    author = _string(rec.get("author", ""), "author")
-    return revision, (file_path, change_kind, lines_added, lines_deleted, author, old_path)
+    return revision, FileChangeRecord(file_path, change_kind, lines_added, lines_deleted,
+                                      _string(rec.get("author", ""), "author"), old_path)
 
 
 def _decode_attrs(
@@ -751,28 +749,27 @@ def emit_ledger(history: ProjectHistory) -> Iterator[str]:
     """Serialize a history back to ledger lines, in the wire form and the
     total order stated in the module docstring: one f-string per record
     kind, with its keys in sorted order, formatted once per distinct
-    warning body and attrs payload (module docstring). The distinct bodies
-    are sorted once, and their lines fill one bucket per revision index in
-    body rank order: the order of a sort of the lines.
+    observation and attrs payload (module docstring). The distinct
+    observations are sorted once, and their lines fill one bucket per
+    revision index in rank order: the order of a sort of the lines.
     """
     ends = [f"{_quote(r.id)}}}" for r in history.revisions]  # quoted id and "}", by index
     for r in history.revisions:
         yield (f'{{"branch": {_quote(r.branch)}, "id": {_quote(r.id)}, "kind": "revision", '
                f'"parent": {_optional(r.parent)}, "timestamp": {r.timestamp}}}')
 
-    at: dict[tuple, list[int]] = defaultdict(list)  # body -> its revision indexes
+    at: dict[WarningObservation, list[int]] = defaultdict(list)  # -> its revision indexes
     for idx, group in enumerate(history.warnings_at):
         for o in group:
-            at[o[1:]].append(idx)  # the body: (key, category, priority, line)
+            at[o].append(idx)
     buckets: list[list[str]] = [[] for _ in ends]
-    for body in sorted(at, key=lambda b: (*b[0].sort_key(), b[3], b[2], b[1],
-                                          b[0].method is not None)):
-        k, category, priority, line = body
-        text = (f'{{"bug_category": {_quote(category)}, '
-                f'"bug_pattern": {_quote(k.bug_pattern)}, "entity": {_entity(k)}, '
-                f'"file_path": {_quote(k.file_path)}, "kind": "warning", "line": {line}, '
-                f'"priority": {priority}, "revision": ')
-        for idx in at[body]:
+    for o in sorted(at, key=lambda o: (*o.key.sort_key(), o.line, o.priority, o.bug_category,
+                                       o.key.method is not None)):
+        text = (f'{{"bug_category": {_quote(o.bug_category)}, '
+                f'"bug_pattern": {_quote(o.key.bug_pattern)}, "entity": {_entity(o.key)}, '
+                f'"file_path": {_quote(o.key.file_path)}, "kind": "warning", "line": {o.line}, '
+                f'"priority": {o.priority}, "revision": ')
+        for idx in at[o]:
             buckets[idx].append(text)
     for texts, end in zip(buckets, ends):
         for text in texts:

@@ -38,9 +38,9 @@ _REASON_LABEL = {
 
 @dataclass(frozen=True)
 class LabeledWarning:
+    """One warning's label; the call that made it holds the two revisions."""
+
     key: WarningKey
-    at_revision: str
-    reference_revision: str
     label: Label
     reason: Reason
 
@@ -77,7 +77,7 @@ def heuristic_label(
             label, reason = Label.FALSE_ALARM, Reason.STILL_OPEN
         else:
             label, reason = Label.ACTIONABLE, Reason.CLOSED_FILE_PRESENT
-        out.append(LabeledWarning(key, at_rev, ref_rev, label, reason))
+        out.append(LabeledWarning(key, label, reason))
     return out
 
 
@@ -133,7 +133,7 @@ def sweep_reference(
     revision are reported as skipped rows rather than errors.
     """
     at_idx = history.rev_index(at_rev)
-    at_time = history.rev_at(at_idx).timestamp
+    at_time = history.revisions[at_idx].timestamp
     rows: list[SweepRow] = []
     for interval in intervals_days:
         target = at_time + interval * SECONDS_PER_DAY

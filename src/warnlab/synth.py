@@ -308,9 +308,9 @@ def generate(config: SynthConfig) -> SynthResult:
         )
         key = WarningKey(bug_pattern=pattern, file_path=file.path, package=file.package,
                          class_name=file.class_name, method=method)
+        observation = WarningObservation(key, category, priority, line)
         for idx in range(born_idx, last_idx):
-            warnings_at[idx].append(
-                WarningObservation(revisions[idx].id, key, category, priority, line))
+            warnings_at[idx].append(observation)
             attrs_at[idx][key] = attrs
         change_marks.setdefault((file.index, born_idx), None)
         if close_idx < n and kind != CLOSURE_FILE_DELETED:
@@ -324,8 +324,8 @@ def generate(config: SynthConfig) -> SynthResult:
 
     def change(file: _File, idx: int, kind: str, lines_added: int, lines_deleted: int) -> None:
         # The author is drawn after both line counts.
-        changes_at[idx].append(FileChangeRecord(revisions[idx].id, file.path, kind, lines_added,
-                                                lines_deleted, rng.choice(file.authors)))
+        changes_at[idx].append(FileChangeRecord(file.path, kind, lines_added, lines_deleted,
+                                                rng.choice(file.authors)))
 
     for file in files:
         if file.created_idx is None:

@@ -23,7 +23,7 @@ def reference_golden(history, at_rev, mode, ref_rev, vectors):
     base = truncate_history(history, at_rev)
     flat = FlatHistory.of(base)
     universe = ft.build_universe(base, at_idx)
-    at_time = base.rev_at(at_idx).timestamp
+    at_time = base.revisions[at_idx].timestamp
     members = []
     for canon in universe.values():
         present = at_idx in canon.presence
@@ -32,7 +32,7 @@ def reference_golden(history, at_rev, mode, ref_rev, vectors):
             path, deleted = history.resolve_path(canon.member_key.file_path, at_idx, ref_idx)
             gone = canon.member_key.with_path(path) not in history.present_keys[ref_idx]
             members.append((canon, deleted is not None or gone))
-        elif not mode.is_leaky and (base.rev_at(canon.first_seen_idx).timestamp
+        elif not mode.is_leaky and (base.revisions[canon.first_seen_idx].timestamp
                                     >= at_time - mode.window_days * DAY):
             members.append((canon, not present))
 
@@ -56,12 +56,13 @@ def reference_golden(history, at_rev, mode, ref_rev, vectors):
         durations = []
         for o in universe.values():
             if o.category == canon.category and o.closed_idx is not None and o.closed_idx <= at_idx:
-                span = base.rev_at(o.closed_idx).timestamp - base.rev_at(o.first_seen_idx).timestamp
+                span = (base.revisions[o.closed_idx].timestamp
+                        - base.revisions[o.first_seen_idx].timestamp)
                 durations.append(span / DAY)
-        paths = {o.key.file_path for o in flat.observations if o.key.package == k.package}
-        loc_pkg = sum(rec.lines_added for rec in flat.changes
-                      if rec.file_path in paths and base.rev_index(rec.revision) <= at_idx
-                      and base.rev_at(base.rev_index(rec.revision)).timestamp > at_time - 90 * DAY)
+        paths = {o.key.file_path for _, o in flat.observations if o.key.package == k.package}
+        loc_pkg = sum(rec.lines_added for rev_id, rec in flat.changes
+                      if rec.file_path in paths and base.rev_index(rev_id) <= at_idx
+                      and base.revisions[base.rev_index(rev_id)].timestamp > at_time - 90 * DAY)
 
         raised = {
             ft.FLAG_FILE_CREATION_INFERRED: ft.FLAG_FILE_CREATION_INFERRED in vec.flags,

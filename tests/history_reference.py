@@ -3,15 +3,16 @@ revision-indexed ``warnlab.history.ProjectHistory``.
 
 ``ProjectHistory`` holds its records grouped by revision index, and every
 derived index reads a group by its index. ``FlatHistory`` keeps the layout
-it replaced: one set of observations, one of changes and one attrs dict
-keyed by (revision id, key), with builders of the five derived indexes that
-map each record's revision id back to its index, and a cut that filters the
-flat records by revision id. File identity (``range_ends``,
+it replaced: one set of ``(revision id, observation)`` pairs, one of
+``(revision id, change record)`` pairs and one attrs dict keyed by
+(revision id, key), with builders of the five derived indexes that map each
+pair's revision id back to its index, and a cut that filters the flat pairs
+by revision id. File identity (``range_ends``,
 ``resolve_path``) and the universe run ``ProjectHistory``'s own code over
 these indexes, so a grouped history and its cuts must agree with the
 reference on every index and every universe.
 
-``grouped`` is the bridge from flat records to the grouped layout that
+``grouped`` is the bridge from flat pairs to the grouped layout that
 hand-built test histories use; ``FlatHistory.of`` goes the other way.
 """
 
@@ -33,16 +34,17 @@ from warnlab.history import (
 
 
 def grouped(revisions, observations=(), changes=(), attributes=None) -> ProjectHistory:
-    """The ``ProjectHistory`` of flat records: each record goes to the group
-    of its revision's index in ``revisions`` (sorted by (timestamp, id))."""
+    """The ``ProjectHistory`` of flat ``(revision id, record)`` pairs: each
+    record goes to the group of its revision's index in ``revisions``
+    (sorted by (timestamp, id))."""
     order = {rev.id: i for i, rev in enumerate(revisions)}
     warnings_at = [set() for _ in revisions]
     changes_at = [set() for _ in revisions]
     attrs_at = [{} for _ in revisions]
-    for obs in observations:
-        warnings_at[order[obs.revision]].add(obs)
-    for rec in changes:
-        changes_at[order[rec.revision]].add(rec)
+    for rev_id, obs in observations:
+        warnings_at[order[rev_id]].add(obs)
+    for rev_id, rec in changes:
+        changes_at[order[rev_id]].add(rec)
     for (rev_id, key), attrs in (attributes or {}).items():
         attrs_at[order[rev_id]][key] = attrs
     return ProjectHistory(tuple(revisions), tuple(map(frozenset, warnings_at)),
@@ -52,30 +54,32 @@ def grouped(revisions, observations=(), changes=(), attributes=None) -> ProjectH
 @dataclass
 class FlatHistory:
     revisions: tuple[RevisionMeta, ...]
-    observations: frozenset[WarningObservation] = frozenset()
-    changes: frozenset[FileChangeRecord] = frozenset()
+    observations: frozenset[tuple[str, WarningObservation]] = frozenset()
+    changes: frozenset[tuple[str, FileChangeRecord]] = frozenset()
     attributes: dict[tuple[str, WarningKey], StaticAttributes] = field(default_factory=dict)
 
     @classmethod
     def of(cls, history: ProjectHistory) -> FlatHistory:
-        """The flat records of a grouped history."""
+        """The flat pairs of a grouped history."""
         return cls(
             history.revisions,
-            frozenset(o for group in history.warnings_at for o in group),
-            frozenset(c for group in history.changes_at for c in group),
+            frozenset((rev.id, o) for rev, group in zip(history.revisions, history.warnings_at)
+                      for o in group),
+            frozenset((rev.id, c) for rev, group in zip(history.revisions, history.changes_at)
+                      for c in group),
             {(rev.id, key): attrs
              for rev, group in zip(history.revisions, history.attrs_at)
              for key, attrs in group.items()},
         )
 
     def cut(self, rev_id: str) -> FlatHistory:
-        """The set-filter cut: every record whose revision is at or before
+        """The set-filter cut: every pair whose revision is at or before
         ``rev_id``'s index."""
         keep = {rev.id for rev in self.revisions[: self.rev_index(rev_id) + 1]}
         return FlatHistory(
             revisions=tuple(r for r in self.revisions if r.id in keep),
-            observations=frozenset(o for o in self.observations if o.revision in keep),
-            changes=frozenset(c for c in self.changes if c.revision in keep),
+            observations=frozenset(p for p in self.observations if p[0] in keep),
+            changes=frozenset(p for p in self.changes if p[0] in keep),
             attributes={(rev, key): attrs for (rev, key), attrs in self.attributes.items()
                         if rev in keep},
         )
@@ -91,33 +95,33 @@ class FlatHistory:
     @cached_property
     def present_keys(self) -> tuple[frozenset[WarningKey], ...]:
         per_rev: list[set[WarningKey]] = [set() for _ in self.revisions]
-        for obs in self.observations:
-            per_rev[self.rev_index(obs.revision)].add(obs.key)
+        for rev_id, obs in self.observations:
+            per_rev[self.rev_index(rev_id)].add(obs.key)
         return tuple(frozenset(s) for s in per_rev)
 
     @cached_property
     def key_presence(self) -> dict[WarningKey, tuple[int, ...]]:
         acc: dict[WarningKey, set[int]] = defaultdict(set)
-        for obs in self.observations:
-            acc[obs.key].add(self.rev_index(obs.revision))
+        for rev_id, obs in self.observations:
+            acc[obs.key].add(self.rev_index(rev_id))
         return {k: tuple(sorted(v)) for k, v in acc.items()}
 
     @cached_property
     def pattern_categories(self) -> dict[str, str]:
-        return {obs.key.bug_pattern: obs.bug_category for obs in self.observations}
+        return {obs.key.bug_pattern: obs.bug_category for _, obs in self.observations}
 
     @cached_property
     def package_paths(self) -> dict[str, frozenset[str]]:
         acc: dict[str, set[str]] = defaultdict(set)
-        for obs in self.observations:
+        for _, obs in self.observations:
             acc[obs.key.package].add(obs.key.file_path)
         return {pkg: frozenset(paths) for pkg, paths in acc.items()}
 
     @cached_property
     def path_events(self) -> dict[str, tuple[tuple[int, FileChangeRecord], ...]]:
         acc: dict[str, list[tuple[int, FileChangeRecord]]] = defaultdict(list)
-        for rec in self.changes:
-            event = (self.rev_index(rec.revision), rec)
+        for rev_id, rec in self.changes:
+            event = (self.rev_index(rev_id), rec)
             acc[rec.file_path].append(event)
             if rec.kind == "Rename":
                 acc[rec.old_path].append(event)

@@ -2,7 +2,9 @@
 for ``warnlab.history.ingest_ledger`` and ``emit_ledger``.
 
 Every line goes through ``json.loads`` and builds fresh objects, and every
-field is read through ``_require``; nothing is interned or shared. It
+field is read through ``_require``; nothing is interned or shared. Each
+warning and change line parses into an explicit ``(revision id, record)``
+pair, the flat layout of ``history_reference``. It
 applies the same validation rules as ``ingest_ledger``, so the two must
 agree on every input: the same ``ProjectHistory``, or the same error class
 with the same line number. ``reference_emit`` writes each record as a dict
@@ -48,10 +50,10 @@ def reference_ingest(lines) -> ProjectHistory:
             if kind == "revision":
                 revisions.append(_parse_revision(rec))
             elif kind == "warning":
-                obs = _parse_warning(rec)
-                if obs not in seen:
-                    seen.add(obs)
-                    observations.append(obs)
+                pair = _parse_warning(rec)
+                if pair not in seen:
+                    seen.add(pair)
+                    observations.append(pair)
             elif kind == "change":
                 changes.append(_parse_change(rec))
             elif kind == "attrs":
@@ -78,13 +80,13 @@ def reference_ingest(lines) -> ProjectHistory:
             raise IntegrityError(f"revision {rev.id!r} references unknown parent")
         if rev.timestamp < parent.timestamp:
             raise IntegrityError(f"revision {rev.id!r} predates its parent")
-    for rev_id in [o.revision for o in observations] + [c.revision for c in changes] + [
+    for rev_id in [rev for rev, _obs in observations] + [rev for rev, _rec in changes] + [
         rev for rev, _key in attributes
     ]:
         if rev_id not in by_id:
             raise IntegrityError(f"record references unknown revision {rev_id!r}")
     categories = {}
-    for obs in observations:
+    for _rev, obs in observations:
         pattern = obs.key.bug_pattern
         if categories.setdefault(pattern, obs.bug_category) != obs.bug_category:
             raise IntegrityError(f"bug pattern {pattern!r} mapped to two categories")
@@ -139,7 +141,7 @@ def _parse_key(rec: dict) -> WarningKey:
     )
 
 
-def _parse_warning(rec: dict) -> WarningObservation:
+def _parse_warning(rec: dict) -> tuple[str, WarningObservation]:
     priority = _integer(_require(rec, "priority"), "priority")
     if not 1 <= priority <= 3:
         raise ValueError("priority must be in 1..3")
@@ -147,8 +149,8 @@ def _parse_warning(rec: dict) -> WarningObservation:
     file_path = _string(_require(rec, "file_path"), "file_path")
     if not file_path:
         raise ValueError("file_path must be non-empty")
-    return WarningObservation(
-        revision=_string(_require(rec, "revision"), "revision"),
+    revision = _string(_require(rec, "revision"), "revision")
+    return revision, WarningObservation(
         key=_parse_key(rec),
         bug_category=_string(_require(rec, "bug_category"), "bug_category"),
         priority=priority,
@@ -156,7 +158,7 @@ def _parse_warning(rec: dict) -> WarningObservation:
     )
 
 
-def _parse_change(rec: dict) -> FileChangeRecord:
+def _parse_change(rec: dict) -> tuple[str, FileChangeRecord]:
     change_kind = _require(rec, "change_kind")
     if change_kind not in CHANGE_KINDS:
         raise ValueError("unknown change_kind")
@@ -171,8 +173,7 @@ def _parse_change(rec: dict) -> FileChangeRecord:
     file_path = _string(_require(rec, "file_path"), "file_path")
     if change_kind == "Rename" and old_path == file_path:
         raise ValueError("Rename old_path equals file_path")
-    return FileChangeRecord(
-        revision=revision,
+    return revision, FileChangeRecord(
         file_path=file_path,
         kind=change_kind,
         lines_added=lines_added,
@@ -222,16 +223,16 @@ def reference_emit(history: ProjectHistory):
     for rev in history.revisions:
         yield json.dumps({"kind": "revision", "id": rev.id, "timestamp": rev.timestamp,
                           "parent": rev.parent, "branch": rev.branch}, sort_keys=True)
-    for obs in sorted(history.observations, key=lambda o: (
-            order[o.revision], o.key.sort_key(), o.line, o.priority, o.bug_category,
-            o.key.method is not None)):
-        yield json.dumps({"kind": "warning", "revision": obs.revision, **key_fields(obs.key),
+    for rev_id, obs in sorted(history.observations, key=lambda p: (
+            order[p[0]], p[1].key.sort_key(), p[1].line, p[1].priority, p[1].bug_category,
+            p[1].key.method is not None)):
+        yield json.dumps({"kind": "warning", "revision": rev_id, **key_fields(obs.key),
                           "bug_category": obs.bug_category, "priority": obs.priority,
                           "line": obs.line}, sort_keys=True)
-    for rec in sorted(history.changes, key=lambda c: (
-            order[c.revision], c.file_path, c.kind, c.author, c.lines_added,
-            c.lines_deleted, c.old_path or "")):
-        payload = {"kind": "change", "revision": rec.revision, "file_path": rec.file_path,
+    for rev_id, rec in sorted(history.changes, key=lambda p: (
+            order[p[0]], p[1].file_path, p[1].kind, p[1].author, p[1].lines_added,
+            p[1].lines_deleted, p[1].old_path or "")):
+        payload = {"kind": "change", "revision": rev_id, "file_path": rec.file_path,
                    "change_kind": rec.kind, "lines_added": rec.lines_added,
                    "lines_deleted": rec.lines_deleted, "author": rec.author}
         if rec.old_path is not None:

@@ -241,6 +241,24 @@ class TestContracts:
         assert capsys.readouterr().err == "error[usage]: --annotator requires --annotations\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("options,category", [
+        (["--annotations", ""], "io"),
+        (["--filter-file", ""], "io"),
+        (["--annotations", "notes.jsonl", "--annotator", ""], "validation"),
+    ], ids=["annotations", "filter-file", "annotator"])
+    def test_empty_option_value_is_not_absent(self, synth_dir, tmp_path, capsys, monkeypatch,
+                                              options, category):
+        """An empty path or annotator once read as an absent option: label
+        exited 0 with no override or filter applied."""
+        (tmp_path / "notes.jsonl").write_text(json.dumps(_NOTE) + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        anchors = _anchors(synth_dir)
+        code = run("label", "--ledger", str(synth_dir / "ledger.jsonl"), "--at", anchors["test"],
+                   "--ref", anchors["reference"], *options, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error[{category}]: ")
+        assert not (tmp_path / "out").exists()
+
     def test_parse_error_categorized(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n", encoding="utf-8")

@@ -311,7 +311,7 @@ class TestExtractGolden:
         ((key, vec),) = extract_golden(h, "r4", LeakMode.leakfree()).items()
         assert build_universe(truncate_history(h, "r4"), 4)[(key, None)].first_seen_idx == 3
         assert (vec.file_age_days, vec.developers, vec.loc_added_in_file_last_25_revisions,
-                vec.file_creation_timestamp) == (30.0, 0, 0, float(h.rev_at(3).timestamp))
+                vec.file_creation_timestamp) == (30.0, 0, 0, float(h.revisions[3].timestamp))
         assert FLAG_FILE_CREATION_INFERRED in vec.flags
 
     def test_output_sorted_by_key(self):

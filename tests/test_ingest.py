@@ -206,7 +206,7 @@ class TestAgainstReference:
         _assert_same_history(lines)
         history = ingest_ledger(lines)
         assert len(history.observations) == len([ln for ln in lines if '"warning"' in ln]) - 1
-        assert {c.kind for c in FlatHistory.of(history).changes} == {
+        assert {c.kind for _rev, c in FlatHistory.of(history).changes} == {
             "Add", "Modify", "Rename", "Delete"}
         assert any(o.key.method is None for o in history.observations)
 
@@ -457,17 +457,17 @@ def _histories(draw) -> ProjectHistory:
     for _ in range(draw(st.integers(0, 8))):
         pattern = draw(text)
         key = WarningKey(pattern, draw(nonempty), draw(text), draw(text), draw(method))
-        body = (key, categories.setdefault(pattern, draw(text)),
-                draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-        observations += [WarningObservation(r, *body) for r in draw(revs)]
+        obs = WarningObservation(key, categories.setdefault(pattern, draw(text)),
+                                 draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        observations += [(r, obs) for r in draw(revs)]
     changes = []
     for _ in range(draw(st.integers(0, 8))):
         path, kind = draw(text), draw(st.sampled_from(CHANGE_KINDS))
         renamed_from = [t for t in pool if t and t != path] or [path + "~"]
         old_path = draw(st.sampled_from(renamed_from)) if kind == "Rename" else None
-        changes.append(FileChangeRecord(draw(rev), path, kind, draw(st.integers(0, 3)),
-                                        draw(st.sampled_from([0, 1, 2**40])), draw(text),
-                                        old_path))
+        changes.append((draw(rev), FileChangeRecord(path, kind, draw(st.integers(0, 3)),
+                                                    draw(st.sampled_from([0, 1, 2**40])),
+                                                    draw(text), old_path)))
     ratio = st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 0.1]) | st.floats(
         min_value=0, allow_nan=False, allow_infinity=False)
     attributes = {}
@@ -494,9 +494,9 @@ def _tied_history() -> ProjectHistory:
     """Records that differ only in the last fields of their sort keys."""
     revs = (RevisionMeta("r0", 0),)
     keys = [WarningKey("P", "F.java", "p", "C", method) for method in (None, "")]
-    observations = [WarningObservation("r0", key, "X", priority, 7)
+    observations = [("r0", WarningObservation(key, "X", priority, 7))
                     for priority in (1, 2, 3) for key in keys]
-    changes = [FileChangeRecord("r0", "F.java", "Modify", added, 0, author)
+    changes = [("r0", FileChangeRecord("F.java", "Modify", added, 0, author))
                for added in (1, 2) for author in ("", "a")]
     attrs = StaticAttributes(0.5, 0, 0, 0, 0, "()V", "public")
     attributes = {("r0", key): attrs for key in keys}

@@ -87,7 +87,6 @@ def make_instance(i: int, label: Label, cls: str | None = None, pattern: str = "
         key=key,
         features=make_vector(warning_pattern=pattern, **overrides),
         label=label,
-        origin_rev="r1",
     )
 
 
@@ -340,7 +339,6 @@ class TestAffineInvariance:
                         "flags": vec.flags,
                     }),
                     label=inst.label,
-                    origin_rev=inst.origin_rev,
                 ))
             return out
 
