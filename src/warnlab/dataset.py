@@ -3,9 +3,19 @@
 The original construction takes every warning present at the training and
 testing revisions, so a warning that stays open (or closes only after the
 reference cut) lands in both splits with the same label. The corrected
-construction keeps only warnings first observed after the training revision
-in the test split. Both label via the closed-warning heuristic against the
-reference revision and drop (but count) Unknowns.
+construction (dedup) keeps a test warning only if both hold:
+
+- its warning, the universe entry of its live range at the test revision,
+  was first observed strictly after the training revision (rename chains
+  are bridged, so a renamed old warning does not slip back in);
+- its exact key is not the key of an instance of the built train split.
+  A path renamed away and added again starts a new warning under the old
+  key, and the train split may hold that key, labeled through the rename.
+
+So a dedup dataset never holds an exact-key duplicate. Both constructions
+label via the closed-warning heuristic against the reference revision and
+drop (but count) Unknowns. Each split is cut once at its revision, and its
+labels are the build's one read past the cut.
 """
 
 from __future__ import annotations
@@ -124,12 +134,12 @@ def build_dataset(
 
     Requires train < test < reference in revision order. With
     ``dedup=False`` the test split holds every warning at the test revision;
-    with ``dedup=True`` only warnings first observed after the training
-    revision survive (rename chains are bridged, so a renamed old warning
-    does not slip back in). Unknown-labeled warnings are dropped from both
-    splits and counted in the metadata.
+    with ``dedup=True`` only those the dedup rule keeps (module docstring).
+    Unknown-labeled warnings are dropped from both splits and counted in the
+    metadata.
     """
     from .history import truncate_history
+    from .oracle import heuristic_label
 
     train_idx = history.rev_index(train_rev)
     test_idx = history.rev_index(test_rev)
@@ -141,26 +151,25 @@ def build_dataset(
         )
 
     notices: list[str] = []
-    ref_for_features = ref_rev if mode.is_leaky else None
 
-    train_instances, dropped_train = _labeled_split(
-        history, train_rev, ref_rev, mode, ref_for_features
-    )
+    def cut_and_labels(rev: str):
+        return (truncate_history(history, rev),
+                {lw.key: lw.label for lw in heuristic_label(history, rev, ref_rev)})
+
+    train_cut, train_labels = cut_and_labels(train_rev)
+    test_cut, test_labels = cut_and_labels(test_rev)
+    train_instances, dropped_train = _labeled_split(train_cut, train_labels, mode)
 
     keep_test: set[WarningKey] | None = None
     dedup_removed = 0
     if dedup:
-        # A test key survives iff its warning, the universe entry of its
-        # live range, was first observed strictly after the training revision.
-        # The test cut and its universe are the ones the test extraction reads.
-        universe = truncate_history(history, test_rev).universe
-        test_keys = history.present_keys[test_idx]
-        keep_test = {key for key in test_keys if universe[(key, None)].first_seen_idx > train_idx}
-        dedup_removed = len(test_keys) - len(keep_test)
+        # The dedup rule (module docstring).
+        universe, train_keys = test_cut.universe, {inst.key for inst in train_instances}
+        keep_test = {key for key in test_labels if key not in train_keys
+                     and universe[(key, None)].first_seen_idx > train_idx}
+        dedup_removed = len(test_labels) - len(keep_test)
 
-    test_instances, dropped_test = _labeled_split(
-        history, test_rev, ref_rev, mode, ref_for_features, keep=keep_test,
-    )
+    test_instances, dropped_test = _labeled_split(test_cut, test_labels, mode, keep=keep_test)
     if dedup and not test_instances:
         notices.append("test split is empty after deduplication")
 
@@ -185,30 +194,20 @@ def build_dataset(
     return ds
 
 
-def _labeled_split(
-    history: ProjectHistory,
-    at_rev: str,
-    ref_rev: str,
-    mode: LeakMode,
-    ref_for_features: str | None,
-    keep: set[WarningKey] | None = None,
-) -> tuple[list[LabeledInstance], int]:
-    from .features import extract_golden
-    from .oracle import heuristic_label
-    labels = {
-        lw.key: lw.label for lw in heuristic_label(history, at_rev, ref_rev)
-    }
-    vectors = extract_golden(history, at_rev, mode, ref_for_features)
+def _labeled_split(cut: ProjectHistory, labels: dict[WarningKey, Label], mode: LeakMode,
+                   keep: set[WarningKey] | None = None) -> tuple[list[LabeledInstance], int]:
+    from .features import golden_features
+    vectors = golden_features(cut, mode, labels if mode.is_leaky else None)
     instances: list[LabeledInstance] = []
     dropped_unknown = 0
-    for key in sorted(vectors, key=WarningKey.sort_key):
+    for key, vector in vectors.items():  # sorted by key
         if keep is not None and key not in keep:
             continue
         label = labels[key]
         if label is Label.UNKNOWN:
             dropped_unknown += 1
             continue
-        instances.append(LabeledInstance(key, vectors[key], label))
+        instances.append(LabeledInstance(key, vector, label))
     return instances, dropped_unknown
 
 

@@ -7,20 +7,21 @@ warning is one entry of the warning universe of the ``history`` module
 bridged across renames. It is closed at the first revision of that range
 that does not report it; a Delete ends the range without closing it. The
 same universe gives each warning its lifetime and the mean closed lifetime
-per type, and deduplication its first sighting. In
-leaky mode the population is the warnings observed at the extraction
-revision, and each member's closure flag is the ground-truth heuristic's own
-label against the reference revision (``oracle.heuristic_label``):
-Actionable and Unknown count as closed, FalseAlarm as open. That reproduces
-the historical construction in which the label seeps into the features. In
-leak-free mode populations contain only warnings first observed inside a
-trailing window (default 365 days) and a member counts as closed exactly
-when it is no longer reported at the extraction revision itself.
+per type, and deduplication its first sighting. In leaky mode the
+population is the warnings observed at the extraction revision, and each
+member's closure flag is the ground-truth heuristic's own label against the
+reference revision (``oracle.heuristic_label``): Actionable and Unknown
+count as closed, FalseAlarm as open. That reproduces the historical
+construction in which the label seeps into the features. In leak-free mode
+populations contain only warnings first observed inside a trailing window
+(default 365 days) and a member counts as closed exactly when it is no
+longer reported at the extraction revision itself.
 
-Both modes compute all 23 features from the history cut at the extraction
-revision (``truncate_history``) and its universe: the cut is the only time
-boundary. Leaky mode makes one read past it, the heuristic labels for the
-closure flags.
+``golden_features`` computes all 23 features, in both modes, from the
+history cut at the extraction revision and its universe, and reads nothing
+else. Leaky mode's one read past the cut, the heuristic labels, is made by
+its caller and handed in: by ``extract_golden``, which cuts
+(``truncate_history``) and labels, or by ``dataset.build_dataset``.
 """
 
 from __future__ import annotations
@@ -122,42 +123,51 @@ def extract_golden(
     mode: LeakMode,
     ref_rev: str | None = None,
 ) -> dict[WarningKey, FeatureVector]:
-    """Compute all 23 features for every warning observed at ``at_rev``.
-
-    Every feature reads the history truncated at ``at_rev``. Leaky mode
-    requires ``ref_rev``, and its population members are the warnings at
-    ``at_rev`` with ``heuristic_label``'s labels against ``ref_rev`` as
-    closure flags (Actionable or Unknown count as closed), its only read of
-    the uncut ``history``; leak-free mode forbids ``ref_rev``. Missing
-    static attributes abort extraction with a per-warning error. A key
-    observed more than once at ``at_rev`` takes its priority from the
-    observation with the lowest (line, priority). Output is sorted by
-    warning key.
-
-    Cost: one pass each over the population members, the warning universe
-    and the change records computes everything that depends only on the
-    extraction revision and mode (closed/total counts per method, file,
-    category and pattern; discretization and mean closed lifetime per
-    category; recent LOC per package). Each target then costs lookups plus
-    its own ``file_chain`` walk.
-    """
+    """``golden_features`` of the history cut at ``at_rev``. Leaky mode requires
+    ``ref_rev`` after ``at_rev`` and labels the warnings at ``at_rev`` against
+    it (``heuristic_label``), the one read past the cut; leak-free forbids it."""
     at_idx = history.rev_index(at_rev)
+    labels = None
     if mode.is_leaky:
         if ref_rev is None:
             raise ValidationError("leaky extraction requires a reference revision")
-        ref_idx = history.rev_index(ref_rev)
-        if ref_idx <= at_idx:
+        if history.rev_index(ref_rev) <= at_idx:
             raise ValidationError("reference revision must come after the extraction revision")
+        labels = {lw.key: lw.label for lw in heuristic_label(history, at_rev, ref_rev)}
     elif ref_rev is not None:
         raise ValidationError("leak-free extraction forbids a reference revision")
-    base = truncate_history(history, at_rev)
+    return golden_features(truncate_history(history, at_rev), mode, labels)
+
+
+def golden_features(
+    base: ProjectHistory, mode: LeakMode, labels: Mapping[WarningKey, Label] | None = None,
+) -> dict[WarningKey, FeatureVector]:
+    """Compute all 23 features for every warning observed at the horizon of
+    ``base``, the history cut at the extraction revision, reading nothing else.
+
+    Leaky mode requires ``labels``, the heuristic label of every warning at
+    the horizon: those warnings are the population members, and Actionable
+    or Unknown count as closed. Leak-free mode forbids them. Missing static
+    attributes abort extraction with a per-warning error. A key observed
+    more than once at the horizon takes its priority from the observation
+    with the lowest (line, priority). Output is sorted by warning key.
+
+    Cost: one pass each over the members, the universe and the change
+    records computes everything that depends only on the extraction revision
+    and mode (closed/total counts per population; discretization and mean
+    closed lifetime per category; recent LOC per package). Each target then
+    costs lookups plus its own ``file_chain`` walk.
+    """
+    if mode.is_leaky != (labels is not None):
+        raise ValidationError("leaky extraction takes the heuristic labels, leak-free none")
+    at_idx = len(base.revisions) - 1
     universe = base.universe
     at_time = base.revisions[at_idx].timestamp
 
     # Population membership and each member's closed flag, per mode.
     if mode.is_leaky:
-        members = [(universe[(lw.key, None)], lw.label is not Label.FALSE_ALARM)
-                   for lw in heuristic_label(history, at_rev, ref_rev)]
+        members = [(universe[(key, None)], label is not Label.FALSE_ALARM)
+                   for key, label in labels.items()]
     else:
         window_start = at_time - mode.window_days * SECONDS_PER_DAY
         members = [(canon, at_idx not in canon.presence) for canon in universe.values()
@@ -184,7 +194,7 @@ def extract_golden(
         for category, patterns in patterns_by_category.items()
     }
 
-    targets = base.keys_at(at_rev)
+    targets = base.keys_at(base.horizon)
     attrs_at = base.attrs_at[at_idx]
     missing: dict[WarningKey, str] = {}
     for key in targets:
@@ -193,7 +203,7 @@ def extract_golden(
     if missing:
         listing = "; ".join(f"{k}: {why}" for k, why in list(missing.items())[:5])
         raise ExtractionError(
-            f"{len(missing)} warning(s) lack data at {at_rev}: {listing}",
+            f"{len(missing)} warning(s) lack data at {base.horizon}: {listing}",
             failures={str(k): why for k, why in missing.items()},
         )
     type_lifetimes = _type_lifetimes(base, universe)
@@ -322,11 +332,11 @@ def audit_time_travel(history: ProjectHistory, at_rev: str, mode: LeakMode) -> T
 
     Recomputes the feature map on the explicitly truncated history and
     compares bit-exactly against what ``extract_golden`` produces on the
-    full one. Any mismatch names the offending warnings. Both sides read
-    the one shared cut at ``at_rev`` and its universe, so the audit catches
-    an extraction that reads its uncut ``history`` argument, but not a fault
-    inside the cut itself: a cut that kept a later record would feed both
-    sides the same leak.
+    full one. Leak-free extraction makes no read past the cut (only leaky
+    labels do, in ``extract_golden``), and both sides reach the same cached
+    cut at ``at_rev`` and its universe: one computation runs twice, so the
+    audit cannot fail unless ``extract_golden`` itself is replaced. A check
+    against a history with a rewritten future is planned (ROADMAP.md).
     """
     if mode.is_leaky:
         raise ValidationError("time-travel audit applies to leak-free extraction only")

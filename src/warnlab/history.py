@@ -32,11 +32,11 @@ history holds each cut and each cut its universe (``ProjectHistory.universe``),
 so all readers of a cut share both.
 
 Record schema, as :func:`ingest_ledger` checks it and :func:`emit_ledger`
-writes it. "string" is a JSON string; "integer" is a JSON integer, never
-``true``/``false`` or a number written with a fraction or exponent
-(``2.0``, ``1e3``); "number" is any finite JSON number. An optional field
-may be absent or ``null`` where its type allows null; other fields are
-ignored.
+writes it. "string" is a JSON string; "integer" is a JSON integer from
+-2**63 to 2**63 - 1 (signed 64-bit), never ``true``/``false`` or a number
+written with a fraction or exponent (``2.0``, ``1e3``); "number" is any
+finite JSON number. An optional field may be absent or ``null`` where its
+type allows null; other fields are ignored.
 
 ``revision``
 
@@ -590,15 +590,17 @@ def _optional_string(value, name: str) -> str | None:
 
 
 def _integer(value, name: str) -> int:
+    """A JSON integer in the signed 64-bit range, a Java long: past about
+    10**308 an integer has no float value, and timestamps and features take one."""
     if type(value) is not int:
         raise _wrong_type(name, value, "an integer")
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{name} must be a signed 64-bit integer")
     return value
 
 
 def _count(value, name: str) -> int:
-    if type(value) is not int:
-        raise _wrong_type(name, value, "an integer")
-    if value < 0:
+    if _integer(value, name) < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 

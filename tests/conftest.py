@@ -11,6 +11,10 @@ from warnlab.history import ingest_ledger
 DAY = 86400
 EPOCH = 1_400_000_000
 
+# The benchmark's three shapes (files, revisions, warnings per revision).
+BENCH_SHAPES = {"paper-audit": (48, 48, 12), "deep-history": (40, 108, 2),
+                "wide-snapshot": (120, 18, 52)}
+
 
 def rev_line(rid: str, day: int, parent: str | None = None, branch: str = "main") -> str:
     return json.dumps({

@@ -114,6 +114,8 @@ def _optional_string(value, name: str) -> str | None:
 def _integer(value, name: str, low: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer")
+    if not -(2 ** 63) <= value <= 2 ** 63 - 1:
+        raise ValueError(f"{name} must fit in a signed 64-bit integer")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}")
     return value

@@ -265,6 +265,37 @@ class TestContracts:
         assert run("ingest", "--ledger", str(bad)) == 1
         assert "error[parse]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("revision", "timestamp", 10 ** 400),
+        ("warning", "line", 10 ** 400),
+        ("change", "lines_added", 2 ** 63),
+        ("attrs", "method_depth", 10 ** 400),
+        ("attrs", "file_depth", -(2 ** 63) - 1),
+    ])
+    @pytest.mark.parametrize("command", [
+        ("build", "--train", "r0", "--test", "r1", "--ref", "r2", "--mode", "leakfree"),
+        ("features", "--at", "r2", "--mode", "leakfree"),
+    ], ids=["build", "features"])
+    def test_integer_outside_64_bits_is_parse_error(self, tmp_path, capsys, command, kind,
+                                                    field, value):
+        """An integer with no float value once passed ingest and ended in an
+        OverflowError traceback inside extraction."""
+        lines = [rev_line(f"r{i}", day=30 * i, parent=f"r{i - 1}" if i else None)
+                 for i in range(3)]
+        lines += [change_line("r0", "src/a/Foo.java", "Add", lines_added=10)]
+        lines += [line for rid in ("r0", "r1", "r2") for line in (warn_line(rid), attrs_line(rid))]
+        number = max(n for n, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        record = json.loads(lines[number])
+        record[field] = value
+        lines[number] = json.dumps(record)
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run(command[0], "--ledger", str(ledger), *command[1:], "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error[parse]: line {number + 1}: bad {kind} record: {field} ")
+        assert "Traceback" not in err
+
     def test_missing_file_categorized(self, tmp_path, capsys):
         assert run("ingest", "--ledger", str(tmp_path / "nope.jsonl")) == 1
         assert "error[io]" in capsys.readouterr().err

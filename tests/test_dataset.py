@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from warnlab import dataset, features, history
+from warnlab import dataset, features, history, oracle
 from warnlab.dataset import (
     DatasetMeta,
     audit_duplication,
@@ -18,7 +18,7 @@ from warnlab.history import ProjectHistory
 from warnlab.oracle import Label
 from warnlab.synth import SynthConfig, generate
 
-from conftest import attrs_line, make_history, rev_line, warn_line
+from conftest import attrs_line, change_line, make_history, rev_line, warn_line
 
 
 def _no_closure_history(n_warnings=6):
@@ -82,6 +82,28 @@ class TestBuildDataset:
                               dedup=True)
         assert [inst.key for inst in built.test] == list(re_added_history.keys_at("r4"))
         assert built.meta.dedup_removed == 0
+
+    @pytest.mark.parametrize("mode", [LeakMode.leakfree(), LeakMode.leaky()],
+                             ids=["leakfree", "leaky"])
+    def test_dedup_drops_a_re_added_key_the_train_split_holds(self, mode):
+        """Foo.java renamed away to Bar.java at r2 and added again at r3: the
+        r3 warning is a new one, first seen after train, but its exact key is
+        the train split's, labeled Actionable through the rename. The build
+        once kept it, and then failed on the duplicate it had made."""
+        lines = [rev_line(f"r{i}", day=30 * i, parent=f"r{i - 1}" if i else None)
+                 for i in range(6)]
+        lines += [change_line("r0", "src/a/Foo.java", "Add", lines_added=40),
+                  change_line("r2", "src/a/Bar.java", "Rename", old_path="src/a/Foo.java"),
+                  change_line("r3", "src/a/Foo.java", "Add", lines_added=20)]
+        for rid in ("r0", "r1", "r3", "r4"):
+            lines += [warn_line(rid), attrs_line(rid)]
+        h = make_history(lines)
+        (key,) = h.keys_at("r3")
+        assert history.truncate_history(h, "r3").universe[(key, None)].first_seen_idx == 3
+        built = build_dataset(h, "r1", "r3", "r5", mode, dedup=True)
+        assert [(inst.key, inst.label) for inst in built.train] == [(key, Label.ACTIONABLE)]
+        assert built.test == () and built.meta.dedup_removed == 1
+        assert audit_duplication(built).duplicated == 0
 
     def test_ordering_violation_rejected(self):
         h = _no_closure_history()
@@ -171,10 +193,11 @@ class TestPersistence:
 @pytest.fixture
 def counted_synth(monkeypatch):
     """A synth result, and per horizon revision id the ``ProjectHistory``
-    objects constructed and the universes built after it."""
+    objects constructed and the universes built after it, and per labeled
+    revision the ``heuristic_label`` calls."""
     result = generate(SynthConfig(seed=5, n_files=8, n_revisions=20, warnings_per_revision=5))
-    made = {"histories": Counter(), "universes": Counter()}
-    init, build = ProjectHistory.__init__, features.build_universe
+    made = {"histories": Counter(), "universes": Counter(), "labels": Counter()}
+    init, build, label = ProjectHistory.__init__, features.build_universe, oracle.heuristic_label
 
     def counted_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -184,9 +207,15 @@ def counted_synth(monkeypatch):
         made["universes"][base.revisions[at_idx].id] += 1
         return build(base, at_idx)
 
+    def counted_label(history, at_rev, ref_rev):
+        made["labels"][at_rev] += 1
+        return label(history, at_rev, ref_rev)
+
     monkeypatch.setattr(ProjectHistory, "__init__", counted_init)
     for module in (history, features, dataset):  # wherever a caller may look the name up
         monkeypatch.setattr(module, "build_universe", counted_build, raising=False)
+    for module in (oracle, features, dataset):
+        monkeypatch.setattr(module, "heuristic_label", counted_label, raising=False)
     return result, made
 
 
@@ -206,5 +235,17 @@ class TestOneCutPerRevision:
         result, counts = counted_synth
         run(result.history, result.anchors)
         revisions = {result.anchors.train, result.anchors.test}
-        for kind, made in counts.items():
+        for kind in ("histories", "universes"):
+            made = counts[kind]
             assert set(made) == revisions and max(made.values()) == 1, (kind, made)
+
+    @pytest.mark.parametrize("mode", [LeakMode.leaky(), LeakMode.leakfree()],
+                             ids=["leaky", "leakfree"])
+    @pytest.mark.parametrize("dedup", [False, True], ids=["full", "dedup"])
+    def test_one_label_pass_per_split(self, mode, dedup, counted_synth):
+        """Extraction takes the build's labels: a leaky build once labeled
+        each split a second time, for the closure flags."""
+        result, counts = counted_synth
+        a = result.anchors
+        build_dataset(result.history, a.train, a.test, a.reference, mode, dedup=dedup)
+        assert counts["labels"] == {a.train: 1, a.test: 1}

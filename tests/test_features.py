@@ -23,14 +23,15 @@ from warnlab.features import (
     defect_likelihood,
     discretized_defect_likelihood,
     extract_golden,
+    golden_features,
     warning_context,
 )
-from warnlab.history import WarningKey, truncate_history
+from warnlab.history import ProjectHistory, WarningKey, truncate_history
 from warnlab.oracle import Label, heuristic_label
-from warnlab.schema import MatrixRow, read_feature_matrix, write_feature_matrix
+from warnlab.schema import NUMERIC_FIELDS, MatrixRow, read_feature_matrix, write_feature_matrix
 from warnlab.synth import SynthConfig, generate
 
-from conftest import attrs_line, change_line, make_history, rev_line, warn_line
+from conftest import BENCH_SHAPES, attrs_line, change_line, make_history, rev_line, warn_line
 from golden_reference import reference_golden
 
 
@@ -336,6 +337,50 @@ class TestExtractGolden:
             assert vec.warning_lifetime_revisions >= 1
             assert vec.developers >= 0
             assert vec.loc_added_in_file_last_25_revisions >= 0
+
+
+@pytest.mark.parametrize("mode", [LeakMode.leakfree(), LeakMode.leaky()],
+                         ids=["leakfree", "leaky"])
+@pytest.mark.parametrize("shape", sorted(BENCH_SHAPES))
+@given(seed=st.integers(0, 2 ** 16), data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_cut_level_extraction_reads_only_its_prefix(shape, mode, seed, data):
+    """``golden_features`` on a prefix built from the four tuple slices, which
+    shares no cache with the full history, gives ``extract_golden``'s vectors
+    on the full history bit for bit; leaky mode hands it the full history's
+    labels, its one read past the cut."""
+    n_files, n_revisions, per_revision = BENCH_SHAPES[shape]
+    h = generate(SynthConfig(
+        seed=seed, n_files=n_files, n_revisions=n_revisions,
+        warnings_per_revision=per_revision, incidental_close_rate=0.2,
+        file_delete_rate=0.1)).history
+    end = data.draw(st.integers(1, len(h.revisions) - 1), label="cut")
+    at_rev = h.revisions[end - 1].id
+    prefix = ProjectHistory(h.revisions[:end], h.warnings_at[:end], h.changes_at[:end],
+                            h.attrs_at[:end])
+    ref_rev, labels = None, None
+    if mode.is_leaky:
+        ref_rev = h.revisions[data.draw(st.integers(end, len(h.revisions) - 1), label="ref")].id
+        labels = {lw.key: lw.label for lw in heuristic_label(h, at_rev, ref_rev)}
+    def bits(vectors):  # numeric fields by repr, which tells -0.0 from 0.0
+        return [(key, [repr(getattr(vec, name)) for name in NUMERIC_FIELDS])
+                for key, vec in vectors.items()]
+
+    got = golden_features(prefix, mode, labels)
+    want = extract_golden(h, at_rev, mode, ref_rev)
+    assert got == want and bits(got) == bits(want)
+
+
+def test_cut_level_extraction_takes_labels_in_leaky_mode_only():
+    h = _single_warning_files_history()
+    labels = {lw.key: lw.label for lw in heuristic_label(h, "r1", "r2")}
+    cut = truncate_history(h, "r1")
+    with pytest.raises(ValidationError):
+        golden_features(cut, LeakMode.leaky())
+    with pytest.raises(ValidationError):
+        golden_features(cut, LeakMode.leakfree(), labels)
+    assert golden_features(cut, LeakMode.leaky(), labels) == extract_golden(
+        h, "r1", LeakMode.leaky(), "r2")
 
 
 class TestHistoryDerivedFeatures:

@@ -30,7 +30,7 @@ from warnlab.history import (
 )
 from warnlab.synth import SynthConfig, generate
 
-from conftest import attrs_line, change_line, rev_line, warn_line
+from conftest import BENCH_SHAPES, attrs_line, change_line, rev_line, warn_line
 from history_reference import FlatHistory, grouped
 from ledger_reference import reference_emit, reference_ingest
 
@@ -408,15 +408,10 @@ def test_memo_matches_reference(lines):
 # Emission: the template emitter against the json.dumps reference
 # ---------------------------------------------------------------------------
 
-# The benchmark's three shapes (files, revisions, warnings per revision).
-_SHAPES = {"paper-audit": (48, 48, 12), "deep-history": (40, 108, 2),
-           "wide-snapshot": (120, 18, 52)}
-
-
 @pytest.mark.parametrize("seed", [1, 5, 9])
-@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@pytest.mark.parametrize("shape", sorted(BENCH_SHAPES))
 def test_emit_matches_reference_on_synth(shape, seed):
-    n_files, n_revisions, per_revision = _SHAPES[shape]
+    n_files, n_revisions, per_revision = BENCH_SHAPES[shape]
     history = generate(SynthConfig(
         seed=seed, n_files=n_files, n_revisions=n_revisions,
         warnings_per_revision=per_revision, incidental_close_rate=0.2,
