@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -30,7 +31,8 @@ from typing import TYPE_CHECKING
 # feature schema. fit and eval load dataset, models and evaluation over
 # schema, and no ledger layer (history, oracle, features); only fit, eval and
 # report import numpy.
-from .errors import MODEL_KINDS, ValidationError, WarnlabError, read_json, typed_reader
+from .errors import (MODEL_KINDS, ValidationError, WarnlabError, kind_of, list_of, read_fields,
+                     read_json)
 from .keys import KEY_COLUMNS, key_row
 
 if TYPE_CHECKING:
@@ -280,18 +282,7 @@ def cmd_sweep(args) -> int:
     payload = {
         "project": args.project,
         "at": table.at_revision,
-        "rows": [
-            {
-                "interval_days": row.interval_days,
-                "reference_revision": row.reference_revision,
-                "actionable": row.actionable,
-                "false_alarm": row.false_alarm,
-                "unknown": row.unknown,
-                "ratio": row.ratio,
-                "notice": row.notice,
-            }
-            for row in table.rows
-        ],
+        "rows": [{name: getattr(row, name) for name in oc.SWEEP_FIELDS} for row in table.rows],
     }
     _write_json(out / "sweep.json", payload)
     lines = [f"{'interval':>10} {'reference':>10} {'Act':>6} {'FA':>6} {'Unk':>6} {'ratio':>7}"]
@@ -365,7 +356,7 @@ def cmd_build(args) -> int:
 def cmd_fit(args) -> int:
     from . import dataset as ds
     from . import models as md
-    built = ds.load_dataset(args.dataset)
+    built = ds.load_dataset(args.dataset, ("train",))
     if not built.train:
         raise ValidationError("dataset has an empty training split")
     train_encoded = md.encode_with(md.fit_manifest(built.train), built.train)
@@ -384,7 +375,7 @@ def cmd_eval(args) -> int:
     from . import dataset as ds
     from . import evaluation as ev
     from . import models as md
-    built = ds.load_dataset(args.dataset)
+    built = ds.load_dataset(args.dataset, ("test",))
     model = md.load_model(args.model)
     report = ev.evaluate_model(model, built, project=args.project)
     out = _out_dir(args)
@@ -467,7 +458,10 @@ def cmd_report(args) -> int:
         payload = read_json(path)
         try:
             if isinstance(payload, dict) and "rows" in payload:
-                sweeps.append((path, payload))
+                from .oracle import SWEEP_FIELDS
+                # Each row is read by the kinds of the SweepRow fields sweep writes.
+                sweeps.append((payload, read_fields(payload, "sweep", {
+                    "project": str, "at": str, "rows": list_of(kind_of(SWEEP_FIELDS))})))
             elif isinstance(payload, list):
                 reports.extend(ev.EvalReport.from_json(item) for item in payload)
             else:
@@ -481,18 +475,18 @@ def cmd_report(args) -> int:
         merged["reports"] = [rep.to_json() for rep in reports]
         text_parts.append(ev.render_report_table(reports))
     if sweeps:
-        merged["sweeps"] = [payload for _, payload in sweeps]
+        merged["sweeps"] = [payload for payload, _ in sweeps]
     if args.wilcoxon:
         if not sweeps:
             raise UsageError("--wilcoxon needs sweep JSON inputs")
         col_a = parse_duration_days(args.wilcoxon[0])
         col_b = parse_duration_days(args.wilcoxon[1])
         pairs = []
-        for path, payload in sweeps:
-            by_interval = _sweep_ratios(path, payload["rows"])
+        for _, sweep in sweeps:
+            by_interval = {row["interval_days"]: row["ratio"] for row in sweep["rows"]}
             if col_a not in by_interval or col_b not in by_interval:
                 raise ValidationError(
-                    f"sweep for {payload.get('project')} lacks interval "
+                    f"sweep for {sweep['project']} lacks interval "
                     f"{args.wilcoxon[0]} or {args.wilcoxon[1]}"
                 )
             ra, rb = by_interval[col_a], by_interval[col_b]
@@ -500,14 +494,7 @@ def cmd_report(args) -> int:
                 raise ValidationError("sweep rows without ratios cannot be tested")
             pairs.append((ra, rb))
         result = ev.wilcoxon_exact(pairs)
-        merged["wilcoxon"] = {
-            "n": result.n,
-            "w_plus": result.w_plus,
-            "w_minus": result.w_minus,
-            "statistic": result.statistic,
-            "p_value": result.p_value,
-            "intervals": [col_a, col_b],
-        }
+        merged["wilcoxon"] = {**asdict(result), "intervals": [col_a, col_b]}
         text_parts.append(
             f"wilcoxon signed-rank over {len(pairs)} project(s): "
             f"statistic={result.statistic:g} p={result.p_value:.5f}\n"
@@ -517,21 +504,6 @@ def cmd_report(args) -> int:
     (out / "merged.txt").write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
-
-
-def _sweep_ratios(path: str, rows) -> dict:
-    """interval_days -> ratio of a sweep file's rows; a row that is not an object
-    with a numeric ``interval_days`` and a numeric or null ``ratio`` raises
-    ``ValidationError`` naming ``path``."""
-    if not isinstance(rows, list):
-        raise ValidationError(f"{path}: sweep rows must be a list")
-    ratios = {}
-    for row in rows:
-        if not isinstance(row, dict) or "ratio" not in row:
-            raise ValidationError(f"{path}: sweep row {row!r} is not an object with a ratio")
-        typed = typed_reader(row, f"{path}: sweep row")
-        ratios[typed("interval_days", (int, float))] = typed("ratio", (int, float, type(None)))
-    return ratios
 
 
 if __name__ == "__main__":

@@ -21,11 +21,11 @@ labels are the build's one read past the cut.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import OrderingError, ValidationError, read_json, typed_reader
+from .errors import Count, OrderingError, ValidationError, field_types, read_fields, read_json
 from .keys import Label, WarningKey
 from .schema import FeatureVector, LeakMode, MatrixRow, read_feature_matrix, write_feature_matrix
 
@@ -56,45 +56,23 @@ class DatasetMeta:
     ref_rev: str
     mode: LeakMode
     dedup: bool
-    dropped_unknown_train: int = 0
-    dropped_unknown_test: int = 0
-    dedup_removed: int = 0
+    dropped_unknown_train: Count = 0
+    dropped_unknown_test: Count = 0
+    dedup_removed: Count = 0
     notices: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "train_rev": self.train_rev,
-            "test_rev": self.test_rev,
-            "ref_rev": self.ref_rev,
-            "mode": self.mode.mode,
-            "window_days": self.mode.window_days,
-            "dedup": self.dedup,
-            "dropped_unknown_train": self.dropped_unknown_train,
-            "dropped_unknown_test": self.dropped_unknown_test,
-            "dedup_removed": self.dedup_removed,
-            "notices": list(self.notices),
-        }
+        """Each field, with the mode's two in its place."""
+        return {**asdict(self), **asdict(self.mode), "notices": list(self.notices)}
 
     @classmethod
-    def from_json(cls, data: dict) -> "DatasetMeta":
-        """Decode ``to_json`` output; a missing or mistyped field raises ``ValidationError``."""
-        if not isinstance(data, dict):
-            raise ValidationError("dataset metadata must be a JSON object")
-        typed = typed_reader(data, "dataset metadata")
-        notices = typed("notices", list)
-        if not all(isinstance(n, str) for n in notices):
-            raise ValidationError("dataset metadata notices must be strings")
-        return cls(
-            train_rev=typed("train_rev", str),
-            test_rev=typed("test_rev", str),
-            ref_rev=typed("ref_rev", str),
-            mode=LeakMode(typed("mode", str), typed("window_days", (int, float))),
-            dedup=typed("dedup", bool),
-            dropped_unknown_train=typed("dropped_unknown_train", int),
-            dropped_unknown_test=typed("dropped_unknown_test", int),
-            dedup_removed=typed("dedup_removed", int),
-            notices=tuple(notices),
-        )
+    def from_json(cls, data) -> "DatasetMeta":
+        """Decode ``to_json`` output: each field it writes, by its kind (the
+        mode's two as ``LeakMode`` annotates them); a missing or ill-kinded
+        field raises ``ValidationError``."""
+        values = read_fields(data, "dataset metadata",
+                             {**field_types(cls), **field_types(LeakMode)})
+        return cls(mode=LeakMode(values.pop("mode"), values.pop("window_days")), **values)
 
 
 @dataclass(frozen=True)
@@ -113,13 +91,8 @@ class DuplicationReport:
     duplicated_bridged: int = 0  # rename-bridged duplicates, reported alongside
 
     def to_json(self) -> dict:
-        return {
-            "test_size": self.test_size,
-            "duplicated": self.duplicated,
-            "rate": self.rate,
-            "duplicated_bridged": self.duplicated_bridged,
-            "duplicated_keys": [list(k.sort_key()) for k in self.duplicated_keys],
-        }
+        return {**asdict(self),
+                "duplicated_keys": [list(k.sort_key()) for k in self.duplicated_keys]}
 
 
 def build_dataset(
@@ -265,13 +238,17 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> None:
         fp.write("\n")
 
 
-def load_dataset(in_dir: str | Path) -> Dataset:
-    """Read a ``save_dataset`` directory; malformed content, and a row whose
-    mode or origin revision contradicts ``meta.json``, raise ``ValidationError``."""
+def load_dataset(in_dir: str | Path, splits: tuple[str, ...] = ("train", "test")) -> Dataset:
+    """Read ``meta.json`` and the named splits of a ``save_dataset`` directory;
+    a split left unnamed is not read and stays empty (``fit`` needs only the
+    train split, ``eval`` only the test split). Malformed content, and a row
+    whose mode or origin revision contradicts ``meta.json``, raise
+    ``ValidationError``."""
     src = Path(in_dir)
     meta = DatasetMeta.from_json(read_json(src / "meta.json"))
-    splits: dict[str, tuple[LabeledInstance, ...]] = {}
-    for split_name, origin in (("train", meta.train_rev), ("test", meta.test_rev)):
+    loaded: dict[str, tuple[LabeledInstance, ...]] = {"train": (), "test": ()}
+    for split_name in splits:
+        origin = getattr(meta, f"{split_name}_rev")
         with open(src / f"{split_name}.csv", encoding="utf-8", newline="") as fp:
             rows = read_feature_matrix(fp)
         instances = []
@@ -291,5 +268,5 @@ def load_dataset(in_dir: str | Path) -> Dataset:
                 features=row.vector,
                 label=Label(row.label),
             ))
-        splits[split_name] = tuple(instances)
-    return Dataset(train=splits["train"], test=splits["test"], meta=meta)
+        loaded[split_name] = tuple(instances)
+    return Dataset(train=loaded["train"], test=loaded["test"], meta=meta)

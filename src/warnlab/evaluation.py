@@ -9,12 +9,13 @@ approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .dataset import Dataset
-from .errors import ValidationError, typed_reader
+from .errors import Count, ModelError, Rate, ValidationError, field_types, read_fields
 from .keys import Label
 from .models import Model, encode_with, labels_of, predict_from_scores, score
 
@@ -25,10 +26,10 @@ FLAG_SINGLE_CLASS_AUC = "auc_single_class"
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+    tp: Count
+    fp: Count
+    fn: Count
+    tn: Count
 
 
 def confusion(y_true: Sequence[Label], y_pred: Sequence[Label]) -> ConfusionCounts:
@@ -100,7 +101,7 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     ranks = [0.0] * len(values)
     i = 0
     while i < len(order):
-        j = i
+        j = i + 1  # a NaN equals nothing, not even itself
         while j < len(order) and values[order[j]] == values[order[i]]:
             j += 1
         for pos in range(i, j):
@@ -184,54 +185,22 @@ def wilcoxon_exact(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
 class EvalReport:
     project: str
     counts: ConfusionCounts
-    precision: float
-    recall: float
-    f1: float
-    auc: float
-    actionability: float
-    baseline_f1: float  # all-actionable strawman on the same test split
+    precision: Rate
+    recall: Rate
+    f1: Rate
+    auc: Rate
+    actionability: Rate
+    baseline_f1: Rate  # all-actionable strawman on the same test split
     flags: frozenset[str] = field(default_factory=frozenset)
 
     def to_json(self) -> dict:
-        return {
-            "project": self.project,
-            "counts": {
-                "tp": self.counts.tp,
-                "fp": self.counts.fp,
-                "fn": self.counts.fn,
-                "tn": self.counts.tn,
-            },
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "actionability": self.actionability,
-            "baseline_f1": self.baseline_f1,
-            "flags": sorted(self.flags),
-        }
+        return {**asdict(self), "flags": sorted(self.flags)}
 
     @classmethod
     def from_json(cls, data) -> "EvalReport":
-        """Decode ``to_json`` output; a missing or mistyped field raises ``ValidationError``."""
-        if not isinstance(data, dict):
-            raise ValidationError("report must be a JSON object")
-        typed = typed_reader(data, "report")
-        count = typed_reader(typed("counts", dict), "report counts")
-        flags = typed("flags", list)
-        if not all(isinstance(flag, str) for flag in flags):
-            raise ValidationError("report flags must be strings")
-        number = (int, float)
-        return cls(
-            project=typed("project", str),
-            counts=ConfusionCounts(*(count(name, int) for name in ("tp", "fp", "fn", "tn"))),
-            precision=typed("precision", number),
-            recall=typed("recall", number),
-            f1=typed("f1", number),
-            auc=typed("auc", number),
-            actionability=typed("actionability", number),
-            baseline_f1=typed("baseline_f1", number),
-            flags=frozenset(flags),
-        )
+        """Decode ``to_json`` output: each field it writes, by its kind; a
+        missing or ill-kinded field raises ``ValidationError``."""
+        return cls(**read_fields(data, "report", field_types(cls)))
 
 
 def evaluate_predictions(
@@ -272,9 +241,11 @@ def evaluate_model(model: Model, dataset: Dataset, project: str = "project") -> 
     if not dataset.test:
         raise ValidationError("dataset has an empty test split")
     encoded = encode_with(model.manifest, dataset.test)
-    scores = score(model, encoded)
+    scores = list(score(model, encoded))
+    if not all(map(math.isfinite, scores)):  # finite weights can still overflow
+        raise ModelError(f"{model.kind} model scores are not all finite")
     return evaluate_predictions(
-        labels_of(dataset.test), predict_from_scores(model, scores), list(scores), project
+        labels_of(dataset.test), predict_from_scores(model, scores), scores, project
     )
 
 

@@ -32,11 +32,11 @@ history holds each cut and each cut its universe (``ProjectHistory.universe``),
 so all readers of a cut share both.
 
 Record schema, as :func:`ingest_ledger` checks it and :func:`emit_ledger`
-writes it. "string" is a JSON string; "integer" is a JSON integer from
--2**63 to 2**63 - 1 (signed 64-bit), never ``true``/``false`` or a number
-written with a fraction or exponent (``2.0``, ``1e3``); "number" is any
-finite JSON number. An optional field may be absent or ``null`` where its
-type allows null; other fields are ignored.
+writes it. Each type names a field kind of ``errors`` (its module docstring
+says what JSON each kind accepts): "string" is ``string``, "string or null"
+``optional_string``, "integer" ``int64`` (signed 64-bit), an integer
+">= 0" ``count`` and "number" ``finite``. An optional field may be absent
+or ``null`` where its type allows null; other fields are ignored.
 
 ``revision``
 
@@ -122,7 +122,8 @@ another revision. Both directions of the codec pay per distinct record, not
 per line. :func:`emit_ledger` formats each distinct observation, and each
 distinct attrs payload of a key, once; a line is that text plus the quoted
 revision id and ``}``. :func:`ingest_ledger` decodes each distinct record
-prefix once, into one record. A line whose prefix it has seen, and whose
+prefix once, and interns the record by value, so lines that hold one record
+in another key order share it too. A line whose prefix it has seen, and whose
 suffix is one valid JSON string followed by the closing ``}`` and nothing
 else, adds that record object to its revision's group and decodes only its
 revision string (a plain one, with no quote, backslash or unprintable
@@ -145,7 +146,6 @@ so the CSV readers load none of this module.
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -155,7 +155,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from json.scanner import make_scanner
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import IntegrityError, LedgerParseError
+from .errors import (IntegrityError, LedgerParseError, count, finite, int64, optional_string,
+                     string)
 from .keys import WarningKey
 
 CHANGE_KINDS = ("Add", "Modify", "Delete", "Rename")
@@ -411,15 +412,15 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     or contradict each other. Duplicate identical warning lines are
     collapsed with a logged warning.
 
-    Cost contract: one full JSON decode and one record per distinct record
-    prefix, shared by every group that repeats the prefix, which decodes
-    only its revision string; a prefix whose decode fails never enters the
-    memo (the rule is in the module docstring). One ``WarningKey`` per
-    distinct key, shared by observations and attrs records, and one
-    ``StaticAttributes`` per distinct attrs payload, each validated once, on
-    first sight; one hash per warning line, reused by the frozen set, and
-    one per key. The checks of revision references and pattern categories
-    read distinct values.
+    Cost contract: one full JSON decode per distinct record prefix, shared
+    by every group that repeats the prefix, which decodes only its revision
+    string; a prefix whose decode fails never enters the memo (the rule is
+    in the module docstring). One object per distinct record: a full decode
+    interns its observation or change record by value, and one
+    ``WarningKey`` per distinct key, shared by observations and attrs
+    records, and one ``StaticAttributes`` per distinct attrs payload are
+    each validated once, on first sight. The checks of revision references
+    and pattern categories read distinct values.
     """
     revisions: list[RevisionMeta] = []
     # Records grouped by revision id, each group in line order (observations
@@ -431,6 +432,7 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     payloads: dict[tuple, StaticAttributes] = {}
     categories: dict[tuple[str, str], None] = {}  # (bug_pattern, bug_category) pairs
     memo: dict[str, tuple[str, object]] = {}  # prefix -> (kind, its revision-free record)
+    records: dict = {}  # each decoded observation and change record, by value
     warning_lines = 0
 
     for line_no, raw in enumerate(stream, start=1):
@@ -454,12 +456,14 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
                     continue
                 if kind == "warning":
                     rev, record = _decode_warning(rec, keys)
+                    record = records.setdefault(record, record)
                     # A memo hit repeats a decoded line, so every pair is seen here first.
                     categories[(record.key.bug_pattern, record.bug_category)] = None
                 elif kind == "attrs":
                     rev, record = _decode_attrs(rec, keys, payloads)
                 elif kind == "change":
                     rev, record = _decode_change(rec)
+                    record = records.setdefault(record, record)
                 else:
                     raise LedgerParseError(f"unknown record kind {kind!r}", line_no)
             except KeyError as exc:
@@ -529,12 +533,11 @@ def _check_known(revisions: dict, revision_ids: Iterable[str], what: str) -> Non
             raise IntegrityError(f"{what} references unknown revision {rev_id!r}")
 
 
-# The decoders below read each field by indexing; a missing one raises
-# KeyError(field name), which ingest_ledger reports as a missing field. Types
-# are checked exactly: a JSON string, a JSON integer (never true, false or a
-# number written with a fraction or exponent), or a JSON number. The warning,
-# change and attrs decoders return the line's revision and its record apart,
-# so ingest_ledger's memo shares the record among lines that repeat its prefix.
+# The decoders below read each field by indexing and check it with a field
+# kind of ``errors``; a missing one raises KeyError(field name), which
+# ingest_ledger reports as a missing field. The warning, change and attrs
+# decoders return the line's revision and its record apart, so
+# ingest_ledger's memo shares the record among lines that repeat its prefix.
 
 def _decode_json(line: str, line_no: int) -> dict:
     """The JSON object on a stripped line, with json.loads' error messages."""
@@ -573,73 +576,29 @@ def _revision_suffix(line: str, cut: int) -> str | None:
     return rev if line[end:] == "}" else None
 
 
-def _wrong_type(name: str, value, expected: str) -> ValueError:
-    return ValueError(f"{name} must be {expected}, got {value!r}")
-
-
-def _string(value, name: str) -> str:
-    if type(value) is not str:
-        raise _wrong_type(name, value, "a string")
-    return value
-
-
-def _optional_string(value, name: str) -> str | None:
-    if value is not None and type(value) is not str:
-        raise _wrong_type(name, value, "a string or null")
-    return value
-
-
-def _integer(value, name: str) -> int:
-    """A JSON integer in the signed 64-bit range, a Java long: past about
-    10**308 an integer has no float value, and timestamps and features take one."""
-    if type(value) is not int:
-        raise _wrong_type(name, value, "an integer")
-    if not -2 ** 63 <= value < 2 ** 63:
-        raise ValueError(f"{name} must be a signed 64-bit integer")
-    return value
-
-
-def _count(value, name: str) -> int:
-    if _integer(value, name) < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def _float(value, name: str) -> float:
-    """A JSON number as a float; an integer too large for one is infinite."""
-    if type(value) is float:
-        return value
-    if type(value) is not int:
-        raise _wrong_type(name, value, "a number")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _decode_revision(rec: dict) -> RevisionMeta:
     return RevisionMeta(
-        id=_string(rec["id"], "id"),
-        timestamp=_integer(rec["timestamp"], "timestamp"),
-        parent=_optional_string(rec.get("parent"), "parent"),
-        branch=_string(rec.get("branch", "main"), "branch"),
+        id=string(rec["id"], "id"),
+        timestamp=int64(rec["timestamp"], "timestamp"),
+        parent=optional_string(rec.get("parent"), "parent"),
+        branch=string(rec.get("branch", "main"), "branch"),
     )
 
 
 def _decode_warning(rec: dict, keys: dict[tuple, WarningKey]) -> tuple[str, WarningObservation]:
     """A warning line's revision, and its observation."""
-    priority = _integer(rec["priority"], "priority")
+    priority = int64(rec["priority"], "priority")
     if not 1 <= priority <= 3:
         raise ValueError(f"priority must be in 1..3, got {priority}")
-    line = _integer(rec["line"], "line")
+    line = int64(rec["line"], "line")
     if line < 1:
         raise ValueError(f"line must be positive, got {line}")
-    file_path = _string(rec["file_path"], "file_path")
+    file_path = string(rec["file_path"], "file_path")
     if not file_path:
         raise ValueError("file_path must be non-empty")
-    revision = _string(rec["revision"], "revision")
-    _string(rec["bug_pattern"], "bug_pattern")  # before bug_category, as errors name them
-    bug_category = _string(rec["bug_category"], "bug_category")
+    revision = string(rec["revision"], "revision")
+    string(rec["bug_pattern"], "bug_pattern")  # before bug_category, as errors name them
+    bug_category = string(rec["bug_category"], "bug_category")
     return revision, WarningObservation(decode_key(rec, keys), bug_category, priority, line)
 
 
@@ -650,21 +609,21 @@ def _decode_change(rec: dict) -> tuple[str, FileChangeRecord]:
     change_kind = rec["change_kind"]
     if change_kind not in CHANGE_KINDS:
         raise ValueError(f"change_kind must be one of {CHANGE_KINDS}, got {change_kind!r}")
-    old_path = _optional_string(rec.get("old_path"), "old_path")
+    old_path = optional_string(rec.get("old_path"), "old_path")
     if change_kind == "Rename" and not old_path:
         raise ValueError("Rename record requires old_path")
     if change_kind != "Rename" and old_path is not None:
         raise ValueError(f"{change_kind} record must not carry old_path")
-    lines_added = _integer(rec.get("lines_added", 0), "lines_added")
-    lines_deleted = _integer(rec.get("lines_deleted", 0), "lines_deleted")
+    lines_added = int64(rec.get("lines_added", 0), "lines_added")
+    lines_deleted = int64(rec.get("lines_deleted", 0), "lines_deleted")
     if lines_added < 0 or lines_deleted < 0:
         raise ValueError("line counts must be non-negative")
-    revision = _string(rec["revision"], "revision")
-    file_path = _string(rec["file_path"], "file_path")
+    revision = string(rec["revision"], "revision")
+    file_path = string(rec["file_path"], "file_path")
     if change_kind == "Rename" and old_path == file_path:
         raise ValueError(f"Rename old_path equals file_path {file_path!r}")
     return revision, FileChangeRecord(file_path, change_kind, lines_added, lines_deleted,
-                                      _string(rec.get("author", ""), "author"), old_path)
+                                      string(rec.get("author", ""), "author"), old_path)
 
 
 def _decode_attrs(
@@ -676,18 +635,18 @@ def _decode_attrs(
     visibility = rec["method_visibility"]
     if visibility not in VISIBILITIES:
         raise ValueError(f"method_visibility must be one of {VISIBILITIES}, got {visibility!r}")
-    ratio = _float(rec["comment_code_ratio"], "comment_code_ratio")
-    if ratio < 0:
+    ratio = rec["comment_code_ratio"]
+    # The sign is checked before finiteness, so -Infinity is "must be >= 0".
+    if type(ratio) in (int, float) and ratio < 0:
         raise ValueError("comment_code_ratio must be >= 0")
-    if not math.isfinite(ratio):
-        raise ValueError(f"comment_code_ratio must be finite, got {ratio}")
+    ratio = finite(ratio, "comment_code_ratio")
     payload = (
         ratio,
-        _count(rec["method_depth"], "method_depth"),
-        _count(rec["file_depth"], "file_depth"),
-        _count(rec["methods_in_file"], "methods_in_file"),
-        _count(rec["classes_in_package"], "classes_in_package"),
-        _string(rec["parameter_signature"], "parameter_signature"),
+        count(rec["method_depth"], "method_depth"),
+        count(rec["file_depth"], "file_depth"),
+        count(rec["methods_in_file"], "methods_in_file"),
+        count(rec["classes_in_package"], "classes_in_package"),
+        string(rec["parameter_signature"], "parameter_signature"),
         visibility,
     )
     # 0.0 and -0.0 are equal keys but emit differently: key a zero by its text.
@@ -695,7 +654,7 @@ def _decode_attrs(
     attrs = payloads.get(ident)
     if attrs is None:
         attrs = payloads[ident] = StaticAttributes(*payload)
-    return _string(rec["revision"], "revision"), (key, attrs)
+    return string(rec["revision"], "revision"), (key, attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +683,11 @@ def decode_key(value: dict, keys: dict[tuple, WarningKey]) -> WarningKey:
     if key is None:
         # Only JSON strings (and null for the method) equal a stored
         # identity, so a hit above needs no type check.
-        package = _string(package, "package")
-        class_name = _string(class_name, "class")
-        method = _optional_string(method, "method")
+        package = string(package, "package")
+        class_name = string(class_name, "class")
+        method = optional_string(method, "method")
         key = keys[ident] = WarningKey(
-            _string(ident[0], "bug_pattern"), _string(ident[1], "file_path"),
+            string(ident[0], "bug_pattern"), string(ident[1], "file_path"),
             package, class_name, method,
         )
     return key

@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import DATASET_LABELS, LabeledInstance
-from .errors import MODEL_KINDS, ModelError
+from .errors import (MODEL_KINDS, Count, ModelError, ValidationError, field_types, read_fields,
+                     read_json)
 from .keys import Label, WarningKey
 from .schema import CATEGORICAL_FIELDS, NUMERIC_FIELDS
 
@@ -58,24 +58,7 @@ class ColumnManifest:
         return len(self.numeric) + sum(len(vocab) for _, vocab in self.categorical)
 
     def to_json(self) -> dict:
-        return {
-            "numeric": [[name, mean, scale] for name, mean, scale in self.numeric],
-            "categorical": [[name, list(vocab)] for name, vocab in self.categorical],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ColumnManifest":
-        numeric = tuple((n, float(m), float(s)) for n, m, s in data["numeric"])
-        categorical = tuple((n, tuple(v)) for n, v in data["categorical"])
-        names = tuple(n for n, *_ in numeric + categorical)
-        if names != NUMERIC_FIELDS + CATEGORICAL_FIELDS:
-            raise ModelError("manifest columns are not the golden features in order")
-        if not all(math.isfinite(m) and math.isfinite(s) and s != 0.0 for _, m, s in numeric):
-            raise ModelError("manifest statistics must be finite with nonzero scales")
-        for name, vocab in categorical:
-            if not all(isinstance(v, str) for v in vocab) or len(set(vocab)) != len(vocab):
-                raise ModelError(f"vocabulary of {name!r} must hold distinct strings")
-        return cls(numeric=numeric, categorical=categorical)
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -151,6 +134,17 @@ class Model:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
+
+
+# The params each model kind stores in model.json: name -> field type, whose
+# kind (``errors``) reads it.
+PARAM_TYPES = {
+    "constant": {},
+    "repeat": {"buckets": tuple[tuple[str, str, tuple[str, ...]], ...]},
+    "knn": {"k": Count, "X": tuple[tuple[float, ...], ...], "labels": tuple[str, ...]},
+    "linear": {"weights": tuple[float, ...], "bias": float, "regularization": float,
+               "epochs": Count},
+}
 
 
 def fit(
@@ -322,55 +316,44 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    """Read a model file; any malformed content raises ``ModelError``."""
-    with open(path, encoding="utf-8") as fp:
-        try:
-            payload = json.load(fp)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise ModelError(f"{path}: not a JSON model file ({exc})") from None
-    if not isinstance(payload, dict):
-        raise ModelError(f"{path}: a model file holds one JSON object")
-    if payload.get("format") != MODEL_FORMAT:
-        raise ModelError(f"unsupported model file format: {payload.get('format')!r}")
+    """Read a model file: each field by its kind (``errors``), the params by
+    ``PARAM_TYPES`` of the model's kind, then the checks the kinds leave to
+    the model (``_check_model``). Any malformed content raises ``ModelError``."""
+    what = f"{path}: model file"
     try:
-        if type(payload["seed"]) is not int:
-            raise ModelError(f"model seed must be an integer, got {payload['seed']!r}")
-        model = Model(
-            kind=payload["kind"],
-            seed=payload["seed"],
-            manifest=ColumnManifest.from_json(payload["manifest"]),
-            params=payload["params"],
-        )
-        _check_params(model)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"{path}: malformed model file ({exc!r})") from None
+        payload = read_json(path)
+        head = read_fields(payload, what, {"format": str, "kind": str})
+        if head["format"] != MODEL_FORMAT:
+            raise ModelError(f"unsupported model file format: {head['format']!r}")
+        params = PARAM_TYPES.get(head["kind"], {})  # Model refuses an unknown kind
+        model = Model(**read_fields(payload, what, {**field_types(Model), "params": params}))
+    except ValidationError as exc:
+        raise ModelError(str(exc)) from None
+    _check_model(model)
     return model
 
 
-def _check_params(model: Model) -> None:
-    """Reject parameters the model's scorer cannot use with its manifest."""
-    params, dim = model.params, model.manifest.dim
+def _check_model(model: Model) -> None:
+    """Reject a manifest that is not the golden features', and parameters the
+    model's scorer cannot use with its manifest."""
+    manifest, params = model.manifest, model.params
+    if tuple(name for name, *_ in manifest.numeric + manifest.categorical) != (
+            NUMERIC_FIELDS + CATEGORICAL_FIELDS):
+        raise ModelError("manifest columns are not the golden features in order")
+    if any(scale == 0.0 for _, _, scale in manifest.numeric):
+        raise ModelError("manifest scales must be nonzero")
+    for name, vocab in manifest.categorical:
+        if len(set(vocab)) != len(vocab):
+            raise ModelError(f"vocabulary of {name!r} must hold distinct strings")
     if model.kind == "knn":
-        X = np.asarray(params["X"], dtype=np.float64)
-        k = params["k"]
-        ok = (
-            X.ndim == 2 and X.shape[1] == dim and np.isfinite(X).all()
-            and len(params["labels"]) == len(X) and set(params["labels"]) <= DATASET_LABELS
-            and type(k) is int and 1 <= k <= len(X)
-        )
+        X, labels, k = params["X"], params["labels"], params["k"]
+        ok = (all(len(row) == manifest.dim for row in X) and len(labels) == len(X)
+              and set(labels) <= DATASET_LABELS and 1 <= k <= len(X))
     elif model.kind == "linear":
-        w = np.asarray(params["weights"], dtype=np.float64)
-        bias = params["bias"]
-        ok = (
-            w.shape == (dim,) and np.isfinite(w).all()
-            and type(bias) in (int, float) and math.isfinite(bias)
-        )
+        ok = len(params["weights"]) == manifest.dim
     elif model.kind == "repeat":
-        ok = all(
-            isinstance(cls, str) and isinstance(pat, str) and set(vals) <= DATASET_LABELS
-            for cls, pat, vals in params["buckets"]
-        )
+        ok = all(set(vals) <= DATASET_LABELS for _, _, vals in params["buckets"])
     else:
-        ok = isinstance(params, dict)
+        ok = True
     if not ok:
         raise ModelError(f"{model.kind} model parameters do not match its manifest")

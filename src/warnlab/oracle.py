@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Mapping, Sequence
 
-from .errors import OrderingError, ValidationError
+from .errors import Count, OrderingError, Rate, ValidationError, field_types, string
 from .history import SECONDS_PER_DAY, ProjectHistory, decode_key
 from .keys import Label, WarningKey
 
@@ -105,16 +105,21 @@ def actionability_of(labels: Iterable[LabeledWarning]) -> float | None:
 class SweepRow:
     interval_days: float
     reference_revision: str | None
-    actionable: int
-    false_alarm: int
-    unknown: int
-    ratio: float | None
+    actionable: Count
+    false_alarm: Count
+    unknown: Count
+    ratio: Rate | None
     labels: tuple[LabeledWarning, ...]
     notice: str | None = None
 
     @property
     def skipped(self) -> bool:
         return self.reference_revision is None
+
+
+# The fields of a sweep row that ``sweep.json`` holds, by annotation.
+SWEEP_FIELDS = {name: field_type for name, field_type in field_types(SweepRow).items()
+                if name != "labels"}
 
 
 @dataclass(frozen=True)
@@ -294,9 +299,7 @@ def read_annotations(stream: Iterable[str] | IO[str]) -> list[AnnotationSet]:
             rec = json.loads(line)
             key = decode_key(rec, keys)
             label = Label(rec["label"])
-            annotator = rec["annotator"]
-            if type(annotator) is not str:
-                raise ValueError(f"annotator must be a string, got {annotator!r}")
+            annotator = string(rec["annotator"], "annotator")
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValidationError(f"annotation line {line_no}: {exc}") from None
         per_annotator.setdefault(annotator, {})[key] = label

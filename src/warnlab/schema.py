@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import IO, Iterable
 
-from .errors import ValidationError
+from .errors import ValidationError, field_types, kind_of
 from .keys import KEY_COLUMNS, WarningKey, key_from_row, key_row
 
 
@@ -131,11 +131,14 @@ MATRIX_HEADER = KEY_COLUMNS + META_COLUMNS + tuple(CANONICAL_NAMES[f] for f in F
 
 _FIRST_FEATURE = len(KEY_COLUMNS) + len(META_COLUMNS)
 
-# (field, column index, decoder) per feature column, resolved once from the
-# annotations: int and float cells are parsed, str cells (decoder None) kept.
+# (field, column index, type, field kind) per feature column, resolved once
+# from the annotations: each cell is parsed by its type (int, float or str)
+# and then checked by its kind (``errors``).
 _FEATURE_COLUMNS = tuple(
-    (name, column, {"int": int, "float": float}.get(FeatureVector.__dataclass_fields__[name].type))
-    for column, name in enumerate(FEATURE_FIELDS, start=_FIRST_FEATURE)
+    (name, column, field_type, kind_of(field_type))
+    for column, (name, field_type) in enumerate(field_types(FeatureVector).items(),
+                                                start=_FIRST_FEATURE)
+    if name != "flags"
 )
 
 
@@ -164,8 +167,9 @@ def write_feature_matrix(fp: IO[str], rows: Iterable[MatrixRow]) -> None:
 def read_feature_matrix(fp: IO[str]) -> list[MatrixRow]:
     """Read rows written by ``write_feature_matrix``.
 
-    Any undecodable, short, long or non-numeric record, and any non-finite
-    numeric feature, raises ``ValidationError`` naming its line.
+    Any undecodable, short, long or non-numeric record, and any numeric
+    feature outside its field kind (a non-finite float, an integer outside
+    64 bits), raises ``ValidationError`` naming its line.
     """
     reader = csv.reader(fp)
     try:
@@ -184,17 +188,15 @@ def _matrix_row(record: list[str], line_no: int) -> MatrixRow:
             f"expected {len(MATRIX_HEADER)}"
         )
     values = []
-    for name, column, decode in _FEATURE_COLUMNS:
+    for name, column, parse, kind in _FEATURE_COLUMNS:
         raw = record[column]
-        if decode is None:
-            values.append(raw)
-            continue
-        value = decode(raw)
-        if decode is float and not math.isfinite(value):
+        value = parse(raw)
+        try:
+            values.append(kind(value, name))
+        except ValueError:  # a non-finite float, or an integer outside 64 bits
             raise ValidationError(
                 f"feature matrix line {line_no}: {CANONICAL_NAMES[name]!r} is {raw!r}"
-            )
-        values.append(value)
+            ) from None
     origin_rev, label, mode = record[len(KEY_COLUMNS):_FIRST_FEATURE]
     flags = frozenset(f for f in record[-1].split(";") if f)
     return MatrixRow(

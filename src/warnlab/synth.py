@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
-from .errors import ValidationError, typed_reader
+from .errors import ValidationError, field_types, read_fields
 from .history import (
     SECONDS_PER_DAY,
     FileChangeRecord,
@@ -58,6 +58,8 @@ class SynthConfig:
     duplication_pressure: float = 0.5
     leak_signal: bool = False
 
+    # Direct construction runs these range checks too, so ``from_json`` reads
+    # the rates by the plain ``float`` kind, not by ``Rate``.
     def __post_init__(self):
         if self.n_revisions < 2:
             raise ValidationError("need at least 2 revisions")
@@ -75,42 +77,19 @@ class SynthConfig:
             raise ValidationError("fix_delay_days must satisfy 0 <= min <= max < inf")
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_files": self.n_files,
-            "n_revisions": self.n_revisions,
-            "warnings_per_revision": self.warnings_per_revision,
-            "true_actionable_rate": self.true_actionable_rate,
-            "fix_delay_days": list(self.fix_delay_days),
-            "incidental_close_rate": self.incidental_close_rate,
-            "file_delete_rate": self.file_delete_rate,
-            "duplication_pressure": self.duplication_pressure,
-            "leak_signal": self.leak_signal,
-        }
+        return {**asdict(self), "fix_delay_days": list(self.fix_delay_days)}
 
     @classmethod
     def from_json(cls, data) -> "SynthConfig":
         """Decode ``to_json`` output; a setting that is unknown, missing,
-        mistyped or refused by ``__post_init__`` raises ``ValidationError``."""
-        if not isinstance(data, dict):
-            raise ValidationError("synth config must be a JSON object")
-        typed = typed_reader(data, "synth config")
-        settings = {f.name: typed(f.name, _SETTING_TYPES[f.type])
-                    for f in fields(cls) if f.name in data}
-        delay = settings.get("fix_delay_days")
-        if delay is not None:
-            if len(delay) != 2 or not all(type(d) in (int, float) for d in delay):
-                raise ValidationError(f"synth config field 'fix_delay_days' is {delay!r}")
-            settings["fix_delay_days"] = tuple(delay)
+        ill-kinded or refused by ``__post_init__`` raises ``ValidationError``."""
+        read_fields(data, "synth config", {"seed": int})  # an object, with a seed
+        settings = read_fields(data, "synth config", {
+            name: field_type for name, field_type in field_types(cls).items() if name in data})
         try:
             return cls(**{**data, **settings})
-        except TypeError as exc:  # an unknown setting, or no seed
+        except TypeError as exc:  # an unknown setting
             raise ValidationError(f"bad synth config: {exc}") from None
-
-
-# The JSON type of each SynthConfig setting, by its annotation: counts and the
-# seed are integers, rates numbers, and the delay range a [min, max] array.
-_SETTING_TYPES = {"int": int, "float": (int, float), "bool": bool, "tuple[float, float]": list}
 
 
 @dataclass(frozen=True)
@@ -137,18 +116,10 @@ class SynthResult:
     def truth_json(self) -> dict:
         return {
             "config": self.config.to_json(),
-            "anchors": {
-                "train": self.anchors.train,
-                "test": self.anchors.test,
-                "reference": self.anchors.reference,
-            },
+            "anchors": asdict(self.anchors),
             "warnings": [
-                {
-                    **key_json(key),
-                    "nature": rec.nature,
-                    "closure_kind": rec.closure_kind,
-                    "closed_day": rec.closed_day,
-                }
+                {**key_json(key), "nature": rec.nature, "closure_kind": rec.closure_kind,
+                 "closed_day": rec.closed_day}
                 for key, rec in sorted(self.truth.items(), key=lambda kv: kv[0].sort_key())
             ],
         }

@@ -334,6 +334,7 @@ class TestContracts:
 
     @pytest.mark.parametrize("column,value", [
         ("file age", "abc"), ("developers", "2.5"), ("file age", "nan"),
+        ("developers", "9" * 400),  # an integer with no float value
         ("label", "Unknown"), ("flags", None),  # None: drop the cell, a short row
         ("mode", "leaky"), ("origin_rev", "r9999"),  # contradicts meta.json
     ])
@@ -350,6 +351,15 @@ class TestContracts:
         with open(path, "w", encoding="utf-8", newline="") as fp:
             csv.writer(fp, lineterminator="\n").writerows(rows)
         self._assert_eval_and_audit_fail(dsdir, model, "validation", capsys)
+
+    @pytest.mark.parametrize("command,unread", [("fit", "test.csv"), ("eval", "train.csv")])
+    def test_model_commands_read_only_their_split(self, fitted_dir, tmp_path, command, unread):
+        """fit reads meta.json and train.csv, and eval meta.json and test.csv:
+        a corrupt copy of the other split once failed them both."""
+        dsdir, model = self._corrupt_copy(fitted_dir, tmp_path)
+        (dsdir / unread).write_text("{bad", encoding="utf-8")
+        argv = {"fit": ["--model-kind", "knn"], "eval": ["--model", str(model)]}[command]
+        assert run(command, "--dataset", str(dsdir), *argv, "--out", str(tmp_path / "out")) == 0
 
     @pytest.mark.parametrize("text", ["{bad", '{"format": "warnlab.model/1"}', "[1]"])
     def test_corrupt_model_json_categorized(self, fitted_dir, tmp_path, capsys, text):

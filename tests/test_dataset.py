@@ -105,6 +105,28 @@ class TestBuildDataset:
         assert built.test == () and built.meta.dedup_removed == 1
         assert audit_duplication(built).duplicated == 0
 
+    @pytest.mark.parametrize("mode", [LeakMode.leakfree(), LeakMode.leaky()],
+                             ids=["leakfree", "leaky"])
+    def test_dedup_drops_a_warning_renamed_after_train(self, mode):
+        """Foo.java is first warned at the train revision r1, renamed to
+        Bar.java at the test revision r2, and still warned at the reference r4.
+        The Bar.java key is new at test, but its warning was first seen at
+        train, so dedup drops it: keeping it would leave a rename-bridged
+        duplicate."""
+        lines = [rev_line(f"r{i}", day=30 * i, parent=f"r{i - 1}" if i else None)
+                 for i in range(5)]
+        lines += [change_line("r0", "src/a/Foo.java", "Add", lines_added=40),
+                  change_line("r2", "src/a/Bar.java", "Rename", old_path="src/a/Foo.java"),
+                  warn_line("r1"), attrs_line("r1")]
+        for rid in ("r2", "r3", "r4"):
+            lines += [warn_line(rid, path="src/a/Bar.java"),
+                      attrs_line(rid, path="src/a/Bar.java")]
+        built = build_dataset(make_history(lines), "r1", "r2", "r4", mode, dedup=True)
+        assert [(inst.key.file_path, inst.label) for inst in built.train] == [
+            ("src/a/Foo.java", Label.FALSE_ALARM)]
+        assert built.test == () and built.meta.dedup_removed == 1
+        assert audit_duplication(built).duplicated_bridged == 0
+
     def test_ordering_violation_rejected(self):
         h = _no_closure_history()
         with pytest.raises(OrderingError):

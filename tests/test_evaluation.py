@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -131,6 +132,10 @@ class TestAUC:
     def test_single_class_pins_to_half(self):
         assert auc([(0.3, Label.ACTIONABLE), (0.9, Label.ACTIONABLE)]) == 0.5
         assert auc([]) == 0.5
+
+    def test_nan_score_is_ranked(self):
+        """A NaN equals no score, not even itself: ranking one once never ended."""
+        assert auc([(math.nan, Label.ACTIONABLE), (0.5, Label.FALSE_ALARM)]) in (0.0, 1.0)
 
     @given(st.lists(st.tuples(st.integers(-50, 50),
                               st.sampled_from([Label.ACTIONABLE, Label.FALSE_ALARM])),

@@ -264,6 +264,15 @@ class TestExtractGolden:
         assert FLAG_EMPTY_FILE_POPULATION not in vec_wide.flags
         assert vec_wide.warning_context_in_file == -1.0  # open member only
 
+    def test_first_sighting_exactly_a_window_back_is_in_the_population(self):
+        """The window includes its start: a warning first seen exactly
+        ``window_days`` before the extraction revision is a member."""
+        lines = [rev_line("r0", 0), rev_line("r1", 365), warn_line("r0"), warn_line("r1"),
+                 attrs_line("r1")]
+        (vec,) = extract_golden(make_history(lines), "r1", LeakMode.leakfree(365.0)).values()
+        assert FLAG_EMPTY_FILE_POPULATION not in vec.flags
+        assert vec.warning_context_in_file == -1.0  # open member only
+
     def test_methodless_warning_falls_back_to_file_population(self):
         lines = [
             rev_line("r0", 0), rev_line("r1", 30),
@@ -509,6 +518,7 @@ class TestMatrixRoundTrip:
         ("file creation", "-inf", "'file creation' is '-inf'"),
         ("file age", "abc", "could not convert string to float: 'abc'"),
         ("developers", "2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("developers", "9" * 400, f"'developers' is '{'9' * 400}'"),  # no float value
         ("warning priority", "", "invalid literal for int() with base 10: ''"),
         ("flags", None, "31 field(s), expected 32"),  # None: drop the cell
         (None, "extra", "33 field(s), expected 32"),  # column None: append a cell

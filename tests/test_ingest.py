@@ -222,6 +222,24 @@ class TestAgainstReference:
         assert len(by_value) > 10
         assert all(len(ids) == 1 for ids in by_value.values())
 
+    def test_key_order_builds_no_more_records(self):
+        """A full decode interns its record by value: the paper-audit seed-1
+        ledger with each line's keys reversed takes no memo hit, yet holds as
+        many distinct observation and change objects as the emitted ledger
+        (once 12,186 observations against 576)."""
+        n_files, n_revisions, per_revision = BENCH_SHAPES["paper-audit"]
+        lines = list(emit_ledger(generate(SynthConfig(
+            seed=1, n_files=n_files, n_revisions=n_revisions, warnings_per_revision=per_revision,
+            incidental_close_rate=0.2, file_delete_rate=0.1)).history))
+        key_reversed = [json.dumps(dict(reversed(json.loads(line).items()))) for line in lines]
+
+        def objects(history):
+            return (len({id(o) for group in history.warnings_at for o in group}),
+                    len({id(c) for group in history.changes_at for c in group}))
+
+        emitted = objects(ingest_ledger(lines))
+        assert emitted[0] == 576 and objects(ingest_ledger(key_reversed)) == emitted
+
     def test_zero_and_negative_zero_ratios_stay_apart(self):
         lines = [rev_line("r1", 0), rev_line("r2", 30),
                  attrs_line("r1", comment_code_ratio=0.0),
