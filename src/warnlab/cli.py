@@ -460,8 +460,16 @@ def cmd_report(args) -> int:
             if isinstance(payload, dict) and "rows" in payload:
                 from .oracle import SWEEP_FIELDS
                 # Each row is read by the kinds of the SweepRow fields sweep writes.
-                sweeps.append((payload, read_fields(payload, "sweep", {
-                    "project": str, "at": str, "rows": list_of(kind_of(SWEEP_FIELDS))})))
+                sweep = read_fields(payload, "sweep", {
+                    "project": str, "at": str, "rows": list_of(kind_of(SWEEP_FIELDS))})
+                ratios: dict[float, float | None] = {}  # interval -> its row's ratio
+                for sweep_row in sweep["rows"]:
+                    days = sweep_row["interval_days"]
+                    if days in ratios:
+                        raise ValidationError(
+                            f"sweep for {sweep['project']} repeats interval {days!r} days")
+                    ratios[days] = sweep_row["ratio"]
+                sweeps.append((payload, sweep["project"], ratios))
             elif isinstance(payload, list):
                 reports.extend(ev.EvalReport.from_json(item) for item in payload)
             else:
@@ -475,21 +483,20 @@ def cmd_report(args) -> int:
         merged["reports"] = [rep.to_json() for rep in reports]
         text_parts.append(ev.render_report_table(reports))
     if sweeps:
-        merged["sweeps"] = [payload for payload, _ in sweeps]
+        merged["sweeps"] = [payload for payload, _, _ in sweeps]
     if args.wilcoxon:
         if not sweeps:
             raise UsageError("--wilcoxon needs sweep JSON inputs")
         col_a = parse_duration_days(args.wilcoxon[0])
         col_b = parse_duration_days(args.wilcoxon[1])
         pairs = []
-        for _, sweep in sweeps:
-            by_interval = {row["interval_days"]: row["ratio"] for row in sweep["rows"]}
-            if col_a not in by_interval or col_b not in by_interval:
+        for _, project, ratios in sweeps:
+            if col_a not in ratios or col_b not in ratios:
                 raise ValidationError(
-                    f"sweep for {sweep['project']} lacks interval "
+                    f"sweep for {project} lacks interval "
                     f"{args.wilcoxon[0]} or {args.wilcoxon[1]}"
                 )
-            ra, rb = by_interval[col_a], by_interval[col_b]
+            ra, rb = ratios[col_a], ratios[col_b]
             if ra is None or rb is None:
                 raise ValidationError("sweep rows without ratios cannot be tested")
             pairs.append((ra, rb))

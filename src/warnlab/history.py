@@ -133,6 +133,16 @@ valid string) takes the full decode, and a prefix whose decode fails never
 enters the memo, so errors and their line numbers are those of a
 line-by-line decode.
 
+Before those tests, ingest splits each line at its last revision member.
+The text after it, such as ``r0007"}`` and the newline, is the line's end.
+A line accepted as above whose end names its own revision, and which is its
+stripped text plus at most a newline, enters its end in a table against its
+revision id, once per distinct end. A later line whose end is in the table
+and whose text before the member is a memo prefix is the same record at
+that revision: it joins the group after one ``rpartition`` and two dict
+probes. Padded, CRLF and escaped lines never enter the table and take the
+string tests above, so their records and errors are unchanged.
+
 A ``WarningKey`` travels in two shapes. As a JSON object (ledger warning
 and attrs records, annotation files, ``truth.json``) it is ``bug_pattern``,
 ``file_path`` and an ``entity`` object: :func:`key_json` writes it
@@ -415,12 +425,14 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     Cost contract: one full JSON decode per distinct record prefix, shared
     by every group that repeats the prefix, which decodes only its revision
     string; a prefix whose decode fails never enters the memo (the rule is
-    in the module docstring). One object per distinct record: a full decode
-    interns its observation or change record by value, and one
-    ``WarningKey`` per distinct key, shared by observations and attrs
-    records, and one ``StaticAttributes`` per distinct attrs payload are
-    each validated once, on first sight. The checks of revision references
-    and pattern categories read distinct values.
+    in the module docstring). A repeated line under a validated line end
+    costs one ``rpartition`` and two dict probes, and the table of validated
+    ends holds one entry per distinct line end. One object per distinct
+    record: a full decode interns its observation or change record by value,
+    and one ``WarningKey`` per distinct key, shared by observations and
+    attrs records, and one ``StaticAttributes`` per distinct attrs payload
+    are each validated once, on first sight. The checks of revision
+    references and pattern categories read distinct values.
     """
     revisions: list[RevisionMeta] = []
     # Records grouped by revision id, each group in line order (observations
@@ -432,48 +444,60 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     payloads: dict[tuple, StaticAttributes] = {}
     categories: dict[tuple[str, str], None] = {}  # (bug_pattern, bug_category) pairs
     memo: dict[str, tuple[str, object]] = {}  # prefix -> (kind, its revision-free record)
+    ends: dict[str, str] = {}  # validated line end -> the revision id it names
     records: dict = {}  # each decoded observation and change record, by value
     warning_lines = 0
 
     for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        cut = line.rfind(_REVISION_MEMBER)
-        # tail: the revision id when the line ends in a plain revision member.
-        tail = _revision_suffix(line, cut) if cut > 0 else None
-        prefix = None if tail is None else line[:cut]
-        hit = None if prefix is None else memo.get(prefix)
-        if hit is not None:
-            kind, record = hit
-            rev = tail
-        else:
-            rec = _decode_json(line, line_no)
-            kind = rec.get("kind")
-            try:
-                if kind == "revision":
-                    revisions.append(_decode_revision(rec))
-                    continue
-                if kind == "warning":
-                    rev, record = _decode_warning(rec, keys)
-                    record = records.setdefault(record, record)
-                    # A memo hit repeats a decoded line, so every pair is seen here first.
-                    categories[(record.key.bug_pattern, record.bug_category)] = None
-                elif kind == "attrs":
-                    rev, record = _decode_attrs(rec, keys, payloads)
-                elif kind == "change":
-                    rev, record = _decode_change(rec)
-                    record = records.setdefault(record, record)
-                else:
-                    raise LedgerParseError(f"unknown record kind {kind!r}", line_no)
-            except KeyError as exc:
-                raise LedgerParseError(
-                    f"bad {kind} record: \"missing field {exc.args[0]!r}\"", line_no
-                ) from None
-            except (TypeError, ValueError) as exc:
-                raise LedgerParseError(f"bad {kind} record: {exc}", line_no) from None
-            if tail == rev:  # the line ends in its own revision member
-                memo[prefix] = (kind, record)
+        head, _, end = raw.rpartition(_REVISION_MEMBER)
+        rev = ends.get(end)
+        hit = None if rev is None else memo.get(head)
+        if hit is None:
+            line = raw.strip()
+            if not line:
+                continue
+            cut = line.rfind(_REVISION_MEMBER)
+            # tail: the revision id when the line ends in a plain revision member.
+            tail = _revision_suffix(line, cut) if cut > 0 else None
+            # Without leading whitespace the prefix is ``head``, whose hash
+            # the probe above may have computed already.
+            prefix = None if tail is None else head if cut == len(head) else line[:cut]
+            hit = None if prefix is None else memo.get(prefix)
+            if hit is not None:
+                rev = tail
+            else:
+                rec = _decode_json(line, line_no)
+                kind = rec.get("kind")
+                try:
+                    if kind == "revision":
+                        revisions.append(_decode_revision(rec))
+                        continue
+                    if kind == "warning":
+                        rev, record = _decode_warning(rec, keys)
+                        record = records.setdefault(record, record)
+                        # A memo hit repeats a decoded line, so every pair is seen here first.
+                        categories[(record.key.bug_pattern, record.bug_category)] = None
+                    elif kind == "attrs":
+                        rev, record = _decode_attrs(rec, keys, payloads)
+                    elif kind == "change":
+                        rev, record = _decode_change(rec)
+                        record = records.setdefault(record, record)
+                    else:
+                        raise LedgerParseError(f"unknown record kind {kind!r}", line_no)
+                except KeyError as exc:
+                    raise LedgerParseError(
+                        f"bad {kind} record: \"missing field {exc.args[0]!r}\"", line_no
+                    ) from None
+                except (TypeError, ValueError) as exc:
+                    raise LedgerParseError(f"bad {kind} record: {exc}", line_no) from None
+                hit = (kind, record)
+                if tail == rev:  # the line ends in its own revision member
+                    memo[prefix] = hit
+            # An accepted line in canonical form (its stripped text and at most
+            # a newline) validates its end for every later line.
+            if tail == rev and end not in ends and raw in (line, line + "\n"):
+                ends[end] = rev
+        kind, record = hit
         if kind == "warning":
             warnings[rev][record] = None
             warning_lines += 1

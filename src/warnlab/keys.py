@@ -4,18 +4,19 @@ This is the bottom module of the package: it imports only the standard
 library. The ledger layers (``history``, ``oracle``) and the feature schema
 (``schema``) build on these names, so the ledger commands load no feature
 vector or matrix codec, and ``fit`` and ``eval`` no ledger code.
+
+A ``WarningKey`` is its field tuple, a ``typing.NamedTuple``: it equals the
+tuple of its five fields and hashes like it, in C, so a dict or set of keys
+costs no Python call per probe. Only its order is its own.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class WarningKey:
+class WarningKey(NamedTuple):
     """Cross-revision identity of a warning.
 
     Identity is (bug pattern, file path, entity signature); the line number
@@ -23,8 +24,9 @@ class WarningKey:
     around inside a file. Keys do change across file renames;
     ``history.build_universe`` bridges those via the rename chain.
 
-    A key is hashed once: ``__hash__`` reads the cached hash of its five
-    fields, the value the generated dataclass hash would compute each time.
+    All four comparisons order keys by ``sort_key``, which reads a missing
+    method as "", where plain tuple order would compare None with a string
+    and raise.
     """
 
     bug_pattern: str
@@ -33,20 +35,21 @@ class WarningKey:
     class_name: str
     method: str | None = None
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.bug_pattern, self.file_path, self.package,
-                     self.class_name, self.method))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def sort_key(self) -> tuple[str, str, str, str, str]:
         return (self.bug_pattern, self.file_path, self.package,
                 self.class_name, self.method or "")
 
     def __lt__(self, other: "WarningKey") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other: "WarningKey") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: "WarningKey") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: "WarningKey") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def with_path(self, path: str) -> "WarningKey":
         return WarningKey(self.bug_pattern, path, self.package,

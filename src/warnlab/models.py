@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
 from .dataset import DATASET_LABELS, LabeledInstance
-from .errors import (MODEL_KINDS, Count, ModelError, ValidationError, field_types, read_fields,
-                     read_json)
+from .errors import (MODEL_KINDS, Count, ModelError, ValidationError, field_types, finite,
+                     list_of, read_fields, read_json)
 from .keys import Label, WarningKey
 from .schema import CATEGORICAL_FIELDS, NUMERIC_FIELDS
 
@@ -136,12 +137,32 @@ class Model:
             raise ModelError(f"unknown model kind {self.kind!r}")
 
 
+_entrywise_matrix = list_of(list_of(finite))
+_FLOATS = frozenset([float])
+
+
+def _finite_matrix(value, name: str) -> tuple[tuple[float, ...], ...]:
+    """The ``list_of(list_of(finite))`` kind, with its results and errors,
+    at C speed on a matrix of floats alone (``save_model`` writes one): one
+    type scan per row, then one finiteness test of the sum of every entry,
+    which a NaN or infinite entry makes NaN or infinite. Any other value,
+    and a matrix whose finite entries overflow the sum, is read entry by
+    entry."""
+    if type(value) is list and all(type(row) is list and _FLOATS.issuperset(map(type, row))
+                                   for row in value):
+        rows = tuple(map(tuple, value))
+        if math.isfinite(sum(map(sum, rows))):
+            return rows
+    return _entrywise_matrix(value, name)
+
+
 # The params each model kind stores in model.json: name -> field type, whose
 # kind (``errors``) reads it.
 PARAM_TYPES = {
     "constant": {},
     "repeat": {"buckets": tuple[tuple[str, str, tuple[str, ...]], ...]},
-    "knn": {"k": Count, "X": tuple[tuple[float, ...], ...], "labels": tuple[str, ...]},
+    "knn": {"k": Count, "X": Annotated[tuple[tuple[float, ...], ...], _finite_matrix],
+            "labels": tuple[str, ...]},
     "linear": {"weights": tuple[float, ...], "bias": float, "regularization": float,
                "epochs": Count},
 }
@@ -346,8 +367,8 @@ def _check_model(model: Model) -> None:
         if len(set(vocab)) != len(vocab):
             raise ModelError(f"vocabulary of {name!r} must hold distinct strings")
     if model.kind == "knn":
-        X, labels, k = params["X"], params["labels"], params["k"]
-        ok = (all(len(row) == manifest.dim for row in X) and len(labels) == len(X)
+        X, labels, k, dim = params["X"], params["labels"], params["k"], manifest.dim
+        ok = (all(len(row) == dim for row in X) and len(labels) == len(X)
               and set(labels) <= DATASET_LABELS and 1 <= k <= len(X))
     elif model.kind == "linear":
         ok = len(params["weights"]) == manifest.dim

@@ -44,6 +44,14 @@ CLOSURE_FIX = "fix"
 CLOSURE_INCIDENTAL = "incidental"
 CLOSURE_FILE_DELETED = "file_deleted"
 
+# Upper bounds on a config, since generate builds every file and warning up
+# front. Each revision plants warnings_per_revision warnings and each lives
+# at most n_revisions revisions, so warnings_per_revision * n_revisions**2
+# bounds the warning lines; a revision without warnings still writes a
+# line, so the bound counts at least one warning per revision.
+MAX_FILES = 10 ** 6
+MAX_LEDGER_LINES = 10 ** 8
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -67,6 +75,13 @@ class SynthConfig:
             raise ValidationError("need at least 1 file")
         if self.warnings_per_revision < 0:
             raise ValidationError("warnings_per_revision must be >= 0")
+        if self.n_files > MAX_FILES:
+            raise ValidationError(f"n_files must be <= {MAX_FILES}, got {self.n_files}")
+        lines = max(self.warnings_per_revision, 1) * self.n_revisions ** 2
+        if lines > MAX_LEDGER_LINES:
+            raise ValidationError(
+                f"max(warnings_per_revision, 1) * n_revisions**2 must be <= "
+                f"{MAX_LEDGER_LINES}, got {lines}")
         for name in ("true_actionable_rate", "incidental_close_rate",
                      "file_delete_rate", "duplication_pressure"):
             value = getattr(self, name)

@@ -429,6 +429,25 @@ class TestContracts:
         assert code == 1
         assert err.startswith(f"error[validation]: {paths[0]}: "), err
 
+    def test_repeated_sweep_interval_is_refused(self, synth_dir, tmp_path, capsys):
+        """A sweep holds one row per interval: a 365-day row appended again
+        with ratio 0.0 once replaced the first in the Wilcoxon test."""
+        anchors = _anchors(synth_dir)
+        assert run("sweep", "--ledger", str(synth_dir / "ledger.jsonl"), "--at",
+                   anchors["train"], "--intervals", "90d,365d", "--project", "p1",
+                   "--out", str(tmp_path / "sweep")) == 0
+        payload = json.loads((tmp_path / "sweep" / "sweep.json").read_text(encoding="utf-8"))
+        (year,) = [row for row in payload["rows"] if row["interval_days"] == 365.0]
+        assert year["ratio"] not in (None, 0.0)
+        payload["rows"].append({**year, "ratio": 0.0})
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run("report", "--merge", str(path), "--wilcoxon", "90d", "365d",
+                   "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error[validation]: {path}: sweep for p1 repeats interval 365.0 days\n")
+
     @pytest.mark.parametrize("line,named", [
         (json.dumps({**_NOTE, "file_path": [1]}), "file_path"),
         (json.dumps({**_NOTE, "bug_pattern": 5}), "bug_pattern"),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import gc
+import io
 import json
 import tracemalloc
 from collections import defaultdict
@@ -201,8 +203,36 @@ class TestWarningKey:
     @settings(max_examples=100, deadline=None)
     def test_hash_is_the_hash_of_its_fields(self, key):
         fields = (key.bug_pattern, key.file_path, key.package, key.class_name, key.method)
-        assert hash(key) == hash(fields)
-        assert hash(key) == hash(fields)  # the second read comes from the cache
+        assert key == fields and hash(key) == hash(fields)
+        assert WarningKey(*fields) == key and hash(WarningKey(*fields)) == hash(key)
+
+    @given(_keys, _keys)
+    @settings(max_examples=100, deadline=None)
+    def test_order_is_sort_key_order(self, key, other):
+        """All four comparisons read ``sort_key``: a missing method sorts as
+        "", where plain tuple order would compare None with a string."""
+        none, empty = key._replace(method=None), key._replace(method="")
+        assert none != empty and none.sort_key() == empty.sort_key()
+        for a, b in [(none, empty), (empty, none), (key, other), (other, none), (empty, other)]:
+            assert (a < b) == (a.sort_key() < b.sort_key())
+            assert (a <= b) == (a.sort_key() <= b.sort_key())
+            assert (a > b) == (a.sort_key() > b.sort_key())
+            assert (a >= b) == (a.sort_key() >= b.sort_key())
+        assert sorted([empty, none]) == [empty, none] and sorted([none, empty]) == [none, empty]
+
+    @given(_keys.filter(lambda key: "\x00" not in "".join(key.sort_key())))
+    @settings(max_examples=100, deadline=None)
+    def test_csv_round_trip(self, key):
+        """A key written as ``key_row`` cells through the csv module reads back
+        as an equal ``WarningKey``; a method of "" reads back as None. (The
+        csv module refuses NUL before Python 3.11.)"""
+        for written, expected in [(key, key), (key._replace(method=""), key._replace(method=None))]:
+            out = io.StringIO(newline="")
+            csv.writer(out).writerow(key_row(written))
+            (cells,) = csv.reader(io.StringIO(out.getvalue(), newline=""))
+            back = key_from_row(cells)
+            assert back == expected and type(back) is WarningKey
+            assert hash(back) == hash(expected) and back.sort_key() == written.sort_key()
 
     @given(_keys, st.text(max_size=3), st.integers(1, 3), st.integers(1, 9))
     @settings(max_examples=100, deadline=None)

@@ -3,9 +3,11 @@ with the straightforward per-record parse and emit in ``ledger_reference``."""
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
+import random
 from collections import defaultdict
 from dataclasses import replace
 from unittest.mock import patch
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import warnlab.history as history_module
 from warnlab.cli import main
 from warnlab.errors import IntegrityError, LedgerParseError
 from warnlab.history import (
@@ -539,3 +542,134 @@ def test_emit_matches_reference_and_round_trips(history):
     again = ingest_ledger(lines)
     assert again == history
     assert again.attrs_at == history.attrs_at
+
+
+# ---------------------------------------------------------------------------
+# The line-end table: a line whose end (the text after its last revision
+# member) was validated on an earlier line, and whose prefix is in the memo,
+# joins its revision's group after one partition and two dict probes. Every
+# other line takes the path above; emitted ledgers whose lines are rewritten
+# so that the table must not serve them parse as the reference does
+# ---------------------------------------------------------------------------
+
+_MEMBER = ', "revision": "'
+_LINE_FORMS = ("plain", "pad", "lead", "crlf", "escaped", "blank", "duplicate")
+# Revision id prefixes: a rename that keeps the revisions' order, into ids
+# that need escapes or hold the revision member's text.
+_ID_PREFIXES = ("", 'x, "revision": "', "é", "\\", "r\t")
+
+
+def _escape_revision(line: str) -> str:
+    """An emitted record line with every code unit of its revision id escaped."""
+    head, member, end = line.rpartition(_MEMBER)
+    if not member:  # a revision record
+        return line
+    return head + member[:-1] + _escaped(json.loads('"' + end[:-1])) + "}"
+
+
+def _relabeled(history: ProjectHistory, prefix: str) -> ProjectHistory:
+    def rename(rev_id):
+        return None if rev_id is None else prefix + rev_id
+    return replace(history, revisions=tuple(replace(rev, id=rename(rev.id),
+                                                    parent=rename(rev.parent))
+                                            for rev in history.revisions))
+
+
+def _corrupt(line: str, how: str) -> str:
+    """One record line broken at its end, its revision or its kind."""
+    if how == "bad-close":
+        return line[:-1] + "]"
+    if how == "trailing":
+        return line + " x"
+    if how == "truncated":
+        return line[:-1]
+    if how == "bad-escape":
+        return line.rpartition(_MEMBER)[0] + _MEMBER + '\\x"}'
+    if how == "unknown-revision":
+        return line.rpartition(_MEMBER)[0] + _MEMBER + 'zz"}'
+    return line.replace('"kind": "', '"kind": "x', 1)  # an unknown record kind
+
+
+_CORRUPTIONS = ("bad-close", "trailing", "truncated", "bad-escape", "unknown-revision", "kind")
+
+
+@st.composite
+def _raw_ledgers(draw, lines: list[str]) -> list[str]:
+    """Emitted ``lines`` as the lines of a file, each in a drawn form: padded
+    before its newline or at its start, ended by CRLF, its revision id
+    escaped, after a blank line, or written twice. Optionally each record
+    prefix is first seen under an escaped id, the last line has no newline,
+    and one record line is corrupted."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    forms = draw(st.lists(st.sampled_from(_LINE_FORMS), min_size=1, unique=True), label="forms")
+    escape_first = draw(st.booleans(), label="escape first sightings")
+    seen: set[str] = set()
+    out = []
+    for line in lines:
+        head = line.rpartition(_MEMBER)[0]
+        if escape_first and head and head not in seen:
+            line = _escape_revision(line)
+        seen.add(head)
+        form = rng.choice(forms)
+        if form == "blank":
+            out.append(rng.choice(["\n", " \n", "\t\r\n"]))
+        raw = {"pad": line + rng.choice([" ", "\t", " \t"]) + "\n",
+               "lead": rng.choice([" ", "\t"]) + line + "\n",
+               "crlf": line + "\r\n",
+               "escaped": _escape_revision(line) + "\n"}.get(form, line + "\n")
+        out.append(raw)
+        if form == "duplicate" and head:
+            out.append(raw)
+    if out and not draw(st.booleans(), label="final newline"):
+        out[-1] = out[-1].rstrip("\n")
+    how = draw(st.none() | st.sampled_from(_CORRUPTIONS), label="corruption")
+    records = [i for i, raw in enumerate(out) if _MEMBER in raw]
+    if how is not None and records:
+        i = rng.choice(records)
+        text = out[i].rstrip()
+        out[i] = out[i][:len(out[i]) - len(out[i].lstrip())] + _corrupt(
+            text.lstrip(), how) + out[i][len(text):]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _synth_history(seed: int) -> ProjectHistory:
+    return generate(SynthConfig(seed=seed, n_files=8, n_revisions=10, warnings_per_revision=4,
+                                incidental_close_rate=0.2, file_delete_rate=0.1)).history
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_line_forms_match_reference_on_synth(data):
+    """Synth ledgers under every line form parse to the reference's history,
+    or fail with its error class on its line."""
+    history = _relabeled(_synth_history(data.draw(st.integers(0, 3), label="synth seed")),
+                         data.draw(st.sampled_from(_ID_PREFIXES), label="id prefix"))
+    raw = data.draw(_raw_ledgers(list(emit_ledger(history))))
+    assert _outcome(ingest_ledger, raw) == _outcome(reference_ingest, raw)
+
+
+@given(history=_histories(), prefix=st.sampled_from(_ID_PREFIXES), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_line_forms_match_reference_on_drawn_histories(history, prefix, data):
+    """Ledgers of histories whose strings draw from tricky texts, under
+    every line form, parse to the reference's history, or fail with its
+    error class on its line."""
+    raw = data.draw(_raw_ledgers(list(emit_ledger(_relabeled(history, prefix)))))
+    assert _outcome(ingest_ledger, raw) == _outcome(reference_ingest, raw)
+
+
+def test_a_repeated_line_under_a_known_end_decodes_nothing():
+    """On an emitted ledger only the first sighting of each record prefix or
+    of each line end reads its revision member; every other record line is
+    served by the line-end table and the memo (once every line was read)."""
+    n_files, n_revisions, per_revision = BENCH_SHAPES["paper-audit"]
+    lines = [line + "\n" for line in emit_ledger(generate(SynthConfig(
+        seed=1, n_files=n_files, n_revisions=n_revisions, warnings_per_revision=per_revision,
+        incidental_close_rate=0.2, file_delete_rate=0.1)).history)]
+    parts = [line.rpartition(_MEMBER) for line in lines]
+    firsts = len({head for head, member, _ in parts if member}) + len(
+        {end for _, member, end in parts if member})
+    with patch("warnlab.history._revision_suffix", wraps=history_module._revision_suffix) as read:
+        assert ingest_ledger(lines) == reference_ingest(lines)
+    assert read.call_count <= firsts < len(lines) / 8

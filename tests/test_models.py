@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from warnlab import models
 from warnlab.dataset import Dataset, DatasetMeta, LabeledInstance
-from warnlab.errors import MODEL_KINDS, ModelError
+from warnlab.errors import MODEL_KINDS, ModelError, finite, list_of
 from warnlab.evaluation import confusion, evaluate_model
 from warnlab.features import FeatureVector, LeakMode
 from warnlab.history import WarningKey
@@ -351,6 +351,17 @@ class TestAffineInvariance:
             assert predict(model2, enc_test2) == baseline
 
 
+# JSON values as a kNN matrix entry: mostly floats (NaN, ±Infinity and
+# values whose sum overflows among them), else integers (10**400 too) and
+# values of other kinds.
+_MATRIX_ENTRIES = st.one_of(
+    st.floats(), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    st.integers(), st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 1023 * 2]),
+    st.none(), st.booleans(), st.text(max_size=2), st.lists(st.floats(), max_size=2),
+)
+
+
 class TestPersistence:
     @pytest.mark.parametrize("kind,kwargs", [
         ("constant", {}), ("repeat", {}), ("knn", {"k": 3}), ("linear", {}),
@@ -411,6 +422,21 @@ class TestPersistence:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelError):
             load_model(path)
+
+    @given(st.one_of(st.lists(st.lists(_MATRIX_ENTRIES, max_size=4), max_size=4),
+                     st.lists(_MATRIX_ENTRIES, max_size=3), _MATRIX_ENTRIES))
+    @settings(max_examples=300, deadline=None)
+    def test_knn_matrix_reads_as_entry_by_entry(self, value):
+        """The kNN training matrix's kind returns what ``list_of(list_of(finite))``
+        returns, or raises its message, whatever JSON value it reads."""
+        def outcome(kind):
+            try:
+                rows = kind(value, "X")
+            except ValueError as exc:
+                return str(exc)
+            return type(rows), [(type(row), [(type(x), repr(x)) for x in row]) for row in rows]
+
+        assert outcome(models._finite_matrix) == outcome(list_of(list_of(finite)))
 
     def test_scores_are_finite(self):
         train = two_cluster_split(n_per_class=6)

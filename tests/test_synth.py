@@ -131,3 +131,30 @@ class TestTruthSidecar:
         assert len(payload["warnings"]) == len(result.truth)
         natures = {w["nature"] for w in payload["warnings"]}
         assert natures <= {"actionable", "false_alarm"}
+
+
+class TestConfigBounds:
+    """``from_json`` refuses a config too large to generate, before any
+    allocation; ``generate`` is never called on one."""
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"n_files": 10 ** 6 + 1}, "n_files must be <= 1000000"),
+        ({"n_files": 10 ** 12}, "n_files must be <= 1000000"),
+        ({"n_revisions": 10 ** 4 + 1, "warnings_per_revision": 1}, "n_revisions"),
+        ({"n_revisions": 10 ** 4 + 1, "warnings_per_revision": 0}, "n_revisions"),
+        ({"n_revisions": 100, "warnings_per_revision": 10 ** 4 + 1}, "warnings_per_revision"),
+        ({"n_revisions": 2 ** 62, "warnings_per_revision": 2 ** 62}, "warnings_per_revision"),
+    ])
+    def test_oversized_config_refused(self, settings, message):
+        with pytest.raises(ValidationError, match=message):
+            SynthConfig.from_json({"seed": 1, **settings})
+
+    @pytest.mark.parametrize("files,revisions,per_revision", [
+        (40, 40, 10), (80, 80, 20), (160, 120, 40),  # ROADMAP's S, M and L
+        (10 ** 6, 100, 10 ** 4), (1, 10 ** 4, 1),  # at the bounds
+    ])
+    def test_bounded_config_accepted(self, files, revisions, per_revision):
+        config = SynthConfig.from_json({"seed": 1, "n_files": files, "n_revisions": revisions,
+                                        "warnings_per_revision": per_revision})
+        assert (config.n_files, config.n_revisions, config.warnings_per_revision) == (
+            files, revisions, per_revision)
