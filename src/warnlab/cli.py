@@ -277,6 +277,8 @@ def cmd_sweep(args) -> int:
     from . import oracle as oc
     history = _load_history(args.ledger)
     intervals = [parse_duration_days(part) for part in args.intervals.split(",") if part]
+    if not intervals or len(set(intervals)) < len(intervals):
+        raise UsageError(f"--intervals needs distinct durations, got {args.intervals!r}")
     table = oc.sweep_reference(history, args.at, intervals)
     out = _out_dir(args)
     payload = {
@@ -462,6 +464,9 @@ def cmd_report(args) -> int:
                 # Each row is read by the kinds of the SweepRow fields sweep writes.
                 sweep = read_fields(payload, "sweep", {
                     "project": str, "at": str, "rows": list_of(kind_of(SWEEP_FIELDS))})
+                if any(project == sweep["project"] for _, project, _ in sweeps):
+                    raise ValidationError(
+                        f"sweep for {sweep['project']} repeats an earlier sweep's project")
                 ratios: dict[float, float | None] = {}  # interval -> its row's ratio
                 for sweep_row in sweep["rows"]:
                     days = sweep_row["interval_days"]

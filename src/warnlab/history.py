@@ -117,31 +117,22 @@ the bytes depend on the history alone, not on the hash seed:
   method or "", method is not null).
 
 So every warning, change and attrs line ends in ``, "revision": "<id>"}``,
-and most lines repeat an earlier line up to that suffix: the same record at
+and most lines repeat an earlier line up to that member: the same record at
 another revision. Both directions of the codec pay per distinct record, not
 per line. :func:`emit_ledger` formats each distinct observation, and each
 distinct attrs payload of a key, once; a line is that text plus the quoted
-revision id and ``}``. :func:`ingest_ledger` decodes each distinct record
-prefix once, and interns the record by value, so lines that hold one record
-in another key order share it too. A line whose prefix it has seen, and whose
-suffix is one valid JSON string followed by the closing ``}`` and nothing
-else, adds that record object to its revision's group and decodes only its
-revision string (a plain one, with no quote, backslash or unprintable
-character, by string tests alone). Any other line (revision records,
-whitespace or another member after the revision, a suffix that is not a
-valid string) takes the full decode, and a prefix whose decode fails never
-enters the memo, so errors and their line numbers are those of a
-line-by-line decode.
-
-Before those tests, ingest splits each line at its last revision member.
-The text after it, such as ``r0007"}`` and the newline, is the line's end.
-A line accepted as above whose end names its own revision, and which is its
-stripped text plus at most a newline, enters its end in a table against its
-revision id, once per distinct end. A later line whose end is in the table
-and whose text before the member is a memo prefix is the same record at
-that revision: it joins the group after one ``rpartition`` and two dict
-probes. Padded, CRLF and escaped lines never enter the table and take the
-string tests above, so their records and errors are unchanged.
+revision id and ``}``. :func:`ingest_ledger` splits each line at its last
+revision member into a prefix and an end, such as ``r0007"}`` and the
+newline. A line whose prefix is in its memo and whose end is in its table
+is the memo's record at the table's revision: it joins that revision's group
+after one ``rpartition`` and two dict probes. Every other line takes the
+full decode, which interns the record by value, so lines that hold one
+record in another key order share it too. A decoded line whose end, but for
+trailing whitespace, is one JSON string equal to its revision followed by
+``}`` enters its prefix in the memo and its end in the table. No other line
+enters either (revision records, a line without the member or with another
+member after it, a line whose decode fails), so errors and their line
+numbers are those of a line-by-line decode.
 
 A ``WarningKey`` travels in two shapes. As a JSON object (ledger warning
 and attrs records, annotation files, ``truth.json``) it is ``bug_pattern``,
@@ -269,22 +260,18 @@ class ProjectHistory:
     # -- presence indexes -------------------------------------------------
 
     @cached_property
-    def present_keys(self) -> tuple[frozenset[WarningKey], ...]:
-        """Per revision index, the set of warning keys observed there."""
-        return tuple(frozenset([o.key for o in group]) for group in self.warnings_at)
-
-    @cached_property
     def key_presence(self) -> dict[WarningKey, tuple[int, ...]]:
         """Key -> sorted revision indexes where the exact key is observed."""
         acc: dict[WarningKey, list[int]] = defaultdict(list)
-        for idx, keys in enumerate(self.present_keys):
-            for key in keys:
+        for idx, group in enumerate(self.warnings_at):
+            for key in {o.key for o in group}:
                 acc[key].append(idx)
         return {k: tuple(v) for k, v in acc.items()}
 
     def keys_at(self, rev_id: str) -> tuple[WarningKey, ...]:
         """Distinct warning keys observed at a revision, in sort order."""
-        return tuple(sorted(self.present_keys[self.rev_index(rev_id)], key=WarningKey.sort_key))
+        group = self.warnings_at[self.rev_index(rev_id)]
+        return tuple(sorted({o.key for o in group}, key=WarningKey.sort_key))
 
     @cached_property
     def pattern_categories(self) -> dict[str, str]:
@@ -422,17 +409,16 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     or contradict each other. Duplicate identical warning lines are
     collapsed with a logged warning.
 
-    Cost contract: one full JSON decode per distinct record prefix, shared
-    by every group that repeats the prefix, which decodes only its revision
-    string; a prefix whose decode fails never enters the memo (the rule is
-    in the module docstring). A repeated line under a validated line end
-    costs one ``rpartition`` and two dict probes, and the table of validated
-    ends holds one entry per distinct line end. One object per distinct
-    record: a full decode interns its observation or change record by value,
-    and one ``WarningKey`` per distinct key, shared by observations and
-    attrs records, and one ``StaticAttributes`` per distinct attrs payload
-    are each validated once, on first sight. The checks of revision
-    references and pattern categories read distinct values.
+    Cost contract: a line whose prefix and end (module docstring) both came
+    from earlier decoded lines costs one ``rpartition`` and two dict probes.
+    Every other line costs one full JSON decode, so a ledger takes at most
+    one per revision line, distinct prefix and distinct end. One object per
+    distinct record: a full decode interns its observation or change record
+    by value, and one ``WarningKey`` per distinct key, shared by
+    observations and attrs records, and one ``StaticAttributes`` per
+    distinct attrs payload are each validated once, on first sight. The
+    checks of revision references and pattern categories read distinct
+    values.
     """
     revisions: list[RevisionMeta] = []
     # Records grouped by revision id, each group in line order (observations
@@ -444,7 +430,7 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
     payloads: dict[tuple, StaticAttributes] = {}
     categories: dict[tuple[str, str], None] = {}  # (bug_pattern, bug_category) pairs
     memo: dict[str, tuple[str, object]] = {}  # prefix -> (kind, its revision-free record)
-    ends: dict[str, str] = {}  # validated line end -> the revision id it names
+    ends: dict[str, str] = {}  # line end -> the revision id it names
     records: dict = {}  # each decoded observation and change record, by value
     warning_lines = 0
 
@@ -456,46 +442,40 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
             line = raw.strip()
             if not line:
                 continue
-            cut = line.rfind(_REVISION_MEMBER)
-            # tail: the revision id when the line ends in a plain revision member.
-            tail = _revision_suffix(line, cut) if cut > 0 else None
-            # Without leading whitespace the prefix is ``head``, whose hash
-            # the probe above may have computed already.
-            prefix = None if tail is None else head if cut == len(head) else line[:cut]
-            hit = None if prefix is None else memo.get(prefix)
-            if hit is not None:
-                rev = tail
-            else:
-                rec = _decode_json(line, line_no)
-                kind = rec.get("kind")
-                try:
-                    if kind == "revision":
-                        revisions.append(_decode_revision(rec))
-                        continue
-                    if kind == "warning":
-                        rev, record = _decode_warning(rec, keys)
-                        record = records.setdefault(record, record)
-                        # A memo hit repeats a decoded line, so every pair is seen here first.
-                        categories[(record.key.bug_pattern, record.bug_category)] = None
-                    elif kind == "attrs":
-                        rev, record = _decode_attrs(rec, keys, payloads)
-                    elif kind == "change":
-                        rev, record = _decode_change(rec)
-                        record = records.setdefault(record, record)
-                    else:
-                        raise LedgerParseError(f"unknown record kind {kind!r}", line_no)
-                except KeyError as exc:
-                    raise LedgerParseError(
-                        f"bad {kind} record: \"missing field {exc.args[0]!r}\"", line_no
-                    ) from None
-                except (TypeError, ValueError) as exc:
-                    raise LedgerParseError(f"bad {kind} record: {exc}", line_no) from None
-                hit = (kind, record)
-                if tail == rev:  # the line ends in its own revision member
-                    memo[prefix] = hit
-            # An accepted line in canonical form (its stripped text and at most
-            # a newline) validates its end for every later line.
-            if tail == rev and end not in ends and raw in (line, line + "\n"):
+            rec = _decode_json(line, line_no)
+            kind = rec.get("kind")
+            try:
+                if kind == "revision":
+                    revisions.append(_decode_revision(rec))
+                    continue
+                if kind == "warning":
+                    rev, record = _decode_warning(rec, keys)
+                    record = records.setdefault(record, record)
+                    # A table hit repeats a decoded line, so every pair is seen here first.
+                    categories[(record.key.bug_pattern, record.bug_category)] = None
+                elif kind == "attrs":
+                    rev, record = _decode_attrs(rec, keys, payloads)
+                elif kind == "change":
+                    rev, record = _decode_change(rec)
+                    record = records.setdefault(record, record)
+                else:
+                    raise LedgerParseError(f"unknown record kind {kind!r}", line_no)
+            except KeyError as exc:
+                raise LedgerParseError(
+                    f"bad {kind} record: \"missing field {exc.args[0]!r}\"", line_no
+                ) from None
+            except (TypeError, ValueError) as exc:
+                raise LedgerParseError(f"bad {kind} record: {exc}", line_no) from None
+            hit = (kind, record)
+            # A line that ends in its own revision member, the closing brace
+            # and whitespace serves every later line made of a known prefix
+            # and a known end.
+            try:
+                tail, stop = scanstring(end, 0)
+            except ValueError:  # json.JSONDecodeError: a bad escape or no closing quote
+                tail = None
+            if head and tail == rev and end[stop:].rstrip() == "}":
+                memo[head] = hit
                 ends[end] = rev
         kind, record = hit
         if kind == "warning":
@@ -580,24 +560,6 @@ def _decode_json(line: str, line_no: int) -> dict:
     if type(rec) is not dict:
         raise LedgerParseError("record must be a JSON object", line_no)
     return rec
-
-
-def _revision_suffix(line: str, cut: int) -> str | None:
-    """The revision id of a line whose ``_REVISION_MEMBER`` starts at ``cut``,
-    if that member's value is a valid JSON string followed by the closing
-    ``}`` and nothing else; None otherwise."""
-    start = cut + len(_REVISION_MEMBER)
-    rev = line[start:-2]
-    # A plain id (no quote, backslash or control character) is its own JSON
-    # text; anything else goes through the decoder's string scanner.
-    if (line.find('"', start) == len(line) - 2 and line[-1] == "}"
-            and "\\" not in rev and rev.isprintable()):
-        return rev
-    try:
-        rev, end = scanstring(line, start)
-    except ValueError:  # json.JSONDecodeError: a bad escape or no closing quote
-        return None
-    return rev if line[end:] == "}" else None
 
 
 def _decode_revision(rec: dict) -> RevisionMeta:

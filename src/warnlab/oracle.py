@@ -67,7 +67,7 @@ def heuristic_label(
         raise OrderingError(
             f"reference revision {ref_rev!r} must come strictly after {at_rev!r}"
         )
-    ref_keys = history.present_keys[ref_idx]
+    ref_keys = {o.key for o in history.warnings_at[ref_idx]}
     out: list[LabeledWarning] = []
     for key in history.keys_at(at_rev):
         path, deleted_idx = history.resolve_path(key.file_path, at_idx, ref_idx)

@@ -24,13 +24,14 @@ def reference_golden(history, at_rev, mode, ref_rev, vectors):
     flat = FlatHistory.of(base)
     universe = ft.build_universe(base, at_idx)
     at_time = base.revisions[at_idx].timestamp
+    ref_keys = set(history.keys_at(ref_rev)) if mode.is_leaky else None
     members = []
     for canon in universe.values():
         present = at_idx in canon.presence
         if mode.is_leaky and present:
             ref_idx = history.rev_index(ref_rev)
             path, deleted = history.resolve_path(canon.member_key.file_path, at_idx, ref_idx)
-            gone = canon.member_key.with_path(path) not in history.present_keys[ref_idx]
+            gone = canon.member_key.with_path(path) not in ref_keys
             members.append((canon, deleted is not None or gone))
         elif not mode.is_leaky and (base.revisions[canon.first_seen_idx].timestamp
                                     >= at_time - mode.window_days * DAY):

@@ -5,7 +5,7 @@ revision-indexed ``warnlab.history.ProjectHistory``.
 derived index reads a group by its index. ``FlatHistory`` keeps the layout
 it replaced: one set of ``(revision id, observation)`` pairs, one of
 ``(revision id, change record)`` pairs and one attrs dict keyed by
-(revision id, key), with builders of the five derived indexes that map each
+(revision id, key), with builders of the four derived indexes that map each
 pair's revision id back to its index, and a cut that filters the flat pairs
 by revision id. File identity (``range_ends``,
 ``resolve_path``) and the universe run ``ProjectHistory``'s own code over
@@ -90,14 +90,7 @@ class FlatHistory:
 
     rev_index = ProjectHistory.rev_index
 
-    # -- the five derived indexes, built from the flat records --------------
-
-    @cached_property
-    def present_keys(self) -> tuple[frozenset[WarningKey], ...]:
-        per_rev: list[set[WarningKey]] = [set() for _ in self.revisions]
-        for rev_id, obs in self.observations:
-            per_rev[self.rev_index(rev_id)].add(obs.key)
-        return tuple(frozenset(s) for s in per_rev)
+    # -- the four derived indexes, built from the flat records --------------
 
     @cached_property
     def key_presence(self) -> dict[WarningKey, tuple[int, ...]]:
@@ -141,5 +134,4 @@ class FlatHistory:
         return build_universe(self, len(self.revisions) - 1)
 
 
-INDEXES = ("present_keys", "key_presence", "pattern_categories", "package_paths",
-           "path_events")
+INDEXES = ("key_presence", "pattern_categories", "package_paths", "path_events")

@@ -104,6 +104,19 @@ class TestDurations:
         assert capsys.readouterr().err.startswith("error[usage]: duration must be")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("intervals", ["", ",", "1y,365d", "90d,2y,90d"])
+    def test_empty_or_repeated_intervals_are_usage_error(self, synth_dir, tmp_path, capsys,
+                                                         intervals):
+        """A sweep once wrote no rows for an empty list, and for a repeated
+        interval two rows that report --merge then refused."""
+        code = run("sweep", "--ledger", str(synth_dir / "ledger.jsonl"),
+                   "--at", _anchors(synth_dir)["train"], "--intervals", intervals,
+                   "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error[usage]: --intervals needs distinct durations, got {intervals!r}\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestBasicFlow:
     def test_synth_ingest_label(self, synth_dir, tmp_path, capsys):
@@ -447,6 +460,21 @@ class TestContracts:
                    "--out", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == (
             f"error[validation]: {path}: sweep for p1 repeats interval 365.0 days\n")
+
+    def test_repeated_sweep_project_is_refused(self, synth_dir, tmp_path, capsys):
+        """Each sweep is one project's sample: one sweep merged twice was
+        once tested as two projects."""
+        assert run("sweep", "--ledger", str(synth_dir / "ledger.jsonl"), "--at",
+                   _anchors(synth_dir)["train"], "--intervals", "90d,365d", "--project", "p1",
+                   "--out", str(tmp_path / "sweep")) == 0
+        sweep, copy = tmp_path / "sweep" / "sweep.json", tmp_path / "copy.json"
+        copy.write_text(sweep.read_text(encoding="utf-8"), encoding="utf-8")
+        for merge in ([sweep, sweep], [sweep, copy]):
+            capsys.readouterr()
+            assert run("report", "--merge", *map(str, merge), "--wilcoxon", "90d", "365d",
+                       "--out", str(tmp_path / "out")) == 1
+            assert capsys.readouterr().err == (
+                f"error[validation]: {merge[1]}: sweep for p1 repeats an earlier sweep's project\n")
 
     @pytest.mark.parametrize("line,named", [
         (json.dumps({**_NOTE, "file_path": [1]}), "file_path"),

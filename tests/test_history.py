@@ -259,7 +259,7 @@ class TestWarningKey:
     def test_key_built_once_and_shared_by_truncated_copies(self):
         h = make_history([rev_line("r1", 0), rev_line("r2", 10), warn_line("r1"), warn_line("r2")])
         (obs,) = h.warnings_at[0]
-        (key,) = truncate_history(h, "r1").present_keys[0]
+        (key,) = truncate_history(h, "r1").keys_at("r1")
         assert key is obs.key
 
     def test_rename_changes_key_but_universe_bridges(self):

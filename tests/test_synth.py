@@ -123,8 +123,7 @@ class TestTruthSidecar:
                                       warnings_per_revision=4,
                                       file_delete_rate=0.3))
         h = result.history
-        observed = {key for idx in range(len(h.revisions))
-                    for key in h.present_keys[idx]}
+        observed = {o.key for group in h.warnings_at for o in group}
         assert observed == set(result.truth)
         payload = result.truth_json()
         assert payload["anchors"]["train"] == result.anchors.train
