@@ -27,9 +27,9 @@ holds it. Every derived index reads the groups by their index. A cut
 every record, group and attrs dict with its parent.
 
 The warning universe (:func:`build_universe`) holds one entry per warning:
-the observations of one live range, merged across the rename chain. The
-history holds each cut and each cut its universe (``ProjectHistory.universe``),
-so all readers of a cut share both.
+the observations of one live range, merged across the rename chain. A
+history caches its universe (``ProjectHistory.universe``); each call of
+:func:`truncate_history` makes a new cut, with its own indexes and universe.
 
 Record schema, as :func:`ingest_ledger` checks it and :func:`emit_ledger`
 writes it. Each type names a field kind of ``errors`` (its module docstring
@@ -225,8 +225,8 @@ class ProjectHistory:
     ``warnings_at``, ``changes_at`` and ``attrs_at`` run parallel to
     ``revisions``: group ``i`` holds the records whose revision is
     ``revisions[i]``. Treat instances as frozen after construction. Derived
-    indexes, the universe and the cuts are cached lazily on first read,
-    without locking, and never participate in equality. File identity reads
+    indexes and the universe are cached lazily on first read, without
+    locking, and never participate in equality. File identity reads
     ``path_events`` and ``range_ends``.
     """
 
@@ -378,12 +378,6 @@ class ProjectHistory:
     def universe(self) -> dict[WarningId, CanonicalWarning]:
         """Every warning as of the horizon (``build_universe``)."""
         return build_universe(self, len(self.revisions) - 1)
-
-    @cached_property
-    def _cuts(self) -> dict[int, ProjectHistory]:
-        """Cut index -> the cut there (``truncate_history``), which holds no
-        reference back to this history."""
-        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -770,20 +764,16 @@ def truncate_history(history: ProjectHistory, rev_id: str) -> ProjectHistory:
     This is the time guard of feature extraction: nothing chronologically
     after the cut survives. The cut is a prefix of the history's four
     per-revision tuples, so it shares every record, group and attrs dict
-    with ``history`` and costs no work per record. ``history`` builds each
-    cut once and holds it, so every caller that cuts at one revision shares
-    one cut, with its cached indexes and its universe. A cut at the last
-    revision is ``history`` itself.
+    with ``history`` and costs no work per record. Each call makes a new
+    cut, which builds its own indexes and universe when first read; a
+    caller that reads one revision's cut more than once keeps it. A cut at
+    the last revision is ``history`` itself.
     """
-    cut = history.rev_index(rev_id)
-    if cut == len(history.revisions) - 1:
+    end = history.rev_index(rev_id) + 1
+    if end == len(history.revisions):
         return history
-    if cut not in history._cuts:
-        end = cut + 1
-        history._cuts[cut] = ProjectHistory(
-            history.revisions[:end], history.warnings_at[:end],
-            history.changes_at[:end], history.attrs_at[:end])
-    return history._cuts[cut]
+    return ProjectHistory(history.revisions[:end], history.warnings_at[:end],
+                          history.changes_at[:end], history.attrs_at[:end])
 
 
 # ---------------------------------------------------------------------------

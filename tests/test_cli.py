@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -181,6 +182,68 @@ class TestBasicFlow:
         assert audit["leakage_guard"]["ok"] is True
 
 
+class TestLeakageGuard:
+    """``audit --ledger`` rebuilds a leak-free dataset from the ledger and
+    compares it with the stored one. The guard once extracted twice from the
+    same cut and never read the dataset, so each case below read ok."""
+
+    def _guard(self, dsdir: Path, ledger: Path, out: Path) -> dict:
+        assert run("audit", "--dataset", str(dsdir), "--ledger", str(ledger),
+                   "--out", str(out)) == 0
+        return json.loads((out / "audit.json").read_text(encoding="utf-8"))["leakage_guard"]
+
+    def test_other_projects_ledger_is_violated(self, fitted_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert run("synth", "--seed", "20", "--out", str(other)) == 0
+        guard = self._guard(fitted_dir / "ds", other / "ledger.jsonl", tmp_path / "audit")
+        assert guard["checked"] is True and guard["ok"] is False
+        assert all(rev["mismatched"] > 0 for rev in guard["revisions"])
+        assert capsys.readouterr().out.endswith("leakage guard: VIOLATED\n")
+
+    def test_one_ulp_in_one_test_row_is_one_mismatch(self, fitted_dir, tmp_path):
+        dsdir = tmp_path / "ds"
+        shutil.copytree(fitted_dir / "ds", dsdir)
+        path = dsdir / "test.csv"
+        with open(path, encoding="utf-8", newline="") as fp:
+            rows = list(csv.reader(fp))
+        col = rows[0].index("comment-code ratio")
+        rows[1][col] = repr(math.nextafter(float(rows[1][col]), math.inf))
+        with open(path, "w", encoding="utf-8", newline="") as fp:
+            csv.writer(fp, lineterminator="\n").writerows(rows)
+        guard = self._guard(dsdir, fitted_dir / "synth" / "ledger.jsonl", tmp_path / "audit")
+        meta = json.loads((dsdir / "meta.json").read_text(encoding="utf-8"))
+        assert guard == {"checked": True, "ok": False, "revisions": [
+            {"revision": meta["train_rev"], "ok": True, "mismatched": 0},
+            {"revision": meta["test_rev"], "ok": False, "mismatched": 1}]}
+
+    def test_edited_window_is_violated(self, fitted_dir, tmp_path):
+        ledger = fitted_dir / "synth" / "ledger.jsonl"
+        anchors = _anchors(fitted_dir / "synth")
+        dsdir = tmp_path / "ds"
+        assert run("build", "--ledger", str(ledger), "--train", anchors["train"],
+                   "--test", anchors["test"], "--ref", anchors["reference"],
+                   "--mode", "leakfree", "--window", "180d", "--out", str(dsdir)) == 0
+        assert self._guard(dsdir, ledger, tmp_path / "before")["ok"] is True
+        meta = json.loads((dsdir / "meta.json").read_text(encoding="utf-8"))
+        assert meta["window_days"] == 180.0
+        (dsdir / "meta.json").write_text(json.dumps({**meta, "window_days": 365.0}),
+                                         encoding="utf-8")
+        assert self._guard(dsdir, ledger, tmp_path / "after")["ok"] is False
+
+    def test_leaky_dataset_is_skipped_with_a_note(self, fitted_dir, tmp_path, capsys):
+        ledger = fitted_dir / "synth" / "ledger.jsonl"
+        anchors = _anchors(fitted_dir / "synth")
+        dsdir = tmp_path / "ds"
+        assert run("build", "--ledger", str(ledger), "--train", anchors["train"],
+                   "--test", anchors["test"], "--ref", anchors["reference"],
+                   "--mode", "leaky", "--out", str(dsdir)) == 0
+        capsys.readouterr()
+        note = ("dataset was built in leaky mode; the time-travel guard only applies "
+                "to leak-free extraction")
+        assert self._guard(dsdir, ledger, tmp_path / "audit") == {"checked": False, "note": note}
+        assert capsys.readouterr().out.endswith(f"leakage guard: skipped ({note})\n")
+
+
 class TestLeakDemoPipeline:
     def test_leaky_mode_beats_leakfree_on_planted_leak_signal(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -226,6 +289,60 @@ class TestContracts:
         code = run("features", "--ledger", str(ledger), "--at", anchors["test"],
                    "--mode", "leaky", "--out", str(tmp_path / "f"))
         assert code == 2
+
+    @pytest.mark.parametrize("where", ["equal", "before"])
+    @pytest.mark.parametrize("command", ["label", "features", "build"])
+    def test_reference_not_after_is_ordering_error(self, synth_dir, tmp_path, capsys,
+                                                   command, where):
+        """features --mode leaky once ended as error[validation] here, from a
+        check of its own; label and build end as error[ordering]."""
+        anchors = _anchors(synth_dir)
+        at = anchors["test"]
+        ref = at if where == "equal" else anchors["train"]
+        revisions = {"label": ["--at", at],
+                     "features": ["--at", at, "--mode", "leaky"],
+                     "build": ["--train", anchors["train"], "--test", at, "--mode", "leaky"]}
+        code = run(command, "--ledger", str(synth_dir / "ledger.jsonl"), *revisions[command],
+                   "--ref", ref, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error[ordering]: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 63), str(2 ** 70)])
+    @pytest.mark.parametrize("kind", ["knn", "linear"])
+    def test_fit_seed_outside_64_bits_is_usage_error(self, fitted_dir, tmp_path, capsys,
+                                                     kind, seed):
+        """A linear fit with seed -1 once ended in numpy's ValueError
+        traceback, and a seed of 2**70 wrote a model.json eval refused."""
+        code = run("fit", "--dataset", str(fitted_dir / "ds"), "--model-kind", kind,
+                   "--seed", seed, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error[usage]: --seed must lie in 0..2**63-1, got {seed}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["knn", "linear"])
+    def test_largest_fit_seed_round_trips(self, fitted_dir, tmp_path, kind):
+        seed = 2 ** 63 - 1
+        assert run("fit", "--dataset", str(fitted_dir / "ds"), "--model-kind", kind,
+                   "--seed", str(seed), "--out", str(tmp_path / "fit")) == 0
+        model = tmp_path / "fit" / "model.json"
+        assert json.loads(model.read_text(encoding="utf-8"))["seed"] == seed
+        assert run("eval", "--dataset", str(fitted_dir / "ds"), "--model", str(model),
+                   "--out", str(tmp_path / "eval")) == 0
+
+    @pytest.mark.parametrize("config", [None, {"seed": 1, "n_files": 4}])
+    def test_synth_seed_outside_64_bits_is_validation_error(self, tmp_path, capsys, config):
+        """synth --seed 2**70 once wrote a truth.json whose config synth
+        --config then refused."""
+        argv = ["synth", "--seed", str(2 ** 70), "--out", str(tmp_path / "out")]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[validation]: ") and "'seed'" in err, err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["features", "build"])
     def test_leaky_with_window_is_usage_error(self, synth_dir, tmp_path, capsys, command):

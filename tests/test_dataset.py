@@ -13,7 +13,7 @@ from warnlab.dataset import (
     save_dataset,
 )
 from warnlab.errors import OrderingError, ValidationError
-from warnlab.features import LeakMode, audit_time_travel
+from warnlab.features import LeakMode
 from warnlab.history import ProjectHistory
 from warnlab.oracle import Label
 from warnlab.synth import SynthConfig, generate
@@ -242,17 +242,15 @@ def counted_synth(monkeypatch):
 
 
 class TestOneCutPerRevision:
-    """Each command cuts the history once per revision it reads, and builds
-    that cut's universe once: every reader of a cut shares both."""
+    """A build cuts the history once per revision it reads, and builds that
+    cut's universe once: every reader of a cut shares both."""
 
     @pytest.mark.parametrize("run", [
         lambda h, a: build_dataset(h, a.train, a.test, a.reference, LeakMode.leakfree(),
                                    dedup=True),
         lambda h, a: build_dataset(h, a.train, a.test, a.reference, LeakMode.leaky(),
                                    dedup=False),
-        lambda h, a: [audit_time_travel(h, rev, LeakMode.leakfree())
-                      for rev in (a.train, a.test)],
-    ], ids=["leakfree-dedup-build", "leaky-build", "audit"])
+    ], ids=["leakfree-dedup-build", "leaky-build"])
     def test_one_cut_and_one_universe_per_revision(self, run, counted_synth):
         result, counts = counted_synth
         run(result.history, result.anchors)
