@@ -157,14 +157,7 @@ def build_dataset(
         dedup_removed=dedup_removed,
         notices=tuple(notices),
     )
-    ds = Dataset(train=tuple(train_instances), test=tuple(test_instances), meta=meta)
-    if dedup:
-        report = audit_duplication(ds)
-        if report.duplicated:
-            raise ValidationError(
-                f"dedup build left {report.duplicated} duplicated test key(s)"
-            )
-    return ds
+    return Dataset(train=tuple(train_instances), test=tuple(test_instances), meta=meta)
 
 
 def _labeled_split(cut: ProjectHistory, labels: dict[WarningKey, Label], mode: LeakMode,

@@ -33,8 +33,6 @@ class ConfusionCounts:
 
 
 def confusion(y_true: Sequence[Label], y_pred: Sequence[Label]) -> ConfusionCounts:
-    if len(y_true) != len(y_pred):
-        raise ValidationError("prediction and truth lengths differ")
     tp = fp = fn = tn = 0
     for truth, pred in zip(y_true, y_pred):
         if truth is Label.ACTIONABLE:
@@ -262,8 +260,6 @@ def render_report_table(reports: Sequence[EvalReport]) -> str:
 
 
 def strawman_f1(ratio: float) -> float:
-    """F1 of always predicting actionable at a given actionable share."""
-    if ratio < 0 or ratio > 1:
-        raise ValidationError("actionability ratio must lie in [0, 1]")
+    """F1 of always predicting actionable at a given actionable share in [0, 1]."""
     return 2.0 * ratio / (1.0 + ratio) if ratio else 0.0
 

@@ -22,6 +22,10 @@ history cut at the extraction revision and its universe, and reads nothing
 else. Leaky mode's one read past the cut, the heuristic labels, is made by
 its caller and handed in: by ``extract_golden``, which cuts
 (``truncate_history``) and labels, or by ``dataset.build_dataset``.
+
+Each vector's 18 numeric features are checked by the field kinds by which
+``schema.read_feature_matrix`` reads them back, so extraction returns no
+vector that its feature matrix would refuse.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import ExtractionError, ValidationError
@@ -43,7 +48,7 @@ from .history import (
 )
 from .keys import Label, WarningKey
 from .oracle import heuristic_label
-from .schema import NUMERIC_FIELDS, FeatureVector, LeakMode
+from .schema import FEATURE_COLUMNS, NUMERIC_FIELDS, FeatureVector, LeakMode
 
 # Population scopes for the warning-combination features.
 SCOPE_METHOD = "method"
@@ -146,7 +151,9 @@ def golden_features(
     Leaky mode requires ``labels``, the heuristic label of every warning at
     the horizon: those warnings are the population members, and Actionable
     or Unknown count as closed. Leak-free mode forbids them. Missing static
-    attributes abort extraction with a per-warning error. A key observed
+    attributes abort extraction with a per-warning error, and so does a
+    numeric feature outside the field kind the feature-matrix reader checks
+    it by (an integer past 64 bits, such as a LOC sum). A key observed
     more than once at the horizon takes its priority from the observation
     with the lowest (line, priority). Output is sorted by warning key.
 
@@ -280,9 +287,19 @@ def golden_features(
             warning_lifetime_revisions=len(canon.presence),
             flags=frozenset(flags),
         )
-    for vec in out.values():
-        _check_finite(vec)
+    try:
+        for key, vec in out.items():
+            for (kind, name), value in zip(_NUMERIC_KINDS, _numeric_values(vec)):
+                kind(value, name)
+    except ValueError as exc:
+        raise ExtractionError(f"{key}: {exc}", failures={str(key): str(exc)}) from None
     return out
+
+
+# The feature-matrix reader's (kind, field) per numeric feature; a getter of their values.
+_NUMERIC_KINDS = tuple((kind, name) for name, _, _, kind in FEATURE_COLUMNS
+                       if name in NUMERIC_FIELDS)
+_numeric_values = attrgetter(*(name for _, name in _NUMERIC_KINDS))
 
 
 def _loc_last_n_revisions(chain, n: int) -> int:
@@ -307,13 +324,6 @@ def _loc_by_package(base: ProjectHistory, at_time: int, days: float) -> dict[str
     }
 
 
-def _check_finite(vec: FeatureVector) -> None:
-    for name in NUMERIC_FIELDS:
-        value = float(getattr(vec, name))
-        if not math.isfinite(value):
-            raise ExtractionError(f"non-finite value for feature {name!r}: {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # Time-travel audit
 # ---------------------------------------------------------------------------
@@ -334,10 +344,9 @@ def audit_time_travel(history: ProjectHistory, at_rev: str, mode: LeakMode) -> T
     Leak-free extraction makes no read past the cut, so the audit cannot
     fail unless ``extract_golden`` itself is replaced. Outside the tests,
     only the benchmark's layer passes call it: ``warnlab audit`` checks a
-    dataset by rebuilding it from its ledger (``cli.cmd_audit``).
+    dataset by rebuilding it from its ledger (``cli.cmd_audit``). A leaky
+    ``mode`` raises ``ValidationError``, since the audit hands no reference.
     """
-    if mode.is_leaky:
-        raise ValidationError("time-travel audit applies to leak-free extraction only")
     expected = extract_golden(truncate_history(history, at_rev), at_rev, mode)
     actual = extract_golden(history, at_rev, mode)
     mismatched = sorted(

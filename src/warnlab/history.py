@@ -464,13 +464,14 @@ def ingest_ledger(stream: Iterable[str] | IO[str]) -> ProjectHistory:
             # A line that ends in its own revision member, the closing brace
             # and whitespace serves every later line made of a known prefix
             # and a known end.
-            try:
+            if head:
+                # The line decoded as JSON, so its last _REVISION_MEMBER opens a key
+                # string, then the value string ``end`` starts in: the decode just
+                # accepted it under the same strict rules, so this scan cannot raise.
                 tail, stop = scanstring(end, 0)
-            except ValueError:  # json.JSONDecodeError: a bad escape or no closing quote
-                tail = None
-            if head and tail == rev and end[stop:].rstrip() == "}":
-                memo[head] = hit
-                ends[end] = rev
+                if tail == rev and end[stop:].rstrip() == "}":
+                    memo[head] = hit
+                    ends[end] = rev
         kind, record = hit
         if kind == "warning":
             warnings[rev][record] = None

@@ -28,14 +28,6 @@ class Reason(str, enum.Enum):
     MANUAL_OVERRIDE = "ManualOverride"
 
 
-_REASON_LABEL = {
-    Reason.CLOSED_FILE_PRESENT: Label.ACTIONABLE,
-    Reason.STILL_OPEN: Label.FALSE_ALARM,
-    Reason.FILE_DELETED: Label.UNKNOWN,
-    Reason.FILTER_MATCHED: Label.FALSE_ALARM,
-}
-
-
 @dataclass(frozen=True)
 class LabeledWarning:
     """One warning's label; the call that made it holds the two revisions."""
@@ -43,13 +35,6 @@ class LabeledWarning:
     key: WarningKey
     label: Label
     reason: Reason
-
-    def __post_init__(self):
-        expected = _REASON_LABEL.get(self.reason)
-        if expected is not None and self.label is not expected:
-            raise ValidationError(
-                f"label {self.label.value} inconsistent with reason {self.reason.value}"
-            )
 
 
 def heuristic_label(

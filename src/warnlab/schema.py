@@ -133,8 +133,9 @@ _FIRST_FEATURE = len(KEY_COLUMNS) + len(META_COLUMNS)
 
 # (field, column index, type, field kind) per feature column, resolved once
 # from the annotations: each cell is parsed by its type (int, float or str)
-# and then checked by its kind (``errors``).
-_FEATURE_COLUMNS = tuple(
+# and then checked by its kind (``errors``). Extraction checks each numeric
+# feature it computes by the same kind (``features.golden_features``).
+FEATURE_COLUMNS = tuple(
     (name, column, field_type, kind_of(field_type))
     for column, (name, field_type) in enumerate(field_types(FeatureVector).items(),
                                                 start=_FIRST_FEATURE)
@@ -188,7 +189,7 @@ def _matrix_row(record: list[str], line_no: int) -> MatrixRow:
             f"expected {len(MATRIX_HEADER)}"
         )
     values = []
-    for name, column, parse, kind in _FEATURE_COLUMNS:
+    for name, column, parse, kind in FEATURE_COLUMNS:
         raw = record[column]
         value = parse(raw)
         try:

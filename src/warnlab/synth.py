@@ -323,8 +323,6 @@ def generate(config: SynthConfig) -> SynthResult:
         file = files[file_idx]
         if rev_idx == file.created_idx or rev_idx == file.deleted_idx:
             continue
-        if file.deleted_idx is not None and rev_idx > file.deleted_idx:
-            continue
         change(file, rev_idx, "Modify", rng.randint(1, 200), rng.randint(0, 100))
 
     history = ProjectHistory(

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warnlab.cli import main
-from warnlab.errors import MODEL_KINDS
+from warnlab.errors import MODEL_KINDS, kind_of
 
 _CONFIG = {"seed": 19, "n_files": 10, "n_revisions": 24, "warnings_per_revision": 6,
            "true_actionable_rate": 0.6, "fix_delay_days": [240.0, 330.0],
@@ -228,3 +228,8 @@ def test_negative_meta_count_is_refused(pipeline, tmp_path, command):
     code, err = _run(*argv, "--out", tmp_path / "out")
     _assert_refused(code, err)
     assert err == "error[validation]: dataset metadata field 'dedup_removed' must be >= 0, got -5\n"
+
+
+def test_a_type_with_no_kind_is_a_developer_error():
+    with pytest.raises(TypeError, match="no field kind for <class 'bytes'>"):
+        kind_of(bytes)

@@ -23,6 +23,7 @@ import warnlab
 from warnlab.cli import UsageError, main, parse_duration_days
 from warnlab.features import LeakMode, build_universe, extract_golden
 from warnlab.history import emit_ledger, ingest_ledger, truncate_history
+from warnlab.keys import KEY_COLUMNS
 from warnlab.synth import SynthConfig, generate
 
 from conftest import attrs_line, change_line, rev_line, warn_line
@@ -180,6 +181,80 @@ class TestBasicFlow:
         assert audit["duplication"]["rate"] == 0.0
         assert audit["leakage_guard"]["checked"] is True
         assert audit["leakage_guard"]["ok"] is True
+
+
+class TestFilterFile:
+    """``label --filter-file`` marks still-open warnings that a FindBugsFilter
+    file suppresses; a malformed file ends as error[validation]."""
+
+    def _label(self, synth_dir, tmp_path, *options) -> int:
+        anchors = _anchors(synth_dir)
+        return run("label", "--ledger", str(synth_dir / "ledger.jsonl"), "--at",
+                   anchors["test"], "--ref", anchors["reference"], *options,
+                   "--out", str(tmp_path / "out"))
+
+    def test_filter_block_counts_matched_open_warnings(self, synth_dir, tmp_path):
+        assert self._label(synth_dir, tmp_path / "plain") == 0
+        with open(tmp_path / "plain" / "out" / "labels.csv", encoding="utf-8") as fp:
+            still_open = [row for row in csv.DictReader(fp) if row["reason"] == "StillOpen"]
+        pattern = still_open[0]["bug_pattern"]
+        matched = [row for row in still_open if row["bug_pattern"] == pattern]
+        (tmp_path / "filter.xml").write_text(
+            '<?xml version="1.0"?>\n<FindBugsFilter>\n'
+            f'  <Match><Class name-prefix="com."/><Bug pattern="{pattern}"/></Match>\n'
+            '  <Match><Class name="NoSuchClass"/><Bug pattern="NO_SUCH_PATTERN"/></Match>\n'
+            '</FindBugsFilter>\n', encoding="utf-8")
+        assert self._label(synth_dir, tmp_path, "--filter-file",
+                           str(tmp_path / "filter.xml")) == 0
+        summary = json.loads((tmp_path / "out" / "label_summary.json").read_text())
+        assert summary["filter"] == {"open": len(still_open), "filtered": len(matched),
+                                     "filtered_share": len(matched) / len(still_open)}
+        with open(tmp_path / "out" / "labels.csv", encoding="utf-8") as fp:
+            filtered = [row for row in csv.DictReader(fp) if row["reason"] == "FilterMatched"]
+        assert [(row["bug_pattern"], row["label"]) for row in filtered] == [
+            (pattern, "FalseAlarm")] * len(matched)
+
+    @pytest.mark.parametrize("text,message", [
+        ("<FindBugsFilter><Match>", "invalid filter file XML: "),
+        ("<Filter/>", "expected top element FindBugsFilter, got 'Filter'"),
+        ('<FindBugsFilter><Match><Bug pattern="P"/></Match></FindBugsFilter>',
+         "Match element without a Class element"),
+        ('<FindBugsFilter><Match><Class name="A" name-prefix="B"/><Bug pattern="P"/></Match>'
+         '</FindBugsFilter>', "Class element needs exactly one of name / name-prefix"),
+        ('<?xml version="1.0"?><!DOCTYPE b [<!ENTITY a "aaaaaaaaaa">'
+         + "".join(f'<!ENTITY {"a" * (i + 2)} "{("&" + "a" * (i + 1) + ";") * 10}">'
+                   for i in range(8))
+         + ']><FindBugsFilter><Match><Class name="&aaaaaaaaa;"/></Match></FindBugsFilter>',
+         "invalid filter file XML: limit on input amplification factor"),  # 10**10 bytes
+    ], ids=["invalid-xml", "wrong-root", "match-without-class", "name-and-prefix", "bomb"])
+    def test_malformed_filter_file_is_validation_error(self, synth_dir, tmp_path, capsys,
+                                                       text, message):
+        (tmp_path / "filter.xml").write_text(text, encoding="utf-8")
+        code = self._label(synth_dir, tmp_path, "--filter-file", str(tmp_path / "filter.xml"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error[validation]: {message}") and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_annotator_picks_its_labels(self, synth_dir, tmp_path):
+        assert self._label(synth_dir, tmp_path / "plain") == 0
+        with open(tmp_path / "plain" / "out" / "labels.csv", encoding="utf-8") as fp:
+            row = next(row for row in csv.DictReader(fp) if row["label"] == "FalseAlarm")
+        key = {"bug_pattern": row["bug_pattern"], "file_path": row["file_path"],
+               "entity": {"package": row["entity_package"], "class": row["entity_class"],
+                          "method": row["entity_method"] or None}}
+        notes = tmp_path / "notes.jsonl"
+        notes.write_text("".join(json.dumps({**key, "annotator": who, "label": label}) + "\n"
+                                 for who, label in (("rev1", "FalseAlarm"),
+                                                    ("rev2", "Actionable"))), encoding="utf-8")
+        for who, label, reason in (("rev1", "FalseAlarm", "StillOpen"),
+                                   ("rev2", "Actionable", "ManualOverride")):
+            assert self._label(synth_dir, tmp_path / who, "--annotations", str(notes),
+                               "--annotator", who) == 0
+            with open(tmp_path / who / "out" / "labels.csv", encoding="utf-8") as fp:
+                (got,) = [r for r in csv.DictReader(fp)
+                          if [r[c] for c in KEY_COLUMNS] == [row[c] for c in KEY_COLUMNS]]
+            assert (got["label"], got["reason"]) == (label, reason)
 
 
 class TestLeakageGuard:
@@ -456,6 +531,9 @@ class TestContracts:
         # Every field but window_days and dedup_removed: none has a default.
         '{"train_rev": "r1", "test_rev": "r2", "ref_rev": "r3", "mode": "leakfree", '
         '"dedup": true, "dropped_unknown_train": 0, "dropped_unknown_test": 0, "notices": []}',
+        '{"train_rev": "r1", "test_rev": "r2", "ref_rev": "r3", "mode": "bogus", '
+        '"window_days": 365.0, "dedup": true, "dropped_unknown_train": 0, '
+        '"dropped_unknown_test": 0, "dedup_removed": 0, "notices": []}',
     ])
     def test_corrupt_meta_json_categorized(self, fitted_dir, tmp_path, capsys, text):
         dsdir, model = self._corrupt_copy(fitted_dir, tmp_path)
@@ -616,6 +694,117 @@ class TestContracts:
             run("fit", "--dataset", str(tmp_path), "--model-kind", "bogus")
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m.update(format="warnlab.model/0"),
+         "unsupported model file format: 'warnlab.model/0'"),
+        (lambda m: m.update(kind="bogus"), "unknown model kind 'bogus'"),
+        (lambda m: m["manifest"]["numeric"][0].__setitem__(2, 0.0),
+         "manifest scales must be nonzero"),
+        (lambda m: m["manifest"]["categorical"][0][1].extend(
+            m["manifest"]["categorical"][0][1][:1]),
+         "vocabulary of 'warning_pattern' must hold distinct strings"),
+    ], ids=["format", "kind", "zero-scale", "repeated-vocabulary"])
+    def test_model_json_out_of_contract_is_model_error(self, fitted_dir, tmp_path, capsys,
+                                                       edit, message):
+        dsdir, model = self._corrupt_copy(fitted_dir, tmp_path)
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        edit(payload)
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        code = run("eval", "--dataset", str(dsdir), "--model", str(model),
+                   "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error[model]: {message}\n"
+
+    def test_empty_train_split_is_validation_error(self, fitted_dir, tmp_path, capsys):
+        dsdir, _ = self._corrupt_copy(fitted_dir, tmp_path)
+        header = (dsdir / "train.csv").read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        (dsdir / "train.csv").write_text(header, encoding="utf-8")
+        assert run("fit", "--dataset", str(dsdir), "--model-kind", "knn",
+                   "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            "error[validation]: dataset has an empty training split\n")
+
+    def test_empty_dedup_test_split_is_noticed_and_not_evaluated(self, tmp_path, capsys):
+        """Every warning of this ledger opens before the train anchor, so
+        dedup keeps no test warning: build says so, and eval refuses the split."""
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "seed": 3, "n_files": 10, "n_revisions": 24, "warnings_per_revision": 3,
+            "duplication_pressure": 1.0}), encoding="utf-8")
+        assert run("synth", "--config", str(tmp_path / "cfg.json"),
+                   "--out", str(tmp_path / "synth")) == 0
+        anchors = _anchors(tmp_path / "synth")
+        capsys.readouterr()
+        assert run("build", "--ledger", str(tmp_path / "synth" / "ledger.jsonl"),
+                   "--train", anchors["train"], "--test", anchors["test"],
+                   "--ref", anchors["reference"], "--mode", "leakfree", "--dedup",
+                   "--out", str(tmp_path / "ds")) == 0
+        out = capsys.readouterr().out
+        assert "train=70 test=0 " in out
+        assert out.endswith("notice: test split is empty after deduplication\n")
+        assert run("fit", "--dataset", str(tmp_path / "ds"), "--model-kind", "linear",
+                   "--out", str(tmp_path / "fit")) == 0
+        capsys.readouterr()
+        assert run("eval", "--dataset", str(tmp_path / "ds"), "--model",
+                   str(tmp_path / "fit" / "model.json"), "--out", str(tmp_path / "eval")) == 1
+        assert capsys.readouterr().err == "error[validation]: dataset has an empty test split\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_loc_sum_past_64_bits_ends_build(self, tmp_path, capsys):
+        """build once wrote this split, which fit and audit then refused:
+        'LOC added in file (last 25 revisions)' is '18446744073709551614'."""
+        lines = [rev_line(f"r{i}", day=30 * i, parent=f"r{i - 1}" if i else None)
+                 for i in range(3)]
+        lines += [change_line("r0", "src/a/Foo.java", "Add", lines_added=2 ** 63 - 1),
+                  change_line("r1", "src/a/Foo.java", "Modify", lines_added=2 ** 63 - 1)]
+        lines += [line for rid in ("r0", "r1", "r2") for line in (warn_line(rid), attrs_line(rid))]
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run("build", "--ledger", str(ledger), "--train", "r0", "--test", "r1",
+                   "--ref", "r2", "--mode", "leaky", "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error[extraction]: ") and (
+            "loc_added_in_file_last_25_revisions must be a signed 64-bit integer" in err), err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_prints_a_skipped_interval(self, synth_dir, tmp_path, capsys):
+        assert run("sweep", "--ledger", str(synth_dir / "ledger.jsonl"), "--at",
+                   _anchors(synth_dir)["train"], "--intervals", "90d,100y",
+                   "--out", str(tmp_path / "sweep")) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.split() == ["36500d", "skipped", "(no", "revision", "at", "or", "after",
+                                "36500", "day(s)", "past", _anchors(synth_dir)["train"] + ")"]
+
+    @staticmethod
+    def _sweep(tmp_path, project: str, ratios: dict) -> str:
+        path = tmp_path / f"{project}.json"
+        rows = [{"interval_days": days, "reference_revision": "r9", "actionable": 1,
+                 "false_alarm": 1, "unknown": 0, "ratio": ratio, "notice": None}
+                for days, ratio in ratios.items()]
+        path.write_text(json.dumps({"project": project, "at": "r1", "rows": rows}),
+                        encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("wilcoxon,ratio,err", [
+        (["2y", "3y"], 0.5, "error[validation]: sweep for p1 lacks interval 2y or 3y\n"),
+        (["2y", "4y"], None, "error[validation]: sweep rows without ratios cannot be tested\n"),
+    ], ids=["missing-interval", "missing-ratio"])
+    def test_wilcoxon_needs_both_ratios_of_each_sweep(self, tmp_path, capsys, wilcoxon, ratio,
+                                                      err):
+        paths = [self._sweep(tmp_path, "p1", {730.0: 0.5, 1460.0: ratio}),
+                 self._sweep(tmp_path, "p2", {730.0: 0.5, 1460.0: 0.25})]
+        assert run("report", "--merge", *paths, "--wilcoxon", *wilcoxon,
+                   "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == err
+
+    def test_wilcoxon_without_sweeps_is_usage_error(self, fitted_dir, tmp_path, capsys):
+        assert run("eval", "--dataset", str(fitted_dir / "ds"), "--model",
+                   str(fitted_dir / "model" / "model.json"), "--out", str(tmp_path / "eval")) == 0
+        capsys.readouterr()
+        assert run("report", "--merge", str(tmp_path / "eval" / "report.json"), "--wilcoxon",
+                   "2y", "4y", "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error[usage]: --wilcoxon needs sweep JSON inputs\n"
 
 
 # Corruptions of a file's bytes: cut it short, overwrite a span, or splice in

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import random
 
@@ -28,7 +29,8 @@ from warnlab.features import (
 )
 from warnlab.history import ProjectHistory, WarningKey, truncate_history
 from warnlab.oracle import Label, heuristic_label
-from warnlab.schema import NUMERIC_FIELDS, MatrixRow, read_feature_matrix, write_feature_matrix
+from warnlab.schema import (FEATURE_FIELDS, NUMERIC_FIELDS, MatrixRow, read_feature_matrix,
+                            write_feature_matrix)
 from warnlab.synth import SynthConfig, generate
 
 from conftest import BENCH_SHAPES, attrs_line, change_line, make_history, rev_line, warn_line
@@ -547,3 +549,87 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValidationError) as info:
             read_feature_matrix(corrupt)
         assert str(info.value) == f"feature matrix line 3: {message}"
+
+
+class TestFeatureKinds:
+    """Extraction checks each numeric feature by the field kind through which
+    the feature-matrix reader reads it (``schema.FEATURE_COLUMNS``)."""
+
+    def test_loc_sum_past_64_bits_is_extraction_error(self):
+        """An Add and a Modify of 2**63 - 1 lines each once gave a vector
+        whose feature matrix its own reader refused."""
+        lines = [rev_line(f"r{i}", day=30 * i) for i in range(3)]
+        lines += [change_line("r0", "src/a/Foo.java", "Add", lines_added=2 ** 63 - 1),
+                  change_line("r1", "src/a/Foo.java", "Modify", lines_added=2 ** 63 - 1)]
+        lines += [line for rid in ("r0", "r1", "r2") for line in (warn_line(rid), attrs_line(rid))]
+        h = make_history(lines)
+        (vec,) = extract_golden(h, "r0", LeakMode.leakfree()).values()
+        assert vec.loc_added_in_file_last_25_revisions == 2 ** 63 - 1
+        (key,) = h.keys_at("r1")
+        message = f"{key}: loc_added_in_file_last_25_revisions must be a signed 64-bit integer"
+        for mode, ref in ((LeakMode.leakfree(), None), (LeakMode.leaky(), "r2")):
+            with pytest.raises(ExtractionError) as info:
+                extract_golden(h, "r1", mode, ref)
+            assert str(info.value) == message
+            assert info.value.failures == {str(key): message.split(": ", 1)[1]}
+
+    def test_audit_refuses_leaky_mode(self):
+        with pytest.raises(ValidationError):
+            audit_time_travel(_single_warning_files_history(), "r1", LeakMode.leaky())
+
+
+# Integers drawn as often from the ends of their range as from all of it.
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from([-2 ** 63, 0, 2 ** 63 - 1])
+_COUNT = st.integers(0, 2 ** 63 - 1) | st.sampled_from([0, 1, 2 ** 62, 2 ** 63 - 1])
+
+
+@st.composite
+def _extreme_ledger(draw):
+    """Revisions at any int64 timestamps, and two files of one package whose
+    changes, warning lines and static attributes take extreme counts."""
+    n = draw(st.integers(2, 4))
+    stamps = sorted(draw(st.lists(_INT64, min_size=n, max_size=n)))
+    lines = [json.dumps({"kind": "revision", "id": f"r{i}", "timestamp": stamp})
+             for i, stamp in enumerate(stamps)]
+    for path, cls in (("src/a/Foo.java", "Foo"), ("src/a/Bar.java", "Bar")):
+        for i in range(n):
+            if draw(st.booleans()):
+                lines.append(change_line(f"r{i}", path, "Modify" if i else "Add",
+                                         lines_added=draw(_COUNT), author=f"dev{i}"))
+            common = dict(path=path, cls=cls, pattern=draw(st.sampled_from(["PA", "PB"])))
+            lines.append(warn_line(f"r{i}", priority=draw(st.integers(1, 3)),
+                                   line=draw(st.integers(1, 2 ** 63 - 1)), **common))
+            lines.append(attrs_line(
+                f"r{i}", comment_code_ratio=draw(st.floats(0, 1e308)),
+                method_depth=draw(_COUNT), file_depth=draw(_COUNT),
+                methods_in_file=draw(_COUNT), classes_in_package=draw(_COUNT), **common))
+    return lines, n
+
+
+@given(ledger=_extreme_ledger(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_extracted_vectors_round_trip_or_raise(ledger, data):
+    """``golden_features`` either raises ``ExtractionError`` for a LOC sum
+    past 64 bits, or its vectors survive the feature matrix unchanged by
+    ``repr``."""
+    lines, n = ledger
+    h = make_history(lines)
+    at = data.draw(st.integers(0, n - 2), label="at")
+    mode = data.draw(st.sampled_from([LeakMode.leakfree(), LeakMode.leaky()]), label="mode")
+    ref = f"r{n - 1}" if mode.is_leaky else None
+    try:
+        vectors = extract_golden(h, f"r{at}", mode, ref)
+    except ExtractionError as exc:
+        assert "loc_added_in_" in str(exc)
+        return
+    rows = [MatrixRow(key=key, origin_rev=f"r{at}", label="", mode=mode.mode, vector=vec)
+            for key, vec in vectors.items()]
+    buffer = io.StringIO()
+    write_feature_matrix(buffer, rows)
+    buffer.seek(0)
+    back = read_feature_matrix(buffer)
+
+    def bits(matrix):
+        return [[repr(getattr(row.vector, name)) for name in FEATURE_FIELDS] for row in matrix]
+
+    assert back == rows and bits(back) == bits(rows)

@@ -689,3 +689,15 @@ def test_a_repeated_line_under_a_known_end_decodes_nothing(form):
     with patch("warnlab.history._decode_json", wraps=history_module._decode_json) as decode:
         assert ingest_ledger(lines) == reference_ingest(lines)
     assert decode.call_count <= bound < len(lines) / 8
+
+
+def test_a_tab_led_line_with_no_revision_member_ingests():
+    """A record whose revision comes first holds no ``, "revision": "``, so
+    no string scan of its end can tell the line-end table anything: a scan
+    from its leading tab, which JSON strings refuse, once had to be caught."""
+    record = json.loads(change_line("r1", "src/a/Foo.java", "Add", lines_added=3))
+    line = json.dumps({"revision": record.pop("revision"), **record})
+    lines = [rev_line("r1", 0) + "\n", "\t" + line + "\n", "\t" + line + "\n"]
+    assert ingest_ledger(lines) == reference_ingest(lines)
+    assert ingest_ledger(lines).changes_at[0] == {FileChangeRecord("src/a/Foo.java", "Add", 3, 0,
+                                                                  "alice")}

@@ -206,6 +206,11 @@ class TestFit:
         with pytest.raises(ModelError, match="Actionable"):
             fit("linear", encoded, labels_of(train))
 
+    def test_unknown_kind_rejected(self):
+        train = two_cluster_split(n_per_class=2)
+        with pytest.raises(ModelError, match="unknown model kind 'bogus'"):
+            fit("bogus", encode_with(fit_manifest(train), train), labels_of(train))
+
     def test_knn_k_bounds(self):
         train = two_cluster_split(n_per_class=2)
         encoded = encode_with(fit_manifest(train), train)

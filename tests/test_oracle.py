@@ -5,13 +5,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warnlab.errors import OrderingError, ValidationError
 from warnlab.history import truncate_history
 from warnlab.oracle import (
     AnnotationSet,
     Label,
+    LabeledWarning,
     Reason,
+    actionability_of,
     apply_annotations,
     confirm_false_alarms,
     filter_match,
@@ -358,3 +362,46 @@ class TestAnnotationsIO:
         annotations = AnnotationSet("rev1", {labels[0].key: Label.ACTIONABLE})
         unchanged = apply_annotations(labels, annotations)
         assert unchanged[0].reason is Reason.CLOSED_FILE_PRESENT
+
+
+def test_actionability_of_nothing_labeled_is_none(four_rev_history):
+    assert actionability_of([]) is None
+    (lw,) = heuristic_label(four_rev_history, "r3", "r4")
+    assert actionability_of([LabeledWarning(lw.key, Label.UNKNOWN, Reason.FILE_DELETED)]) is None
+
+
+# The label each reason stands for; a ManualOverride carries its annotator's.
+REASON_LABEL = {
+    Reason.CLOSED_FILE_PRESENT: Label.ACTIONABLE,
+    Reason.STILL_OPEN: Label.FALSE_ALARM,
+    Reason.FILE_DELETED: Label.UNKNOWN,
+    Reason.FILTER_MATCHED: Label.FALSE_ALARM,
+}
+
+
+@given(seed=st.integers(0, 2 ** 16), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_label_is_its_reasons_label(seed, data):
+    """The three calls that make labels (the heuristic, filter confirmation
+    and annotation) pair each label with its reason."""
+    result = generate(SynthConfig(seed=seed, n_files=8, n_revisions=16, warnings_per_revision=4,
+                                  incidental_close_rate=0.2, file_delete_rate=0.3))
+    h, a = result.history, result.anchors
+    labels = heuristic_label(h, a.test, a.reference)
+    keys = [lw.key for lw in labels]
+    patterns = sorted({key.bug_pattern for key in keys})
+    chosen = data.draw(st.lists(st.sampled_from(patterns), unique=True), label="filtered")
+    rules = parse_filter_file(
+        "<FindBugsFilter><Match><Class name-prefix='com.'/>"
+        + "".join(f"<Bug pattern='{p}'/>" for p in chosen or ["NONE"])
+        + "</Match></FindBugsFilter>")
+    filtered = confirm_false_alarms(labels, rules).labels
+    notes = AnnotationSet("a", data.draw(st.dictionaries(st.sampled_from(keys),
+                                                         st.sampled_from(list(Label))),
+                                         label="annotations"))
+    annotated = apply_annotations(filtered, notes)
+    for made in (labels, filtered, annotated):
+        for lw in made:
+            want = (notes.labels[lw.key] if lw.reason is Reason.MANUAL_OVERRIDE
+                    else REASON_LABEL[lw.reason])
+            assert lw.label is want, lw

@@ -7,7 +7,7 @@ from warnlab.errors import ValidationError
 from warnlab.features import LeakMode
 from warnlab.history import emit_ledger
 from warnlab.oracle import Label, heuristic_label, sweep_reference
-from warnlab.synth import SynthConfig, generate
+from warnlab.synth import REVISION_INTERVAL_DAYS, SynthConfig, generate
 
 
 class TestDeterminism:
@@ -106,6 +106,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SynthConfig(seed=0, n_revisions=0)
 
+    @pytest.mark.parametrize("settings,message", [
+        ({"n_files": 0}, "need at least 1 file"),
+        ({"warnings_per_revision": -1}, "warnings_per_revision must be >= 0"),
+    ])
+    def test_counts_bounded_below(self, settings, message):
+        with pytest.raises(ValidationError, match=message):
+            SynthConfig(seed=0, **settings)
+
     def test_rates_bounded(self):
         with pytest.raises(ValidationError):
             SynthConfig(seed=0, true_actionable_rate=1.5)
@@ -130,6 +138,22 @@ class TestTruthSidecar:
         assert len(payload["warnings"]) == len(result.truth)
         natures = {w["nature"] for w in payload["warnings"]}
         assert natures <= {"actionable", "false_alarm"}
+
+
+class TestClosureSchedule:
+    def test_fix_with_no_delay_closes_at_the_next_revision(self):
+        """A fix scheduled at its warning's birth is moved one revision on,
+        so the warning is observed once."""
+        result = generate(SynthConfig(seed=4, n_files=6, n_revisions=12, warnings_per_revision=2,
+                                      true_actionable_rate=1.0, fix_delay_days=(0.0, 0.0)))
+        seen: dict = {}
+        for idx, group in enumerate(result.history.warnings_at):
+            for obs in group:
+                seen.setdefault(obs.key, []).append(idx)
+        assert seen.keys() == result.truth.keys()
+        for key, indexes in seen.items():
+            (born,) = indexes
+            assert result.truth[key].closed_day == (born + 1) * REVISION_INTERVAL_DAYS
 
 
 class TestConfigBounds:
