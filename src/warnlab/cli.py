@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -513,7 +512,7 @@ def cmd_report(args) -> int:
                 raise ValidationError("sweep rows without ratios cannot be tested")
             pairs.append((ra, rb))
         result = ev.wilcoxon_exact(pairs)
-        merged["wilcoxon"] = {**asdict(result), "intervals": [col_a, col_b]}
+        merged["wilcoxon"] = {**result._asdict(), "intervals": [col_a, col_b]}
         text_parts.append(
             f"wilcoxon signed-rank over {len(pairs)} project(s): "
             f"statistic={result.statistic:g} p={result.p_value:.5f}\n"

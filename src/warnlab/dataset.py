@@ -21,9 +21,8 @@ labels are the build's one read past the cut.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import Count, OrderingError, ValidationError, field_types, read_fields, read_json
 from .keys import Label, WarningKey
@@ -40,8 +39,7 @@ if TYPE_CHECKING:
 DATASET_LABELS = frozenset((Label.ACTIONABLE.value, Label.FALSE_ALARM.value))
 
 
-@dataclass(frozen=True)
-class LabeledInstance:
+class LabeledInstance(NamedTuple):
     """One labeled warning; its split's ``DatasetMeta`` revision is its own."""
 
     key: WarningKey
@@ -49,8 +47,7 @@ class LabeledInstance:
     label: Label
 
 
-@dataclass(frozen=True)
-class DatasetMeta:
+class DatasetMeta(NamedTuple):
     train_rev: str
     test_rev: str
     ref_rev: str
@@ -63,7 +60,7 @@ class DatasetMeta:
 
     def to_json(self) -> dict:
         """Each field, with the mode's two in its place."""
-        return {**asdict(self), **asdict(self.mode), "notices": list(self.notices)}
+        return {**self._asdict(), **self.mode._asdict(), "notices": list(self.notices)}
 
     @classmethod
     def from_json(cls, data) -> "DatasetMeta":
@@ -75,15 +72,13 @@ class DatasetMeta:
         return cls(mode=LeakMode(values.pop("mode"), values.pop("window_days")), **values)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     train: tuple[LabeledInstance, ...]
     test: tuple[LabeledInstance, ...]
     meta: DatasetMeta
 
 
-@dataclass(frozen=True)
-class DuplicationReport:
+class DuplicationReport(NamedTuple):
     test_size: int
     duplicated: int
     rate: float
@@ -91,7 +86,7 @@ class DuplicationReport:
     duplicated_bridged: int = 0  # rename-bridged duplicates, reported alongside
 
     def to_json(self) -> dict:
-        return {**asdict(self),
+        return {**self._asdict(),
                 "duplicated_keys": [list(k.sort_key()) for k in self.duplicated_keys]}
 
 

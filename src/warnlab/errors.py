@@ -7,7 +7,7 @@ nothing from warnlab, so a command that needs only these loads no layer.
 
 Field kinds. A kind reads one decoded JSON value: it returns the value, or
 raises ``ValueError("<name> must be ..., got ...")``. Each kind is defined
-here, once, and a dataclass field names it by its type, the text before
+here, once, and a record field names it by its type, the text before
 the colon below:
 
 - ``str`` (``string``): a string; ``str | None`` (``optional_string``): a
@@ -22,11 +22,11 @@ the colon below:
 - ``tuple[K, ...]`` and ``frozenset[K]`` (``list_of(K)``): an array of K;
   ``tuple[K1, K2]`` (``row(K1, K2)``): an array of one K1 then one K2, for
   any number of kinds; ``K | None`` (``optional(K)``): K or null.
-- a dataclass: an object holding its fields, each by its type's kind; a
-  dict of field types: an object holding those fields, read as a dict.
+- a record (a ``NamedTuple``): an object holding its fields, each by its
+  type's kind; a dict of field types: the object's fields, read as a dict.
 
 ``kind_of`` resolves a field type to its kind, and ``read_fields`` reads a
-JSON object's fields by their types (``field_types`` of a dataclass),
+JSON object's fields by their types (``field_types`` of a record),
 naming the object in every message. The ledger decoders in
 ``history`` call the kinds directly.
 """
@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import is_dataclass
 from types import FunctionType
 from typing import Annotated, get_args, get_origin, get_type_hints
 
@@ -203,7 +202,7 @@ def kind_of(field_type):
     """The kind a field type names (module docstring)."""
     if isinstance(field_type, dict):
         return lambda value, name: read_fields(value, name, field_type)
-    if is_dataclass(field_type):
+    if hasattr(field_type, "_fields"):  # a record
         types = field_types(field_type)
         return lambda value, name: field_type(**read_fields(value, name, types))
     origin, args = get_origin(field_type), get_args(field_type)
@@ -221,7 +220,7 @@ def kind_of(field_type):
 
 
 def field_types(cls) -> dict:
-    """Field name -> type of a dataclass, with ``Count`` and ``Rate`` kept."""
+    """Field name -> type of a ``NamedTuple`` record, with ``Count`` and ``Rate`` kept."""
     return get_type_hints(cls, include_extras=True)
 
 

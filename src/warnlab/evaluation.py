@@ -10,9 +10,7 @@ approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dataset import Dataset
 from .errors import Count, ModelError, Rate, ValidationError, field_types, read_fields
@@ -24,8 +22,7 @@ FLAG_NO_ACTUAL_POSITIVES = "recall_undefined"
 FLAG_SINGLE_CLASS_AUC = "auc_single_class"
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: Count
     fp: Count
     fn: Count
@@ -48,12 +45,11 @@ def confusion(y_true: Sequence[Label], y_pred: Sequence[Label]) -> ConfusionCoun
     return ConfusionCounts(tp, fp, fn, tn)
 
 
-@dataclass(frozen=True)
-class PRF1:
+class PRF1(NamedTuple):
     precision: float
     recall: float
     f1: float
-    flags: frozenset[str] = field(default_factory=frozenset)
+    flags: frozenset[str] = frozenset()
 
 
 def prf1(counts: ConfusionCounts) -> PRF1:
@@ -115,8 +111,7 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
 MAX_EXACT_N = 25
 
 
-@dataclass(frozen=True)
-class WilcoxonResult:
+class WilcoxonResult(NamedTuple):
     n: int  # pairs remaining after zero-difference removal
     w_plus: float
     w_minus: float
@@ -141,6 +136,7 @@ def wilcoxon_exact(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
         raise ValidationError(
             f"exact enumeration supports at most {MAX_EXACT_N} nonzero pairs, got {n}"
         )
+    from fractions import Fraction  # only ``report --wilcoxon`` loads it, and decimal with it
     ranks = _average_ranks([abs(d) for d in nonzero])
     w_plus = sum(r for r, d in zip(ranks, nonzero) if d > 0)
     w_minus = sum(r for r, d in zip(ranks, nonzero) if d < 0)
@@ -179,8 +175,7 @@ def wilcoxon_exact(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult:
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     project: str
     counts: ConfusionCounts
     precision: Rate
@@ -189,10 +184,10 @@ class EvalReport:
     auc: Rate
     actionability: Rate
     baseline_f1: Rate  # all-actionable strawman on the same test split
-    flags: frozenset[str] = field(default_factory=frozenset)
+    flags: frozenset[str] = frozenset()
 
     def to_json(self) -> dict:
-        return {**asdict(self), "flags": sorted(self.flags)}
+        return {**self._asdict(), "counts": self.counts._asdict(), "flags": sorted(self.flags)}
 
     @classmethod
     def from_json(cls, data) -> "EvalReport":

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ExtractionError, ValidationError
 from .history import (
@@ -160,8 +159,8 @@ def golden_features(
     Cost: one pass each over the members, the universe and the change
     records computes everything that depends only on the extraction revision
     and mode (closed/total counts per population; discretization and mean
-    closed lifetime per category; recent LOC per package). Each target then
-    costs lookups plus its own ``file_chain`` walk.
+    closed lifetime per category; recent LOC per package). Each distinct
+    target path costs one ``file_chain`` walk, and each target lookups.
     """
     if mode.is_leaky != (labels is not None):
         raise ValidationError("leaky extraction takes the heuristic labels, leak-free none")
@@ -214,6 +213,9 @@ def golden_features(
     type_lifetimes = _type_lifetimes(base, universe)
     loc_by_package = _loc_by_package(base, at_time, days=90.0)
 
+    # Per target path, what its file chain gives each warning in the file: (birth
+    # index, earliest chain index or at_idx, developers, LOC of the last 25 revisions).
+    by_path: dict[str, tuple[int | None, int, int, int]] = {}
     # Per key, its observation at the target with the lowest (line, priority).
     obs_by_key: dict[WarningKey, WarningObservation] = {}
     for obs in base.warnings_at[at_idx]:
@@ -255,9 +257,16 @@ def golden_features(
         if type_lifetime is None:
             flags.add(FLAG_NO_CLOSED_LIFETIME)
 
-        birth_idx, chain = base.file_chain(key.file_path, at_idx)
+        walked = by_path.get(key.file_path)
+        if walked is None:
+            birth_idx, chain = base.file_chain(key.file_path, at_idx)
+            walked = by_path[key.file_path] = (
+                birth_idx, min((idx for idx, _ in chain), default=at_idx),
+                len({rec.author for _, rec in chain if rec.author}),
+                _loc_last_n_revisions(chain, n=25))
+        birth_idx, earliest, developers, loc_recent = walked
         if birth_idx is None:  # no Add: its earliest mention (indexes run in time order)
-            birth_idx = min([canon.first_seen_idx, *(idx for idx, _ in chain)])
+            birth_idx = min(canon.first_seen_idx, earliest)
             flags.add(FLAG_FILE_CREATION_INFERRED)
         birth_time = base.revisions[birth_idx].timestamp
 
@@ -279,10 +288,10 @@ def golden_features(
             package=obs.key.package,
             file_age_days=(at_time - birth_time) / SECONDS_PER_DAY,
             file_creation_timestamp=float(birth_time),
-            developers=len({rec.author for _, rec in chain if rec.author}),
+            developers=developers,
             parameter_signature=attrs.parameter_signature,
             method_visibility=attrs.method_visibility,
-            loc_added_in_file_last_25_revisions=_loc_last_n_revisions(chain, n=25),
+            loc_added_in_file_last_25_revisions=loc_recent,
             loc_added_in_package_past_3_months=loc_by_package.get(key.package, 0),
             warning_lifetime_revisions=len(canon.presence),
             flags=frozenset(flags),
@@ -328,8 +337,7 @@ def _loc_by_package(base: ProjectHistory, at_time: int, days: float) -> dict[str
 # Time-travel audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimeTravelAudit:
+class TimeTravelAudit(NamedTuple):
     ok: bool
     checked: int
     mismatched_keys: tuple[WarningKey, ...]

@@ -26,6 +26,10 @@ holds it. Every derived index reads the groups by their index. A cut
 (:func:`truncate_history`) is a prefix of those four tuples, so it shares
 every record, group and attrs dict with its parent.
 
+Every warnlab record is a ``typing.NamedTuple``, hashed and compared in C
+like the tuple of its fields, but ``ProjectHistory``: its cached indexes
+need an instance ``__dict__``, so it is a plain class equal by its four tuples.
+
 The warning universe (:func:`build_universe`) holds one entry per warning:
 the observations of one live range, merged across the rename chain. A
 history caches its universe (``ProjectHistory.universe``); each call of
@@ -149,7 +153,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as _quote
@@ -165,8 +168,7 @@ VISIBILITIES = ("public", "protected", "package", "private")
 SECONDS_PER_DAY = 86400
 
 
-@dataclass(frozen=True)
-class RevisionMeta:
+class RevisionMeta(NamedTuple):
     id: str
     timestamp: int
     parent: str | None = None
@@ -194,8 +196,7 @@ class WarningObservation(NamedTuple):
     line: int
 
 
-@dataclass(frozen=True)
-class FileChangeRecord:
+class FileChangeRecord(NamedTuple):
     file_path: str
     kind: str  # Add | Modify | Delete | Rename
     lines_added: int = 0
@@ -204,8 +205,7 @@ class FileChangeRecord:
     old_path: str | None = None  # Rename only: the pre-rename path
 
 
-@dataclass(frozen=True)
-class StaticAttributes:
+class StaticAttributes(NamedTuple):
     """Per-(revision, warning) code metrics supplied by the ledger."""
 
     comment_code_ratio: float
@@ -217,7 +217,6 @@ class StaticAttributes:
     method_visibility: str
 
 
-@dataclass
 class ProjectHistory:
     """Timeline of revisions, with the records of each revision grouped by
     its index (module docstring).
@@ -230,10 +229,18 @@ class ProjectHistory:
     ``path_events`` and ``range_ends``.
     """
 
-    revisions: tuple[RevisionMeta, ...]  # sorted by (timestamp, id)
-    warnings_at: tuple[frozenset[WarningObservation], ...]
-    changes_at: tuple[frozenset[FileChangeRecord], ...]
-    attrs_at: tuple[dict[WarningKey, StaticAttributes], ...]
+    def __init__(self, revisions: tuple[RevisionMeta, ...],  # sorted by (timestamp, id)
+                 warnings_at: tuple[frozenset[WarningObservation], ...],
+                 changes_at: tuple[frozenset[FileChangeRecord], ...],
+                 attrs_at: tuple[dict[WarningKey, StaticAttributes], ...]):
+        self.revisions, self.warnings_at = revisions, warnings_at
+        self.changes_at, self.attrs_at = changes_at, attrs_at
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ProjectHistory:
+            return NotImplemented
+        return ((self.revisions, self.warnings_at, self.changes_at, self.attrs_at)
+                == (other.revisions, other.warnings_at, other.changes_at, other.attrs_at))
 
     @property
     def observations(self) -> tuple[WarningObservation, ...]:
@@ -781,8 +788,7 @@ def truncate_history(history: ProjectHistory, rev_id: str) -> ProjectHistory:
 # Warning universe: one entry per warning, under the live-range rule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CanonicalWarning:
+class CanonicalWarning(NamedTuple):
     """One physical warning: the observations of one live range, merged
     across the file's rename chain.
 

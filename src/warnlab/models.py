@@ -19,13 +19,11 @@ among exact distance ties.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Annotated, Sequence
+from typing import Annotated, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,8 +45,7 @@ EPOCHS = 50
 KNN_BLOCK_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class ColumnManifest:
+class ColumnManifest(NamedTuple):
     """Train-fitted encoding recipe: per-column statistics and vocabularies."""
 
     numeric: tuple[tuple[str, float, float], ...]  # (field, mean, scale)
@@ -59,16 +56,16 @@ class ColumnManifest:
         return len(self.numeric) + sum(len(vocab) for _, vocab in self.categorical)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
 class EncodedMatrix:
     """Numeric matrix plus the per-row identity needed by the dummy models."""
 
-    X: np.ndarray
-    manifest: ColumnManifest
-    keys: tuple[WarningKey, ...]
+    __slots__ = ("X", "manifest", "keys")
+
+    def __init__(self, X: np.ndarray, manifest: ColumnManifest, keys: tuple[WarningKey, ...]):
+        self.X, self.manifest, self.keys = X, manifest, keys
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -125,16 +122,21 @@ def labels_of(instances: Sequence[LabeledInstance]) -> list[Label]:
 # Models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Model:
+class _ModelFields(NamedTuple):
     kind: str
     seed: int
     manifest: ColumnManifest
     params: dict
 
-    def __post_init__(self):
+
+class Model(_ModelFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in MODEL_KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
+        return self
 
 
 _entrywise_matrix = list_of(list_of(finite))
@@ -309,6 +311,7 @@ def _repeat_scores(model: Model, encoded: EncodedMatrix) -> np.ndarray:
 
 
 def _stable_seed(seed: int, key: WarningKey) -> int:
+    import hashlib  # only repeat scoring hashes, so knn and linear eval load no OpenSSL
     material = "\x1f".join((str(seed),) + key.sort_key()).encode()
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 

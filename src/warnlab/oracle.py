@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import Count, OrderingError, Rate, ValidationError, field_types, string
 from .history import SECONDS_PER_DAY, ProjectHistory, decode_key
@@ -28,8 +27,7 @@ class Reason(str, enum.Enum):
     MANUAL_OVERRIDE = "ManualOverride"
 
 
-@dataclass(frozen=True)
-class LabeledWarning:
+class LabeledWarning(NamedTuple):
     """One warning's label; the call that made it holds the two revisions."""
 
     key: WarningKey
@@ -86,8 +84,7 @@ def actionability_of(labels: Iterable[LabeledWarning]) -> float | None:
 # Reference-revision sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     interval_days: float
     reference_revision: str | None
     actionable: Count
@@ -107,8 +104,7 @@ SWEEP_FIELDS = {name: field_type for name, field_type in field_types(SweepRow).i
                 if name != "labels"}
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     at_revision: str
     rows: tuple[SweepRow, ...]
 
@@ -161,25 +157,33 @@ def _nearest_at_or_after(history: ProjectHistory, target_time: float, min_index:
 # Developer filter files (confirmed false alarms)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FilterRule:
-    """One Match entry: a class matcher plus the suppressed bug patterns."""
-
+class _FilterRuleFields(NamedTuple):
     class_matcher: str
     is_prefix: bool
     patterns: frozenset[str]
 
-    def __post_init__(self):
+
+class FilterRule(_FilterRuleFields):
+    """One Match entry: a class matcher plus the suppressed bug patterns."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.patterns:
             raise ValidationError("filter rule needs at least one bug pattern")
+        return self
 
 
 def parse_filter_file(source: str | IO[str]) -> list[FilterRule]:
     """Parse a FindBugsFilter XML document into rules.
 
-    Each Match element carries one Class element (``name`` for an exact
-    match or ``name-prefix`` for a prefix match on the qualified name) and
-    one or more Bug elements with ``pattern`` attributes.
+    Each Match element holds one Class element (``name`` for an exact match
+    or ``name-prefix`` for a prefix match on the qualified name) and one or
+    more Bug elements with a ``pattern`` attribute alone. A Match suppresses
+    only what all its children match, so a rule that skipped any other child
+    (a second Class, a Method, a Bug by ``code``) would suppress more than
+    the file says: such a child raises ``ValidationError`` naming it.
     """
     import xml.etree.ElementTree as ET  # only ``label --filter-file`` reads XML
 
@@ -192,23 +196,24 @@ def parse_filter_file(source: str | IO[str]) -> list[FilterRule]:
         raise ValidationError(f"expected top element FindBugsFilter, got {root.tag!r}")
     rules: list[FilterRule] = []
     for match in root.findall("Match"):
-        cls = match.find("Class")
+        cls, patterns = None, set()
+        for child in match:
+            if child.tag == "Class" and cls is None:
+                cls = child
+            elif child.tag == "Bug" and child.keys() == ["pattern"] and child.get("pattern"):
+                patterns.add(child.get("pattern"))
+            else:
+                attrs = "".join(f" {name}={value!r}" for name, value in child.items())
+                raise ValidationError(f"Match element holds <{child.tag}{attrs}>: a rule "
+                                      "reads one Class and Bug elements by pattern only")
         if cls is None:
             raise ValidationError("Match element without a Class element")
         name = cls.get("name")
         prefix = cls.get("name-prefix")
         if (name is None) == (prefix is None):
             raise ValidationError("Class element needs exactly one of name / name-prefix")
-        patterns = frozenset(
-            bug.get("pattern") for bug in match.findall("Bug") if bug.get("pattern")
-        )
-        rules.append(
-            FilterRule(
-                class_matcher=name if name is not None else prefix,
-                is_prefix=prefix is not None,
-                patterns=patterns,
-            )
-        )
+        rules.append(FilterRule(class_matcher=name if name is not None else prefix,
+                                is_prefix=prefix is not None, patterns=frozenset(patterns)))
     return rules
 
 
@@ -229,8 +234,7 @@ def filter_match(rules: Sequence[FilterRule], key: WarningKey) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FilterConfirmation:
+class FilterConfirmation(NamedTuple):
     labels: tuple[LabeledWarning, ...]
     open_count: int
     matched_count: int
@@ -255,7 +259,7 @@ def confirm_false_alarms(
             open_count += 1
             if filter_match(rules, lw.key):
                 matched += 1
-                lw = replace(lw, reason=Reason.FILTER_MATCHED)
+                lw = lw._replace(reason=Reason.FILTER_MATCHED)
         out.append(lw)
     return FilterConfirmation(tuple(out), open_count, matched)
 
@@ -264,8 +268,7 @@ def confirm_false_alarms(
 # Manual annotations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnnotationSet:
+class AnnotationSet(NamedTuple):
     annotator: str
     labels: Mapping[WarningKey, Label]
 
@@ -302,6 +305,6 @@ def apply_annotations(
     for lw in labels:
         manual = annotations.labels.get(lw.key)
         if manual is not None and manual is not lw.label:
-            lw = replace(lw, label=manual, reason=Reason.MANUAL_OVERRIDE)
+            lw = lw._replace(label=manual, reason=Reason.MANUAL_OVERRIDE)
         out.append(lw)
     return out

@@ -12,26 +12,32 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import ValidationError, field_types, kind_of
 from .keys import KEY_COLUMNS, WarningKey, key_from_row, key_row
 
 
-@dataclass(frozen=True)
-class LeakMode:
-    """Extraction mode: leaky (needs a reference revision) or leak-free."""
-
+class _LeakModeFields(NamedTuple):
     mode: str  # "leaky" | "leakfree"
     window_days: float = 365.0
 
-    def __post_init__(self):
+
+# A NamedTuple body may not define ``__new__``, so a record that checks its
+# fields (also Model, FilterRule, SynthConfig) does so in a subclass's.
+class LeakMode(_LeakModeFields):
+    """Extraction mode: leaky (needs a reference revision) or leak-free."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("leaky", "leakfree"):
             raise ValidationError(f"mode must be 'leaky' or 'leakfree', got {self.mode!r}")
         if not 0 < self.window_days < math.inf:
             raise ValidationError(f"window_days must be finite and positive, "
                                   f"got {self.window_days!r}")
+        return self
 
     @property
     def is_leaky(self) -> bool:
@@ -50,8 +56,7 @@ class LeakMode:
 # Feature vector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     # warning combination
     warning_context_in_method: float
     warning_context_in_file: float
@@ -82,13 +87,14 @@ class FeatureVector:
     loc_added_in_package_past_3_months: int
     # warning history
     warning_lifetime_revisions: int
-    flags: frozenset[str] = field(default_factory=frozenset)
+    flags: frozenset[str] = frozenset()
 
 
 # The model schema, read off the annotations in declaration order: int and
 # float fields are numeric, str fields categorical.
-NUMERIC_FIELDS = tuple(f.name for f in fields(FeatureVector) if f.type in ("int", "float"))
-CATEGORICAL_FIELDS = tuple(f.name for f in fields(FeatureVector) if f.type == "str")
+_FEATURE_TYPES = field_types(FeatureVector)
+NUMERIC_FIELDS = tuple(name for name, t in _FEATURE_TYPES.items() if t in (int, float))
+CATEGORICAL_FIELDS = tuple(name for name, t in _FEATURE_TYPES.items() if t is str)
 
 # Canonical export names for the 23 features.
 CANONICAL_NAMES: dict[str, str] = {
@@ -119,7 +125,7 @@ CANONICAL_NAMES: dict[str, str] = {
 
 # The 23 features in declaration order, which is also their CSV column order.
 FEATURE_FIELDS = tuple(CANONICAL_NAMES)
-assert FEATURE_FIELDS == tuple(f.name for f in fields(FeatureVector))[:-1]
+assert FEATURE_FIELDS == FeatureVector._fields[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +143,12 @@ _FIRST_FEATURE = len(KEY_COLUMNS) + len(META_COLUMNS)
 # feature it computes by the same kind (``features.golden_features``).
 FEATURE_COLUMNS = tuple(
     (name, column, field_type, kind_of(field_type))
-    for column, (name, field_type) in enumerate(field_types(FeatureVector).items(),
-                                                start=_FIRST_FEATURE)
+    for column, (name, field_type) in enumerate(_FEATURE_TYPES.items(), start=_FIRST_FEATURE)
     if name != "flags"
 )
 
 
-@dataclass(frozen=True)
-class MatrixRow:
+class MatrixRow(NamedTuple):
     key: WarningKey
     origin_rev: str
     label: str  # "" when unlabeled

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .errors import ValidationError, field_types, read_fields
 from .history import (
@@ -53,8 +53,7 @@ MAX_FILES = 10 ** 6
 MAX_LEDGER_LINES = 10 ** 8
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class _SynthConfigFields(NamedTuple):
     seed: int
     n_files: int = 40
     n_revisions: int = 40
@@ -66,9 +65,14 @@ class SynthConfig:
     duplication_pressure: float = 0.5
     leak_signal: bool = False
 
+
+class SynthConfig(_SynthConfigFields):
+    __slots__ = ()
+
     # Direct construction runs these range checks too, so ``from_json`` reads
     # the rates by the plain ``float`` kind, not by ``Rate``.
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_revisions < 2:
             raise ValidationError("need at least 2 revisions")
         if self.n_files < 1:
@@ -90,39 +94,37 @@ class SynthConfig:
         lo, hi = self.fix_delay_days
         if not 0 <= lo <= hi < math.inf:  # also refuses NaN
             raise ValidationError("fix_delay_days must satisfy 0 <= min <= max < inf")
+        return self
 
     def to_json(self) -> dict:
-        return {**asdict(self), "fix_delay_days": list(self.fix_delay_days)}
+        return {**self._asdict(), "fix_delay_days": list(self.fix_delay_days)}
 
     @classmethod
     def from_json(cls, data) -> "SynthConfig":
         """Decode ``to_json`` output; a setting that is unknown, missing,
-        ill-kinded or refused by ``__post_init__`` raises ``ValidationError``."""
+        ill-kinded or refused by ``__new__`` raises ``ValidationError``."""
         read_fields(data, "synth config", {"seed": int})  # an object, with a seed
         settings = read_fields(data, "synth config", {
             name: field_type for name, field_type in field_types(cls).items() if name in data})
-        try:
-            return cls(**{**data, **settings})
-        except TypeError as exc:  # an unknown setting
-            raise ValidationError(f"bad synth config: {exc}") from None
+        unknown = sorted(data.keys() - cls._fields)
+        if unknown:
+            raise ValidationError(f"bad synth config: unknown setting(s) {unknown}")
+        return cls(**settings)
 
 
-@dataclass(frozen=True)
-class TruthRecord:
+class TruthRecord(NamedTuple):
     nature: str  # "actionable" | "false_alarm"
     closure_kind: str | None  # fix | incidental | file_deleted | None (still open)
     closed_day: float | None  # day offset of the closing revision
 
 
-@dataclass(frozen=True)
-class Anchors:
+class Anchors(NamedTuple):
     train: str
     test: str
     reference: str
 
 
-@dataclass(frozen=True)
-class SynthResult:
+class SynthResult(NamedTuple):
     history: ProjectHistory
     truth: dict[WarningKey, TruthRecord]
     anchors: Anchors
@@ -131,7 +133,7 @@ class SynthResult:
     def truth_json(self) -> dict:
         return {
             "config": self.config.to_json(),
-            "anchors": asdict(self.anchors),
+            "anchors": self.anchors._asdict(),
             "warnings": [
                 {**key_json(key), "nature": rec.nature, "closure_kind": rec.closure_kind,
                  "closed_day": rec.closed_day}
@@ -140,16 +142,17 @@ class SynthResult:
         }
 
 
-@dataclass
 class _File:
-    index: int
-    path: str
-    package: str
-    class_name: str
-    created_idx: int | None = None
-    deleted_idx: int | None = None
-    used_patterns: set[str] = field(default_factory=set)
-    authors: tuple[str, ...] = ()
+    __slots__ = ("index", "path", "package", "class_name", "authors", "created_idx",
+                 "deleted_idx", "used_patterns")
+
+    def __init__(self, index: int, path: str, package: str, class_name: str,
+                 authors: tuple[str, ...]):
+        self.index, self.path, self.package, self.class_name = index, path, package, class_name
+        self.authors = authors
+        self.created_idx: int | None = None  # generation fills in both indexes and the patterns
+        self.deleted_idx: int | None = None
+        self.used_patterns: set[str] = set()
 
 
 # The train anchor sits early in the timeline on purpose: warnings born

@@ -8,7 +8,6 @@ records for package LOC. ``extract_golden`` must agree with it bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from warnlab import features as ft
 from warnlab.history import SECONDS_PER_DAY as DAY
@@ -76,8 +75,7 @@ def reference_golden(history, at_rev, mode, ref_rev, vectors):
             ft.FLAG_SINGLE_PATTERN_CATEGORY: len(per_pattern) == 1,
             ft.FLAG_NO_CLOSED_LIFETIME: not durations,
         }
-        out[key] = replace(
-            vec,
+        out[key] = vec._replace(
             warning_context_in_method=ft.warning_context(*method_pop),
             warning_context_in_file=ft.warning_context(*file_pop),
             warning_context_for_warning_type=ft.warning_context(*type_pop),

@@ -12,7 +12,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 import warnlab
 from warnlab.cli import UsageError, main, parse_duration_days
 from warnlab.features import LeakMode, build_universe, extract_golden
-from warnlab.history import emit_ledger, ingest_ledger, truncate_history
+from warnlab.history import ProjectHistory, emit_ledger, ingest_ledger, truncate_history
 from warnlab.keys import KEY_COLUMNS
 from warnlab.synth import SynthConfig, generate
 
@@ -226,7 +225,16 @@ class TestFilterFile:
                    for i in range(8))
          + ']><FindBugsFilter><Match><Class name="&aaaaaaaaa;"/></Match></FindBugsFilter>',
          "invalid filter file XML: limit on input amplification factor"),  # 10**10 bytes
-    ], ids=["invalid-xml", "wrong-root", "match-without-class", "name-and-prefix", "bomb"])
+        # Every child of a Match must hold: a rule that skipped one would
+        # suppress more than the file says (each once read as Class A, Bug P).
+        ('<FindBugsFilter><Match><Class name="A"/><Class name="B"/><Bug pattern="P"/></Match>'
+         '</FindBugsFilter>', "Match element holds <Class name='B'>"),
+        ('<FindBugsFilter><Match><Class name="A"/><Method name="m"/><Bug pattern="P"/></Match>'
+         '</FindBugsFilter>', "Match element holds <Method name='m'>"),
+        ('<FindBugsFilter><Match><Class name="A"/><Bug pattern="P"/><Bug code="X"/></Match>'
+         '</FindBugsFilter>', "Match element holds <Bug code='X'>"),
+    ], ids=["invalid-xml", "wrong-root", "match-without-class", "name-and-prefix", "bomb",
+            "second-class", "method", "bug-code"])
     def test_malformed_filter_file_is_validation_error(self, synth_dir, tmp_path, capsys,
                                                        text, message):
         (tmp_path / "filter.xml").write_text(text, encoding="utf-8")
@@ -873,14 +881,17 @@ class TestCorruptInputFuzz:
         check()
 
 
-# Run in a fresh interpreter: the test process has imported numpy already.
-_NO_NUMPY_SCRIPT = """
+# Runs each command of argv[1]'s [modules, commands] in one fresh interpreter
+# (the test process has imported numpy already) and fails if any of the
+# modules is loaded by importing warnlab.cli or by any command.
+_NONE_LOADED_SCRIPT = """
 import json, sys
 from warnlab.cli import main
-assert "numpy" not in sys.modules, "import warnlab.cli"
-for argv in json.loads(sys.argv[1]):
+absent, commands = json.loads(sys.argv[1])
+assert not [m for m in absent if m in sys.modules], "import warnlab.cli"
+for argv in commands:
     assert main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv[0]
+    assert not [m for m in absent if m in sys.modules], argv[0]
 """
 
 
@@ -924,7 +935,7 @@ class TestImports:
             ["synth", "--seed", "3", "--out", str(tmp_path / "synth")],
         ]
         proc = subprocess.run(
-            [sys.executable, "-c", _NO_NUMPY_SCRIPT, json.dumps(commands)],
+            [sys.executable, "-c", _NONE_LOADED_SCRIPT, json.dumps([["numpy"], commands])],
             env=_env_with_src(os.environ), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -967,6 +978,51 @@ class TestImports:
         loaded = _loaded_by([arg.format(dir=fitted_dir, tmp=tmp_path) for arg in argv])
         assert "warnlab.models" in loaded
         assert sorted(loaded & {"warnlab.history", "warnlab.oracle", "warnlab.features"}) == []
+
+    def test_no_command_loads_dataclasses(self, synth_dir, fitted_dir, tmp_path):
+        """Every record is a NamedTuple, so no command pays for importing
+        dataclasses (and inspect, ast, dis and tokenize with it)."""
+        ledger = str(synth_dir / "ledger.jsonl")
+        anchors = _anchors(synth_dir)
+        at, ref, dsdir = anchors["test"], anchors["reference"], str(tmp_path / "ds")
+        commands = [
+            ["ingest", "--ledger", ledger],
+            ["label", "--ledger", ledger, "--at", at, "--ref", ref, "--out", str(tmp_path / "l")],
+            ["sweep", "--ledger", ledger, "--at", anchors["train"], "--intervals", "90d",
+             "--out", str(tmp_path / "sweep")],
+            ["features", "--ledger", ledger, "--at", at, "--mode", "leaky", "--ref", ref,
+             "--out", str(tmp_path / "features")],
+            ["build", "--ledger", ledger, "--train", anchors["train"], "--test", at,
+             "--ref", ref, "--mode", "leakfree", "--dedup", "--out", dsdir],
+            ["audit", "--dataset", dsdir, "--ledger", ledger, "--out", str(tmp_path / "audit")],
+            ["synth", "--seed", "3", "--out", str(tmp_path / "synth")],
+            ["fit", "--dataset", str(fitted_dir / "ds"), "--model-kind", "repeat",
+             "--out", str(tmp_path / "fit")],
+            ["eval", "--dataset", str(fitted_dir / "ds"), "--model",
+             str(tmp_path / "fit" / "model.json"), "--out", str(tmp_path / "eval")],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _NONE_LOADED_SCRIPT, json.dumps([["dataclasses"], commands])],
+            env=_env_with_src(os.environ), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("kind,command", [("knn", "fit"), ("knn", "eval"),
+                                              ("linear", "eval")])
+    def test_model_commands_load_no_openssl_or_decimal(self, fitted_dir, tmp_path, kind,
+                                                      command):
+        """Only repeat scoring hashes and only ``report --wilcoxon`` takes
+        fractions, so these load neither hashlib nor fractions (nor decimal)."""
+        dataset, model = str(fitted_dir / "ds"), fitted_dir / "model" / "model.json"
+        if kind == "linear":
+            assert run("fit", "--dataset", dataset, "--model-kind", "linear",
+                       "--out", str(tmp_path / "linear")) == 0
+            model = tmp_path / "linear" / "model.json"
+        argv = (["fit", "--dataset", dataset, "--model-kind", kind, "--k", "3"] if command == "fit"
+                else ["eval", "--dataset", dataset, "--model", str(model)])
+        loaded = _loaded_by(argv + ["--out", str(tmp_path / "out")])
+        assert "warnlab.models" in loaded
+        assert sorted(loaded & {"hashlib", "_hashlib", "fractions", "decimal"}) == []
 
     @pytest.mark.parametrize("argv,code", [
         (["synth", "--seed", "3", "--out", "{tmp}/synth"], 0),
@@ -1044,9 +1100,10 @@ def _fractional_day_ledger() -> tuple[list[str], str]:
         seed=3, n_files=48, n_revisions=48, warnings_per_revision=12,
         incidental_close_rate=0.2, file_delete_rate=0.1)).history
     rng = random.Random(0)
-    shifted = tuple(replace(rev, timestamp=rev.timestamp + rng.randrange(86400))
+    shifted = tuple(rev._replace(timestamp=rev.timestamp + rng.randrange(86400))
                     for rev in history.revisions)
-    lines = emit_ledger(replace(history, revisions=shifted))
+    lines = emit_ledger(ProjectHistory(shifted, history.warnings_at, history.changes_at,
+                                       history.attrs_at))
     return [_named_method(line) for line in lines], "r0010"
 
 

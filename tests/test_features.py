@@ -394,6 +394,30 @@ def test_cut_level_extraction_takes_labels_in_leaky_mode_only():
         h, "r1", LeakMode.leaky(), "r2")
 
 
+@pytest.mark.parametrize("mode", [LeakMode.leakfree(), LeakMode.leaky()],
+                         ids=["leakfree", "leaky"])
+def test_one_file_chain_walk_per_target_path(monkeypatch, mode):
+    """A file's chain, developers, recent LOC and earliest mention depend on
+    its path alone, so one extraction walks each target path once."""
+    result = generate(SynthConfig(seed=2, n_files=6, n_revisions=24, warnings_per_revision=6,
+                                  file_delete_rate=0.2))
+    h, a = result.history, result.anchors
+    labels = ({lw.key: lw.label for lw in heuristic_label(h, a.test, a.reference)}
+              if mode.is_leaky else None)
+    cut = truncate_history(h, a.test)
+    walked, file_chain = [], ProjectHistory.file_chain
+
+    def counted(self, path, at_idx):
+        walked.append(path)
+        return file_chain(self, path, at_idx)
+
+    monkeypatch.setattr(ProjectHistory, "file_chain", counted)
+    vectors = golden_features(cut, mode, labels)
+    paths = {key.file_path for key in vectors}
+    assert len(paths) < len(vectors)  # some file holds more than one target
+    assert sorted(walked) == sorted(paths)
+
+
 class TestHistoryDerivedFeatures:
     def _churn_history(self):
         lines = [rev_line(f"r{i}", day=30 * i) for i in range(6)]  # days 0..150

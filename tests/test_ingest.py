@@ -9,7 +9,6 @@ import logging
 import math
 import random
 from collections import defaultdict
-from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -511,7 +510,7 @@ def _histories(draw) -> ProjectHistory:
     zero = payload(0.0)
     first, second = draw(st.permutations(ids))[:2]
     attributes[(first, key)] = zero
-    attributes[(second, key)] = replace(zero, comment_code_ratio=-0.0)
+    attributes[(second, key)] = zero._replace(comment_code_ratio=-0.0)
     ordered = tuple(sorted(revisions, key=lambda r: r.order_key))
     return grouped(ordered, observations, changes, attributes)
 
@@ -543,11 +542,11 @@ def test_emit_matches_reference_and_round_trips(history):
     # Each group's records handed over in the reverse order (tuples, which
     # keep it) sort to the same lines only if no two records tie on the
     # whole sort key.
-    backwards = replace(
-        history,
-        warnings_at=tuple(tuple(reversed(list(group))) for group in history.warnings_at),
-        changes_at=tuple(tuple(reversed(list(group))) for group in history.changes_at),
-        attrs_at=tuple(dict(reversed(group.items())) for group in history.attrs_at))
+    backwards = ProjectHistory(
+        history.revisions,
+        tuple(tuple(reversed(list(group))) for group in history.warnings_at),
+        tuple(tuple(reversed(list(group))) for group in history.changes_at),
+        tuple(dict(reversed(group.items())) for group in history.attrs_at))
     assert list(emit_ledger(backwards)) == lines
     again = ingest_ledger(lines)
     assert again == history
@@ -581,9 +580,9 @@ def _escape_revision(line: str) -> str:
 def _relabeled(history: ProjectHistory, prefix: str) -> ProjectHistory:
     def rename(rev_id):
         return None if rev_id is None else prefix + rev_id
-    return replace(history, revisions=tuple(replace(rev, id=rename(rev.id),
-                                                    parent=rename(rev.parent))
-                                            for rev in history.revisions))
+    return ProjectHistory(tuple(rev._replace(id=rename(rev.id), parent=rename(rev.parent))
+                                for rev in history.revisions),
+                          history.warnings_at, history.changes_at, history.attrs_at)
 
 
 def _corrupt(line: str, how: str) -> str:

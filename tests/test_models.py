@@ -5,7 +5,6 @@ import json
 import math
 import random
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,12 +336,7 @@ class TestAffineInvariance:
                 vec = inst.features
                 out.append(LabeledInstance(
                     key=inst.key,
-                    features=FeatureVector(**{
-                        **{f: getattr(vec, f) for f in vec.__dataclass_fields__
-                           if f != "flags"},
-                        "comment_code_ratio": a * vec.comment_code_ratio + b,
-                        "flags": vec.flags,
-                    }),
+                    features=vec._replace(comment_code_ratio=a * vec.comment_code_ratio + b),
                     label=inst.label,
                 ))
             return out
@@ -393,7 +387,7 @@ class TestPersistence:
         else:
             params["weights"] = special + params["weights"][len(special):]
             params["bias"] = 0.1 + 0.2
-        model = replace(model, params=params)
+        model = model._replace(params=params)
         path = tmp_path / "model.json"
         save_model(model, path)
         expected = io.StringIO()
